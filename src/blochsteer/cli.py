@@ -17,7 +17,6 @@ error, 3 numerical failure.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -68,6 +67,10 @@ class ExperimentConfig:
         for name in ("cavity_detuning", "n0", "omega_c", "theta_mid"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        for name in ("t_final", "t_break"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive when set")
         if self.grid < 16:
             raise ConfigError("grid must be at least 16")
         if self.min_steps < self.grid:
@@ -248,8 +251,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
             gam, shift = decay_and_shift(scan_env, times)
             return np.atleast_1d(gam), np.atleast_1d(shift)
 
-        with ThreadPoolExecutor(max_workers=min(8, len(config.scan_values))) as pool:
-            results = list(pool.map(compute, config.scan_values))
+        results = [compute(value) for value in config.scan_values]
         out.mkdir(parents=True, exist_ok=True)
         for i, (value, (gam, shift)) in enumerate(zip(config.scan_values, results)):
             _write_csv(out / f"env_{i:03d}.csv", "t,decay_rate,lamb_shift",

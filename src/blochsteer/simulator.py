@@ -6,6 +6,12 @@ tensors, the density form propagates the row-major vectorized density
 matrix with supermatrices assembled by Kronecker products.  Agreement
 between the two is the primary dynamics oracle.
 
+The RK4 core is batched.  For a linear ODE ydot = M(t) y + b(t) one RK4 step
+is an exact affine map y -> A y + c, so the core builds the step maps of a
+chunk of a few hundred steps with batched matrix products, composes the maps
+of each output interval, and advances with one matrix-vector product per
+output node; no Python code runs per step.
+
 Controls are sampled schedules, interpolated cubically at the half steps;
 reservoir coefficients are evaluated from their closed forms exactly.
 """
@@ -39,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_MIN_STEPS = 20000
+# Fine steps handled per batch: keeps the stacked stage and step-map
+# temporaries of one chunk well under 1 MB.
+_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -109,48 +118,93 @@ def _fine_grid(times: np.ndarray, min_steps: int) -> tuple[np.ndarray, int]:
     return fine, sub
 
 
-def _rk4_affine(build_mk, y0: np.ndarray, times: np.ndarray, sub: int,
-                fine_times: np.ndarray):
-    """RK4 for ydot = M(t) y + b(t), coefficients precomputed on the half grid.
+def _step_maps(stages, first: int, last: int, h: float) -> np.ndarray:
+    """Exact RK4 step maps of fine steps first .. last-1, in homogeneous form.
 
-    ``build_mk(i)`` returns (M, b) at fine-grid index i.  Records the state
-    at every output node and raises on non-finite intermediate states.
+    For ydot = M y + b one RK4 step is the affine map y -> A y + c.  The drift
+    rides along as an extra column of the generator G = [[M, b], [0, 0]], so
+    c follows the same chain as A: with K1 = h G1, K2 = h G2 (I + K1 / 2),
+    K3 = h G2 (I + K2 / 2) and K4 = h G4 (I + K3), the step is
+    I + (K1 + 2 K2 + 2 K3 + K4) / 6.  Returns shape (last - first, d + 1, d + 1).
+    """
+    m, b = stages(slice(2 * first, 2 * last + 1))
+    n = b.shape[-1]
+    g = np.zeros((len(b), n + 1, n + 1), dtype=np.result_type(m, b))
+    g[:, :n, :n] = m
+    g[:, :n, n] = b
+    g *= h
+    g1, g2, g4 = g[0:-1:2], g[1::2], g[2::2]
+    k2 = g2 + 0.5 * (g2 @ g1)
+    k3 = g2 + 0.5 * (g2 @ k2)
+    k4 = g4 + g4 @ k3
+    maps = (g1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    maps[:, range(n + 1), range(n + 1)] += 1.0
+    return maps
+
+
+def _compose(maps: np.ndarray) -> np.ndarray:
+    """Product maps[..., m-1, :, :] @ ... @ maps[..., 0, :, :] by pairwise halving."""
+    while maps.shape[-3] > 1:
+        pairs = maps[..., 1::2, :, :] @ maps[..., 0:-1:2, :, :]
+        if maps.shape[-3] % 2:
+            pairs = np.concatenate([pairs, maps[..., -1:, :, :]], axis=-3)
+        maps = pairs
+    return maps[..., 0, :, :]
+
+
+def _interval_maps(stages, first: int, last: int, sub: int, h: float) -> np.ndarray:
+    """Composed maps of output intervals first .. last-1, each of ``sub`` steps."""
+    if sub <= _CHUNK_STEPS:
+        maps = _step_maps(stages, first * sub, last * sub, h)
+        return _compose(maps.reshape(last - first, sub, *maps.shape[1:]))
+    # one interval longer than a chunk (then last == first + 1)
+    stop = last * sub
+    parts = [_compose(_step_maps(stages, s, min(s + _CHUNK_STEPS, stop), h))
+             for s in range(first * sub, stop, _CHUNK_STEPS)]
+    return _compose(np.array(parts))[None]
+
+
+def _rk4_affine(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarray:
+    """RK4 for ydot = M(t) y + b(t) with ``sub`` steps per output interval.
+
+    ``stages(idx)`` returns the stacked (M, b) at the fine-grid indices
+    ``idx`` (a slice; the fine grid holds the step nodes and half steps).
+    Works through the run in chunks of about ``_CHUNK_STEPS`` steps: builds
+    each step's affine map with batched matmuls, composes the maps of each
+    output interval, then advances with one matvec per output node.  Records
+    the state at every output node and raises on non-finite states.
     """
     n_out = len(times) - 1
-    out = np.empty((n_out + 1, y0.size), dtype=y0.dtype)
-    out[0] = y0
-    y = y0.copy()
     h = (times[-1] - times[0]) / (n_out * sub)
-    for step in range(n_out * sub):
-        i = 2 * step
-        m1, b1 = build_mk(i)
-        m2, b2 = build_mk(i + 1)
-        m4, b4 = build_mk(i + 2)
-        k1 = m1 @ y + b1
-        k2 = m2 @ (y + 0.5 * h * k1) + b2
-        k3 = m2 @ (y + 0.5 * h * k2) + b2
-        k4 = m4 @ (y + h * k3) + b4
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(np.asarray(y, dtype=complex).view(float))):
-            raise IntegrationDivergedError(
-                f"state became non-finite at t = {fine_times[i + 2]:.6g}")
-        if (step + 1) % sub == 0:
-            out[(step + 1) // sub] = y
+    per_chunk = max(1, _CHUNK_STEPS // sub)
+    out = np.empty((n_out + 1, y0.size), dtype=np.result_type(y0, float))
+    out[0] = y0
+    y = np.append(out[0], 1.0)
+    for first in range(0, n_out, per_chunk):
+        last = min(n_out, first + per_chunk)
+        for j, a in enumerate(_interval_maps(stages, first, last, sub, h), start=first + 1):
+            y = a @ y
+            out[j] = y[:-1]
+        finite = np.all(np.isfinite(out[first + 1:last + 1]), axis=1)
+        if not finite.all():
+            bad = first + 1 + int(np.argmin(finite))
+            raise IntegrationDivergedError(f"state became non-finite at t = {times[bad]:.6g}")
     return out
 
 
 def integrate_affine(matrix_fun, drift_fun, y0: np.ndarray, times: np.ndarray,
                      min_steps: int = DEFAULT_MIN_STEPS) -> np.ndarray:
-    """Fixed-step RK4 for ydot = M(t) y + b(t); shared core of both integrators.
+    """Fixed-step RK4 for ydot = M(t) y + b(t) with callable coefficients.
 
-    Coefficients are evaluated at the step nodes and half steps.  Returns
-    the states on the output grid.
+    Coefficients are evaluated at the step nodes and half steps and run
+    through the same core as both integrators.  Returns the states on the
+    output grid.
     """
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    mats = [np.asarray(matrix_fun(t)) for t in fine]
-    drifts = [np.asarray(drift_fun(t)) for t in fine]
-    return _rk4_affine(lambda i: (mats[i], drifts[i]), np.asarray(y0), times, sub, fine)
+    mats = np.array([matrix_fun(t) for t in fine])
+    drifts = np.array([drift_fun(t) for t in fine])
+    return _rk4_affine(lambda idx: (mats[idx], drifts[idx]), np.asarray(y0), times, sub)
 
 
 def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
@@ -164,13 +218,14 @@ def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
     _, _, f_mats, (k_minus, k_plus), (b_minus, b_plus), _, _ = _qubit_parts()
-    ox, oy, cz, rm, rp = _stage_coefficients(schedule, env, fine)
+    coeffs = np.array(_stage_coefficients(schedule, env, fine))
+    gens = np.array([*f_mats, k_minus, k_plus])
+    drifts = np.array([b_minus, b_plus])
 
-    def build_mk(i):
-        m = (ox[i] * f_mats[0] + oy[i] * f_mats[1] + cz[i] * f_mats[2]
-             + rm[i] * k_minus + rp[i] * k_plus)
-        return m, rm[i] * b_minus + rp[i] * b_plus
-    states = _rk4_affine(build_mk, np.asarray(r0, dtype=float), times, sub, fine)
+    def stages(idx):
+        c = coeffs[:, idx]
+        return np.einsum("gk,gij->kij", c, gens), np.einsum("gk,gi->ki", c[3:], drifts)
+    states = _rk4_affine(stages, np.asarray(r0, dtype=float), times, sub)
     fid = _reference_fidelity(states, times, reference)
     return SimulationRun(times=times, states=states, fidelity=fid, schedule=schedule)
 
@@ -188,15 +243,14 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
     basis, _, _, _, _, s_coh, (s_minus, s_plus) = _qubit_parts()
-    ox, oy, cz, rm, rp = _stage_coefficients(schedule, env, fine)
-    zero = np.zeros(4, dtype=complex)
+    coeffs = np.array(_stage_coefficients(schedule, env, fine))
+    gens = np.array([*s_coh, s_minus, s_plus])
 
-    def build_mk(i):
-        s = (ox[i] * s_coh[0] + oy[i] * s_coh[1] + cz[i] * s_coh[2]
-             + rm[i] * s_minus + rp[i] * s_plus)
-        return s, zero
+    def stages(idx):
+        c = coeffs[:, idx]
+        return np.einsum("gk,gij->kij", c, gens), np.zeros((c.shape[1], 4), dtype=complex)
     vec0 = lv.vec(np.asarray(rho0, dtype=complex))
-    raw = _rk4_affine(build_mk, vec0, times, sub, fine)
+    raw = _rk4_affine(stages, vec0, times, sub)
     states = np.array([density_to_bloch(lv.unvec(v), basis) for v in raw])
     fid = _reference_fidelity(states, times, reference)
     densities = np.array([lv.unvec(v) for v in raw]) if keep_densities else None
@@ -289,10 +343,11 @@ def integrate_density_general(hamiltonian_fun, channels, rho0: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    zero = np.zeros(basis.dimension ** 2, dtype=complex)
-    supers = [lv.kron_liouvillian(hamiltonian_fun(t), channels, basis, t) for t in fine]
-    raw = _rk4_affine(lambda i: (supers[i], zero),
-                      lv.vec(np.asarray(rho0, dtype=complex)), times, sub, fine)
+    supers = np.array([lv.kron_liouvillian(hamiltonian_fun(t), channels, basis, t)
+                       for t in fine])
+    zero = np.zeros(supers.shape[:2], dtype=complex)
+    raw = _rk4_affine(lambda idx: (supers[idx], zero[idx]),
+                      lv.vec(np.asarray(rho0, dtype=complex)), times, sub)
     return np.array([lv.unvec(v) for v in raw])
 
 

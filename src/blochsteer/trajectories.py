@@ -271,7 +271,6 @@ class ControllabilityReport:
     max_second_field: float
     excitation_nonnegative: bool
     fields_bounded: bool
-    singularity_free: bool
 
     @property
     def dynamically_controllable(self) -> bool:
@@ -280,7 +279,7 @@ class ControllabilityReport:
 
 def controllability_check(schedule: ControlSchedule, trajectory: TrajectorySpec = None,
                           env: LorentzianEnvironment = None) -> ControllabilityReport:
-    """Report min excitation number, field bounds and singularity flags.
+    """Report min excitation number, sign changes and field bounds.
 
     Never raises on physical grounds; the flags carry the verdict.
     """
@@ -300,5 +299,4 @@ def controllability_check(schedule: ControlSchedule, trajectory: TrajectorySpec 
         max_second_field=float(np.max(np.abs(second))) if second is not None else 0.0,
         excitation_nonnegative=bool(n[i_min] >= -1e-9),
         fields_bounded=finite,
-        singularity_free=finite,
     )

@@ -1,9 +1,15 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import blochsteer
+
+# the child interpreter imports the same package as the tests, installed or not
+PACKAGE_ROOT = str(Path(blochsteer.__file__).resolve().parents[1])
 
 TRACK_CFG = """
 experiment = track-steady
@@ -25,8 +31,10 @@ cavity_detuning = 0.1
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "blochsteer", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -87,6 +95,19 @@ def test_malformed_config_exits_2_without_files(tmp_path):
     cfg2 = write_cfg(tmp_path, "experiment = track-steady\nwobble = 3\n", "bad.cfg")
     assert run_cli("run", "--config", str(cfg2)).returncode == 2
     assert run_cli("run", "--config", str(tmp_path / "missing.cfg")).returncode == 2
+
+
+@pytest.mark.parametrize("key, value", [("t_final", "-1"), ("t_final", "nan"),
+                                        ("t_final", "inf"), ("t_break", "0"),
+                                        ("t_break", "nan")])
+def test_nonpositive_or_nonfinite_times_exit_2_without_files(tmp_path, key, value):
+    from blochsteer.cli import main
+    cfg = write_cfg(tmp_path, f"experiment = invert-pure\nspectral_width = 0.1\n"
+                              f"cavity_detuning = 0.1\n{key} = {value}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_reruns_are_byte_identical(tmp_path):

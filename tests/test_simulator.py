@@ -52,6 +52,70 @@ def test_rk4_step_halving_order(qubit):
     assert 12.0 <= ratio <= 20.0
 
 
+def rk4_loop(matrix_fun, drift_fun, y0, times, sub):
+    """Literal per-step RK4 on the integrator's fine grid (test oracle)."""
+    n_steps = (len(times) - 1) * sub
+    fine = np.linspace(times[0], times[-1], 2 * n_steps + 1)
+    h = (times[-1] - times[0]) / n_steps
+    y = np.array(y0)
+    out = [y]
+    for step in range(n_steps):
+        t1, t2, t4 = fine[2 * step:2 * step + 3]
+        k1 = matrix_fun(t1) @ y + drift_fun(t1)
+        k2 = matrix_fun(t2) @ (y + 0.5 * h * k1) + drift_fun(t2)
+        k3 = matrix_fun(t2) @ (y + 0.5 * h * k2) + drift_fun(t2)
+        k4 = matrix_fun(t4) @ (y + h * k3) + drift_fun(t4)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % sub == 0:
+            out.append(y)
+    return np.array(out)
+
+
+# (output intervals, steps per interval): one step per interval, several, and
+# more steps per interval than one chunk holds; none fills a whole number of chunks
+STEP_MAP_CASES = [(300, 1), (300, 3), (2, 600)]
+
+
+@pytest.mark.parametrize("n_out, sub", STEP_MAP_CASES)
+def test_step_maps_match_rk4_loop_real_with_drift(rng, n_out, sub):
+    rot = rng.normal(size=(3, 3))
+    base = 0.5 * (rot - rot.T) - 0.2 * np.eye(3)
+    mod = 0.3 * rng.normal(size=(3, 3))
+    b0, b1 = rng.normal(size=3), rng.normal(size=3)
+
+    def matrix(t):
+        return base + np.sin(2.0 * t) * mod
+
+    def drift(t):
+        return b0 + np.cos(t) * b1
+
+    y0 = rng.normal(size=3)
+    times = np.linspace(0.0, 3.0, n_out + 1)
+    states = integrate_affine(matrix, drift, y0, times, min_steps=n_out * sub)
+    assert states.shape == (n_out + 1, 3)
+    assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_out, sub", STEP_MAP_CASES)
+def test_step_maps_match_rk4_loop_complex_without_drift(rng, n_out, sub):
+    gen = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ham = 0.5 * (gen + gen.conj().T)
+    damp = 0.1 * np.diag(rng.uniform(size=4))
+    mod = 0.2 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+    def matrix(t):
+        return -1j * ham - damp + np.cos(1.5 * t) * mod
+
+    def drift(t):
+        return np.zeros(4, dtype=complex)
+
+    y0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    times = np.linspace(0.0, 2.0, n_out + 1)
+    states = integrate_affine(matrix, drift, y0, times, min_steps=n_out * sub)
+    assert states.dtype == complex
+    assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
+
+
 def test_stationary_hold(tracking_env):
     # controls solved with rdot = 0 freeze the state despite oscillating rates
     r_target = np.array([0.25, -0.15, -0.55])
