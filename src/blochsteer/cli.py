@@ -1,8 +1,7 @@
 """Configuration-driven experiment runner.
 
 Usage:
-    blochsteer run --config experiment.cfg [--out DIR] [--grid N]
-                   [--override key=value ...]
+    blochsteer run --config experiment.cfg [--out DIR] [--override key=value ...]
     blochsteer selfcheck [--perturb-f EPS]
 
 Configs are line-oriented ``key = value`` text with ``#`` comments; all
@@ -67,6 +66,9 @@ class ExperimentConfig:
         for name in ("cavity_detuning", "n0", "omega_c", "theta_mid"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if abs(self.theta_mid) > 2.0 * np.pi:
+            # an azimuth: more than one turn is not a meaningful bump
+            raise ConfigError("theta_mid must lie in [-2 pi, 2 pi]")
         for name in ("t_final", "t_break"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):
@@ -162,10 +164,19 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
+# Rows turned into Python floats at a time: converting a whole table at once
+# leaves its many short-lived float objects in the peak resident memory.
+_CSV_CHUNK_ROWS = 256
+
+
 def _write_csv(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
+    """One row per sample, every value as ``%.15g`` (the same text as ``_fmt``)."""
+    row = ",".join(["%.15g"] * len(columns))
+    table = np.column_stack(columns)
     lines = [header]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        lines += [row % tuple(values)
+                  for values in table[start:start + _CSV_CHUNK_ROWS].tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -312,15 +323,12 @@ def main(argv=None) -> int:
                                      description="run a configured experiment")
     parser.add_argument("--config", required=True, help="path to key = value config file")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--grid", type=int, default=None, help="output grid size override")
     parser.add_argument("--override", action="append", default=[],
                         help="key=value config override (repeatable)")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
         config = apply_overrides(config, args.override)
-        if args.grid is not None:
-            config = replace(config, grid=args.grid).validate()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

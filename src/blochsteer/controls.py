@@ -11,6 +11,12 @@ or for (Ox, Delta^R, N) in the detuning protocol (Oy = 0, s0 -> s0 + Delta^R).
 The generic path assembles the same linear system for any SU(N) setup from
 the structure tensors and solves it densely; closed forms and generic solve
 cross-check each other.
+
+The closed forms take one sample (three floats out) or a stack of n samples
+(r, rdot of shape (n, 3), rates of shape (n,); three arrays out), through
+the same expressions.  ``schedule_from_trajectory`` samples the trajectory
+and the reservoir once over the whole grid and solves all regular samples in
+one call; only the few samples on the singular locus are patched separately.
 """
 
 from dataclasses import dataclass
@@ -48,60 +54,102 @@ SINGULARITY_TOL = 1e-8
 _CONDITION_LIMIT = 1e12
 
 
-def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate: float,
-                       lamb_shift: float, tol: float = SINGULARITY_TOL
-                       ) -> tuple[float, float, float]:
+def _singular_mask(r: np.ndarray, decay_rate, tol: float, k: int) -> np.ndarray:
+    """Samples on the singular locus of a closed form: |r_k| < tol (fields,
+    k = 2 in the two-field protocol, k = 1 in the detuning protocol) or
+    |G| < tol (excitation number)."""
+    return (np.abs(r.T[k]) < tol) | (np.abs(decay_rate) < tol)
+
+
+def _singular_error(r: np.ndarray, rdot: np.ndarray, decay_rate: float, tol: float,
+                    k: int, where: str = "") -> SingularControlError:
+    """The error for one sample (r of shape (3,)) on the singular locus."""
+    if abs(r[k]) < tol:
+        label = "coherent controls" if k == 2 else "detuning protocol"
+        return SingularControlError(
+            f"{label} singular: |r_{'xyz'[k]}| = {abs(r[k]):.3e} < {tol}{where}")
+    g = decay_rate
+    back = float(np.dot(r, rdot)) + 2 * g * r[2]
+    return SingularControlError(
+        f"excitation number singular: decay rate {g:.3e} vanishes "
+        f"(r.rdot + 2 G r_z = {back:.3e}){where}")
+
+
+def _closed_form_inputs(r, rdot, decay_rate, lamb_shift, tol: float, k: int):
+    """Arrays of one sample or a stack; raises on the first singular sample."""
+    r = np.asarray(r, dtype=float)
+    rdot = np.asarray(rdot, dtype=float)
+    if r.ndim == 1:   # plain floats: numpy 0-d arithmetic is ten times slower
+        g, s0 = float(decay_rate), float(lamb_shift)
+        if _singular_mask(r, g, tol, k):
+            raise _singular_error(r, rdot, g, tol, k)
+        return r, rdot, g, s0
+    g = np.asarray(decay_rate, dtype=float)
+    s0 = np.asarray(lamb_shift, dtype=float)
+    singular = _singular_mask(r, g, tol, k)
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise _singular_error(r[i], rdot[i], float(g[i]), tol, k)
+    return r, rdot, g, s0
+
+
+def _excitation(r, rdot, g):
+    """N from the r_z equation; shared by both protocols.  Also returns
+    r.rdot and |r|^2 + r_z^2, which the field expressions reuse."""
+    rz = r.T[2]
+    rr = np.vecdot(r, rdot)
+    dd = np.vecdot(r, r) + rz * rz
+    return -(2.0 * g * rz + rr + g * dd) / (2.0 * g * dd), rr, dd
+
+
+def _result(*values):
+    """Three floats for one sample, three arrays for a stack."""
+    if np.ndim(values[0]) == 0:
+        return tuple(float(v) for v in values)
+    return values
+
+
+def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift,
+                       tol: float = SINGULARITY_TOL):
     """Closed-form (Omega_x^R, Omega_y^R, N) driving the state along (r, rdot).
+
+    Takes one sample (r, rdot of shape (3,), scalar rates; returns three
+    floats) or a stack (r, rdot of shape (n, 3), rates of shape (n,);
+    returns three arrays of shape (n,)).
 
     Raises
     ------
     SingularControlError
         If |r_z| < tol (field singularity) or the excitation number has no
         finite value because the decay rate vanishes while r.rdot + 2 G r_z
-        does not.
+        does not; for a stack, at the first such sample.
     """
-    rx, ry, rz = r
-    g = decay_rate
-    if abs(rz) < tol:
-        raise SingularControlError(f"coherent controls singular: |r_z| = {abs(rz):.3e} < {tol}")
-    rr = float(np.dot(r, rdot))
-    dd = float(np.dot(r, r)) + rz * rz
-    if abs(g) < tol:
-        raise SingularControlError(
-            f"excitation number singular: decay rate {g:.3e} vanishes "
-            f"(r.rdot + 2 G r_z = {rr + 2 * g * rz:.3e})")
+    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, tol, 2)
+    (rx, ry, rz), (rdx, rdy, _) = r.T, rdot.T
+    excitation, rr, dd = _excitation(r, rdot, g)
     back = rr + 2.0 * g * rz
-    omega_x = (dd * (rx * lamb_shift - rdot[1]) + back * ry) / (2.0 * rz * dd)
-    omega_y = (dd * (ry * lamb_shift + rdot[0]) - back * rx) / (2.0 * rz * dd)
-    excitation = -(2.0 * g * rz + rr + g * dd) / (2.0 * g * dd)
-    return float(omega_x), float(omega_y), float(excitation)
+    omega_x = (dd * (rx * s0 - rdy) + back * ry) / (2.0 * rz * dd)
+    omega_y = (dd * (ry * s0 + rdx) - back * rx) / (2.0 * rz * dd)
+    return _result(omega_x, omega_y, excitation)
 
 
-def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate: float,
-                                lamb_shift: float, tol: float = SINGULARITY_TOL
-                                ) -> tuple[float, float, float]:
+def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift,
+                                tol: float = SINGULARITY_TOL):
     """Closed-form (Omega_x^R, Delta^R, N) for the protocol without Omega_y^R.
 
     Singular where r_y vanishes; the excitation-number expression is the
-    same rational function as in the two-field protocol.
+    same rational function as in the two-field protocol.  Takes one sample
+    or a stack, like ``two_level_controls``.
     """
-    rx, ry, rz = r
-    g = decay_rate
-    if abs(ry) < tol:
-        raise SingularControlError(f"detuning protocol singular: |r_y| = {abs(ry):.3e} < {tol}")
-    rr = float(np.dot(r, rdot))
-    dd = float(np.dot(r, r)) + rz * rz
-    if abs(g) < tol:
-        raise SingularControlError(
-            f"excitation number singular: decay rate {g:.3e} vanishes "
-            f"(r.rdot + 2 G r_z = {rr + 2 * g * rz:.3e})")
+    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, tol, 1)
+    (rx, ry, rz), (rdx, rdy, rdz) = r.T, rdot.T
+    excitation, _, dd = _excitation(r, rdot, g)
     perp = rx * rx + ry * ry
-    perp_dot = 2.0 * (rx * rdot[0] + ry * rdot[1])
-    omega_x = ((2.0 * g + rdot[2]) * perp - perp_dot * rz) / (2.0 * ry * dd)
-    detuning_r = -lamb_shift + (rx * (ry * rdot[1] + rz * rdot[2]) + 2.0 * g * rx * rz
-                                - rdot[0] * (ry * ry + 2.0 * rz * rz)) / (ry * dd)
-    excitation = -(2.0 * g * rz + rr + g * dd) / (2.0 * g * dd)
-    return float(omega_x), float(detuning_r), float(excitation)
+    perp_dot = 2.0 * (rx * rdx + ry * rdy)
+    omega_x = ((2.0 * g + rdz) * perp - perp_dot * rz) / (2.0 * ry * dd)
+    detuning_r = -s0 + (rx * (ry * rdy + rz * rdz) + 2.0 * g * rx * rz
+                        - rdx * (ry * ry + 2.0 * rz * rz)) / (ry * dd)
+    return _result(omega_x, detuning_r, excitation)
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +360,63 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.n
                              protocol: str = "xy") -> ControlSchedule:
     """Solve the closed-form controls along a designed trajectory.
 
+    The trajectory is sampled and the reservoir evaluated once over the whole
+    grid, and the closed form is solved in one call on the regular samples.
     At samples on the singular locus that satisfy the regularity conditions
     (the closed forms have finite one-sided limits) the value is taken as
-    the average of evaluations at t -+ eps with eps = 1e-6 t_final; a
-    genuinely singular sample propagates the error.
+    the average of evaluations at t -+ eps with eps = 1e-6 t_final.  A
+    genuinely singular sample (a singular probe, or no probe inside the
+    window) raises ``SingularControlError`` naming its time.
     """
-    times = np.asarray(times, dtype=float)
-    t_final = float(getattr(trajectory, "t_final", times[-1]))
-    eps = 1e-6 * t_final
-    solver = two_level_controls if protocol == "xy" else two_level_controls_detuning
     if protocol not in ("xy", "x-detuning"):
         raise InvalidInputError(f"unknown protocol {protocol!r}")
+    solver, k = (two_level_controls, 2) if protocol == "xy" else (two_level_controls_detuning, 1)
+    times = np.asarray(times, dtype=float)
+    t_final = float(trajectory.t_final)
+    eps = 1e-6 * t_final
 
-    def eval_at(t: float):
-        r, rdot = trajectory.evaluate(t)
-        g, s0 = decay_and_shift(env, t)
-        return np.array(solver(r, rdot, g, s0))
+    def inputs(ts):
+        r, rdot = trajectory.sample(ts)
+        g, s0 = decay_and_shift(env, ts)
+        return r, rdot, g, s0
 
+    r, rdot, g, s0 = inputs(times)
+    singular = _singular_mask(r, g, SINGULARITY_TOL, k)
+    regular = ~singular
     rows = np.empty((len(times), 3))
-    for i, t in enumerate(times):
-        try:
-            rows[i] = eval_at(t)
-        except SingularControlError:
-            probes = [p for p in (t - eps, t + eps) if 0.0 <= p <= t_final and p != t]
-            if not probes:
-                raise
-            rows[i] = np.mean([eval_at(p) for p in probes], axis=0)
+    rows[regular] = np.column_stack(solver(r[regular], rdot[regular], g[regular], s0[regular]))
+    if np.any(singular):
+        rows[singular] = _one_sided_limits(inputs, solver, k, times[singular], eps, t_final)
     if protocol == "xy":
         return ControlSchedule(times=times, omega_x=rows[:, 0], omega_y=rows[:, 1],
                                excitation=rows[:, 2], protocol=protocol)
     return ControlSchedule(times=times, omega_x=rows[:, 0], detuning_r=rows[:, 1],
                            excitation=rows[:, 2], protocol=protocol)
+
+
+def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):
+    """Controls at singular samples: the mean of the probes t -+ eps that lie
+    in [0, t_final], all evaluated in one call.  Raises at the first sample
+    with no probe or with a singular probe."""
+    probes = np.stack([t_sing - eps, t_sing + eps], axis=1)
+    valid = (probes >= 0.0) & (probes <= t_final) & (probes != t_sing[:, None])
+    r, rdot, g, s0 = inputs(probes[valid])
+    probe_singular = np.zeros_like(valid)
+    probe_singular[valid] = _singular_mask(r, g, SINGULARITY_TOL, k)
+    failed = ~valid.any(axis=1) | probe_singular.any(axis=1)
+    if np.any(failed):
+        j = int(np.argmax(failed))
+        if not valid[j].any():
+            raise SingularControlError(
+                f"control sample at t = {t_sing[j]:.6g} is on the singular locus and has "
+                f"no probe inside [0, {t_final}]")
+        m = int(np.argmax(probe_singular[j]))
+        i = np.cumsum(valid.ravel())[2 * j + m] - 1   # position of probe (j, m) in r
+        raise _singular_error(r[i], rdot[i], float(g[i]), SINGULARITY_TOL, k,
+                              f" at t = {probes[j, m]:.6g} (probe of the singular sample "
+                              f"at t = {t_sing[j]:.6g})")
+    values = np.full(valid.shape + (3,), np.nan)
+    values[valid] = np.column_stack(solver(r, rdot, g, s0))
+    both = valid.all(axis=1)[:, None]
+    one = np.where(valid[:, :1], values[:, 0], values[:, 1])
+    return np.where(both, 0.5 * (values[:, 0] + values[:, 1]), one)

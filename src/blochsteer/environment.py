@@ -313,20 +313,21 @@ def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
                                 tol: float = 1e-8) -> float:
     """Drive detuning Delta such that s0 vanishes at the decay-rate zero t_i.
 
-    Bisection over Delta of F(Delta) = s0(t_i(Delta); Delta).  The decay
-    rate itself does not depend on Delta, but F is evaluated through the
-    full pipeline rather than exploiting that.
+    Bisection over Delta of F(Delta) = s0(t_i; Delta).  The decay rate
+    Gamma0 = Re v does not depend on Delta, even in floating point, so t_i
+    is found once, before the bisection, and is the same for every trial
+    Delta.
 
     Raises
     ------
     RootNotFoundError
-        If F does not change sign over the bracket (widen the bracket).
+        If the decay rate has no zero crossing, or F does not change sign
+        over the bracket (widen the bracket).
     """
+    t_i = find_gamma_zero(env)
 
     def f_of(delta_drive: float) -> float:
-        trial = env.replace_drive_detuning(delta_drive)
-        t_i = find_gamma_zero(trial)
-        return decay_and_shift(trial, t_i)[1]
+        return decay_and_shift(env.replace_drive_detuning(delta_drive), t_i)[1]
 
     lo, hi = bracket
     flo, fhi = f_of(lo), f_of(hi)

@@ -14,6 +14,12 @@ output node; no Python code runs per step.
 
 Controls are sampled schedules, interpolated cubically at the half steps;
 reservoir coefficients are evaluated from their closed forms exactly.
+
+Everything after the core is batched over the output grid as well: the
+density run converts all its rows to Bloch vectors in one call, and the
+fidelity against a reference is one ``fidelity_bloch`` call over the stack.
+A ``reference`` is a TrajectorySpec or a callable mapping a time array of n
+samples to reference Bloch vectors of shape (n, 3).
 """
 
 from dataclasses import dataclass
@@ -212,8 +218,9 @@ def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
                     reference=None) -> SimulationRun:
     """Integrate the component-form Bloch equations under a control schedule.
 
-    ``reference`` may be a TrajectorySpec or a callable t -> r; when given,
-    the per-sample Uhlmann fidelity against it is recorded.
+    ``reference`` may be a TrajectorySpec or a callable mapping the time
+    array to states of shape (n, 3); when given, the per-sample Uhlmann
+    fidelity against it is recorded.
     """
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
@@ -250,22 +257,33 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
         c = coeffs[:, idx]
         return np.einsum("gk,gij->kij", c, gens), np.zeros((c.shape[1], 4), dtype=complex)
     vec0 = lv.vec(np.asarray(rho0, dtype=complex))
-    raw = _rk4_affine(stages, vec0, times, sub)
-    states = np.array([density_to_bloch(lv.unvec(v), basis) for v in raw])
+    raw = _rk4_affine(stages, vec0, times, sub).reshape(-1, 2, 2)
+    states = density_to_bloch(raw, basis)
     fid = _reference_fidelity(states, times, reference)
-    densities = np.array([lv.unvec(v) for v in raw]) if keep_densities else None
+    densities = raw if keep_densities else None
     return SimulationRun(times=times, states=states, fidelity=fid, schedule=schedule,
                          densities=densities)
 
 
 def _reference_fidelity(states, times, reference):
+    """Fidelity of each state against the reference at its time; raises naming
+    the first time at which the forward state or the reference leaves the ball."""
     if reference is None:
         return None
     if isinstance(reference, TrajectorySpec):
-        ref = lambda t: reference.evaluate(t)[0]
+        ref = reference.sample(times)[0]
     else:
-        ref = reference
-    return np.array([fidelity_bloch(states[i], ref(t)) for i, t in enumerate(times)])
+        ref = np.asarray(reference(times), dtype=float)
+    norm2 = _norm2(states), _norm2(ref)
+    outside = [n2 > 1.0 + _NORM_SLACK for n2 in norm2]
+    if np.any(outside[0] | outside[1]):
+        i = int(np.argmax(outside[0] | outside[1]))
+        which = " and ".join(label for label, mask in zip(("forward state", "reference"), outside)
+                             if mask[i])
+        raise MalformedStateError(
+            f"{which} left the Bloch ball at t = {times[i]:.6g} (norms of forward state, "
+            f"reference: {np.sqrt(norm2[0][i]):.12f}, {np.sqrt(norm2[1][i]):.12f})")
+    return fidelity_bloch(states, ref)
 
 
 def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: float,
@@ -276,34 +294,48 @@ def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: floa
     The fidelity column compares against the instantaneous steady state.
     """
     times = np.asarray(times, dtype=float)
-    ramp = np.array([reference_ramp(omega_c, t_final, t) for t in times])
+    ramp = reference_ramp(omega_c, t_final, times)
     schedule = ControlSchedule(times=times, omega_x=ramp, omega_y=np.zeros_like(ramp),
                                excitation=np.full_like(ramp, n0), protocol="xy")
     designed = tracking_trajectory(env, n0, omega_c, t_final)
     r0, _ = designed.evaluate(0.0)
     return integrate_bloch(schedule, env, r0, times, min_steps=min_steps,
-                           reference=lambda t: steady_state_bloch(env, n0,
-                                                                  reference_ramp(omega_c, t_final, t), t))
+                           reference=lambda ts: steady_state_bloch(
+                               env, n0, reference_ramp(omega_c, t_final, ts), ts))
 
 
 # ---------------------------------------------------------------------------
 # fidelity
 
 
-def fidelity_bloch(r1: np.ndarray, r2: np.ndarray) -> float:
+_NORM_SLACK = 2e-8
+
+
+def _norm2(r: np.ndarray):
+    # a diverged but finite state overflows to inf, which correctly fails the ball test
+    with np.errstate(over="ignore"):
+        return np.vecdot(r, r)
+
+
+def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
     """Two-level Uhlmann fidelity from Bloch vectors.
 
     F = (1 + r1.r2 + sqrt((1 - |r1|^2)(1 - |r2|^2))) / 2.  Norms may exceed
     1 by integrator slack up to 2e-8; beyond that the state is unphysical.
+    Takes two vectors (returns a float) or two stacks of shape (n, 3)
+    (returns an array of shape (n,)).
     """
-    out = []
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    slack = []
     for r in (r1, r2):
-        n2 = float(np.dot(r, r))
-        if n2 > 1.0 + 2e-8:
-            raise MalformedStateError(f"Bloch norm {np.sqrt(n2):.12f} exceeds 1")
-        out.append(max(0.0, 1.0 - n2))
-    val = 0.5 * (1.0 + float(np.dot(r1, r2)) + np.sqrt(out[0] * out[1]))
-    return float(min(max(val, 0.0), 1.0 + 1e-12))
+        n2 = _norm2(r)
+        if (n2 > 1.0 + _NORM_SLACK).any():
+            raise MalformedStateError(f"Bloch norm {np.sqrt(np.max(n2)):.12f} exceeds 1")
+        slack.append(np.maximum(0.0, 1.0 - n2))
+    val = 0.5 * (1.0 + np.vecdot(r1, r2) + np.sqrt(slack[0] * slack[1]))
+    val = np.minimum(np.maximum(val, 0.0), 1.0 + 1e-12)
+    return float(val) if val.ndim == 0 else val
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -348,7 +380,7 @@ def integrate_density_general(hamiltonian_fun, channels, rho0: np.ndarray,
     zero = np.zeros(supers.shape[:2], dtype=complex)
     raw = _rk4_affine(lambda idx: (supers[idx], zero[idx]),
                       lv.vec(np.asarray(rho0, dtype=complex)), times, sub)
-    return np.array([lv.unvec(v) for v in raw])
+    return raw.reshape(len(raw), basis.dimension, basis.dimension)
 
 
 def density_run_from_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,

@@ -191,20 +191,28 @@ def bloch_to_density(r: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 def density_to_bloch(rho: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """Extract the generalized Bloch vector from a density matrix.
 
+    ``rho`` may be one matrix or a stack of shape (n, N, N); a stack gives
+    Bloch vectors of shape (n, N^2 - 1).
+
     Raises
     ------
     MalformedStateError
-        If the trace deviates from 1 by more than 1e-9.
+        If the trace of any matrix deviates from 1 by more than 1e-9 (the
+        message names the first one).
     """
     rho = np.asarray(rho, dtype=complex)
     dim = basis.dimension
-    if rho.shape != (dim, dim):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (dim, dim):
         raise DimensionError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-9:
-        raise MalformedStateError(f"density matrix trace {tr} is not 1 within 1e-9")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.atleast_1d(np.abs(tr - 1.0) > 1e-9)
+    if off.any():
+        i = int(np.argmax(off))
+        where = f" (matrix {i} of the stack)" if rho.ndim == 3 else ""
+        raise MalformedStateError(
+            f"density matrix trace {np.atleast_1d(tr)[i]} is not 1 within 1e-9{where}")
     coeff = dim / (bloch_scale(dim) * basis.normalization)
-    r = coeff * np.einsum("kij,ji->k", basis.traceless(), rho)
+    r = coeff * np.einsum("kij,...ji->...k", basis.traceless(), rho)
     return r.real
 
 

@@ -6,6 +6,11 @@ ansatz in spherical coordinates, and a mixed-state piecewise-cubic inversion
 path satisfying a knot table of values and derivatives exactly.  A
 controllability report summarizes whether a solved schedule is physically
 realizable (nonnegative excitation number, bounded fields).
+
+Every closed form here works on time arrays: a trajectory's evaluator maps
+n sample times to (r, rdot) of shape (n, 3) in one call, and
+``reference_ramp``, ``reference_ramp_rate`` and ``steady_state_bloch`` are
+elementwise in t (a scalar t gives a scalar or a length-3 vector).
 """
 
 from dataclasses import dataclass, field
@@ -39,19 +44,23 @@ NORM_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """A designed path t -> (r(t), rdot(t)) on [0, t_final]."""
+    """A designed path t -> (r(t), rdot(t)) on [0, t_final].
+
+    ``_evaluator`` maps a 1-D array of n times to (r, rdot), each of shape
+    (n, 3); ``sample`` is one call of it and ``evaluate`` its one-sample case.
+    """
 
     kind: str
     t_final: float
-    _evaluator: Callable[[float], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    _evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     knots: tuple = ()
 
     def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self._evaluator(float(t))
+        r, rdot = self._evaluator(np.array([float(t)]))
+        return r[0], rdot[0]
 
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [self.evaluate(t) for t in np.asarray(times, dtype=float)]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        return self._evaluator(np.asarray(times, dtype=float))
 
     def max_norm(self, n: int = 1000) -> float:
         ts = np.linspace(0.0, self.t_final, n)
@@ -59,12 +68,15 @@ class TrajectorySpec:
         return float(np.max(np.linalg.norm(r, axis=1)))
 
 
-def _check_window(t: float, t_final: float):
-    if not 0.0 <= t <= t_final:
-        raise InvalidInputError(f"time {t} outside [0, {t_final}]")
+def _check_window(t, t_final: float):
+    """Raise naming the first time outside [0, t_final] (NaN included)."""
+    t = np.atleast_1d(t)
+    outside = ~((0.0 <= t) & (t <= t_final))
+    if outside.any():
+        raise InvalidInputError(f"time {float(t[np.argmax(outside)])} outside [0, {t_final}]")
 
 
-def reference_ramp(omega_c: float, t_final: float, t: float) -> float:
+def reference_ramp(omega_c: float, t_final: float, t):
     """Smooth ramp 6 Oc (t/t_f)^2 (1/2 - t/(3 t_f)): 0 at t=0, Oc at t=t_f,
     zero slope at both ends."""
     _check_window(t, t_final)
@@ -72,35 +84,36 @@ def reference_ramp(omega_c: float, t_final: float, t: float) -> float:
     return 6.0 * omega_c * s * s * (0.5 - s / 3.0)
 
 
-def reference_ramp_rate(omega_c: float, t_final: float, t: float) -> float:
+def reference_ramp_rate(omega_c: float, t_final: float, t):
     _check_window(t, t_final)
     s = t / t_final
     return 6.0 * omega_c * s * (1.0 - s) / t_final
 
 
-def _steady_state(decay_rate: float, lamb_shift: float, n0: float, omega0: float
-                  ) -> np.ndarray:
-    npr = 2.0 * n0 + 1.0
-    ss = lamb_shift ** 2 + npr ** 2 * decay_rate ** 2
-    z = npr * (ss + 2.0 * omega0 ** 2)
-    if z == 0.0:
+def _degenerate(z, t):
+    """Raise naming the first time at which the steady-state normalizer z vanishes."""
+    zero = np.atleast_1d(z == 0.0)
+    if zero.any():
+        t_bad = float(np.atleast_1d(t)[np.argmax(zero)])
         raise DegenerateSteadyStateError(
-            "steady state undefined: decay rate, Lamb shift and drive all vanish")
-    return np.array([-2.0 * omega0 * lamb_shift / z,
-                     2.0 * npr * omega0 * decay_rate / z,
-                     -ss / z])
+            f"steady state undefined at t = {t_bad:g}: decay rate, Lamb shift and drive "
+            "all vanish")
 
 
-def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0: float,
-                       t: float) -> np.ndarray:
+def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.ndarray:
     """Instantaneous steady state of the reference generator at time t.
 
     At zero drive this is the thermal state (0, 0, -1/(2 n0 + 1)); in
     general it is the null vector of the frozen reference Liouvillian
-    (checked against the Kronecker form in the test suite).
+    (checked against the Kronecker form in the test suite).  ``omega0`` and
+    ``t`` may be arrays of n samples; the result then has shape (n, 3).
     """
     g, s0 = decay_and_shift(env, t)
-    return _steady_state(g, s0, n0, omega0)
+    npr = 2.0 * n0 + 1.0
+    ss = s0 ** 2 + npr ** 2 * g ** 2
+    z = npr * (ss + 2.0 * omega0 ** 2)
+    _degenerate(z, t)
+    return np.stack([-2.0 * omega0 * s0 / z, 2.0 * npr * omega0 * g / z, -ss / z], axis=-1)
 
 
 def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
@@ -118,7 +131,7 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
             f"propagator vanishes inside [0, {t_final}]; steady state undefined there")
     npr = 2.0 * n0 + 1.0
 
-    def evaluator(t: float):
+    def evaluator(t: np.ndarray):
         _check_window(t, t_final)
         g, s0, gd, sd = decay_shift_derivatives(env, t)
         w = reference_ramp(omega_c, t_final, t)
@@ -126,27 +139,27 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
         ss = s0 * s0 + npr ** 2 * g * g
         ss_d = 2.0 * s0 * sd + 2.0 * npr ** 2 * g * gd
         z = npr * (ss + 2.0 * w * w)
-        if z == 0.0:
-            raise DegenerateSteadyStateError("steady state undefined at t = %g" % t)
+        _degenerate(z, t)
         zd = npr * (ss_d + 4.0 * w * wd)
-        r = np.array([-2.0 * w * s0 / z, 2.0 * npr * w * g / z, -ss / z])
-        rdot = np.array([
+        r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z, -ss / z], axis=-1)
+        rdot = np.stack([
             -2.0 * (wd * s0 + w * sd) / z + 2.0 * w * s0 * zd / z ** 2,
             2.0 * npr * (wd * g + w * gd) / z - 2.0 * npr * w * g * zd / z ** 2,
             -ss_d / z + ss * zd / z ** 2,
-        ])
+        ], axis=-1)
         return r, rdot
 
     return TrajectorySpec(kind="track-steady", t_final=float(t_final), _evaluator=evaluator)
 
 
-def pure_inversion_trajectory(t_final: float, theta_mid: float, t: float
+def pure_inversion_trajectory(t_final: float, theta_mid: float, t
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm path from (0,0,-1) to (0,0,1) via polynomial polar angles.
 
     The polar angle runs pi -> 0 as phi = pi (1 - 3 s^2 + 2 s^3) with
     s = t/t_f, crossing the equator exactly at t_f/2 where the azimuthal
-    bump theta = 16 theta_mid s^2 (1-s)^2 has zero slope.
+    bump theta = 16 theta_mid s^2 (1-s)^2 has zero slope.  For n sample
+    times (r, rdot) have shape (n, 3); a scalar t gives length-3 vectors.
     """
     _check_window(t, t_final)
     s = t / t_final
@@ -156,10 +169,10 @@ def pure_inversion_trajectory(t_final: float, theta_mid: float, t: float
     theta_d = 32.0 * theta_mid * s * (1.0 - s) * (1.0 - 2.0 * s) / t_final
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     sin_p, cos_p = np.sin(phi), np.cos(phi)
-    r = np.array([sin_t * sin_p, cos_t * sin_p, cos_p])
-    rdot = np.array([theta_d * cos_t * sin_p + phi_d * sin_t * cos_p,
+    r = np.stack([sin_t * sin_p, cos_t * sin_p, cos_p], axis=-1)
+    rdot = np.stack([theta_d * cos_t * sin_p + phi_d * sin_t * cos_p,
                      -theta_d * sin_t * sin_p + phi_d * cos_t * cos_p,
-                     -phi_d * sin_p])
+                     -phi_d * sin_p], axis=-1)
     return r, rdot
 
 
@@ -249,10 +262,11 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
     ry, rz = splines["r_y"], splines["r_z"]
     ry_d, rz_d = ry.derivative(), rz.derivative()
 
-    def evaluator(t: float):
+    def evaluator(t: np.ndarray):
         _check_window(t, t_final)
-        return (np.array([0.0, float(ry(t)), float(rz(t))]),
-                np.array([0.0, float(ry_d(t)), float(rz_d(t))]))
+        zero = np.zeros_like(t)
+        return (np.stack([zero, ry(t), rz(t)], axis=-1),
+                np.stack([zero, ry_d(t), rz_d(t)], axis=-1))
 
     knot_tuple = tuple((c, tuple(knots[c][0]), tuple(knots[c][1]), tuple(knots[c][2]))
                        for c in ("r_y", "r_z"))

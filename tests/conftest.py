@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blochsteer import (LorentzianEnvironment, build_basis, find_gamma_negmax,
-                        find_gamma_zero, structure_constants,
+from blochsteer import (LorentzianEnvironment, TrajectorySpec, build_basis,
+                        find_gamma_negmax, find_gamma_zero, structure_constants,
                         tune_detuning_for_lamb_zero)
 
 
@@ -33,6 +33,18 @@ def inversion_setup():
     t_break = find_gamma_zero(env)
     t_final = find_gamma_negmax(env, t_break)
     return env, t_break, t_final
+
+
+@pytest.fixture(scope="session")
+def hold():
+    """Factory of hold trajectories: the state stays at r_target on [0, t_final]."""
+    def make(r_target, t_final: float) -> TrajectorySpec:
+        r_target = np.asarray(r_target, dtype=float)
+
+        def evaluator(t):
+            return np.tile(r_target, (len(t), 1)), np.zeros((len(t), 3))
+        return TrajectorySpec(kind="hold", t_final=float(t_final), _evaluator=evaluator)
+    return make
 
 
 @pytest.fixture()

@@ -124,7 +124,7 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_grid_and_override_flags(tmp_path):
     cfg = write_cfg(tmp_path, TRACK_CFG)
     out = tmp_path / "out"
-    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--grid", "64",
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", "grid=64",
                  "--override", "omega_c=5.0", "--override", "min_steps=1000")
     assert cp.returncode == 0, cp.stderr
     _, data = read_csv(out / "states.csv")
@@ -175,7 +175,7 @@ def test_selfcheck_fault_injection():
     assert "FAIL" in cp.stdout
 
 
-def test_detuning_protocol_csv_columns(tmp_path, tracking_env):
+def test_detuning_protocol_csv_columns(tmp_path, tracking_env, hold):
     # the controls writer emits the detuning column when that protocol is used
     import numpy as np
     from blochsteer.cli import _write_run_files
@@ -183,12 +183,11 @@ def test_detuning_protocol_csv_columns(tmp_path, tracking_env):
     from blochsteer.simulator import integrate_bloch
 
     r_target = np.array([0.0, 0.45, -0.5])
-    hold = type("Hold", (), {"t_final": 3.0,
-                             "evaluate": staticmethod(lambda t: (r_target, np.zeros(3)))})()
+    path = hold(r_target, 3.0)
     times = np.linspace(0.0, 3.0, 61)
-    sched = schedule_from_trajectory(hold, tracking_env, times, protocol="x-detuning")
+    sched = schedule_from_trajectory(path, tracking_env, times, protocol="x-detuning")
     run = integrate_bloch(sched, tracking_env, r_target, times, min_steps=600,
-                          reference=lambda t: r_target)
+                          reference=path)
     files = _write_run_files(tmp_path, times, sched, run, tracking_env)
     assert files == ["states.csv", "controls.csv", "env.csv"]
     header, data = read_csv(tmp_path / "controls.csv")
@@ -204,3 +203,56 @@ def test_inversion_setup_respects_overrides():
     env, t_break, t_final = _derive_inversion_setup(cfg)
     assert env.drive_detuning == -0.7
     assert t_break == 8.0 and t_final == 9.2
+
+
+@pytest.mark.parametrize("value", ["1e308", "7.0"])
+def test_theta_mid_beyond_one_turn_exits_2_without_files(tmp_path, value):
+    from blochsteer.cli import main
+    cfg = write_cfg(tmp_path, "experiment = invert-pure\nspectral_width = 0.1\n"
+                              f"cavity_detuning = 0.1\ntheta_mid = {value}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_theta_mid_of_one_turn_is_accepted():
+    from blochsteer.cli import parse_config_text
+    config = parse_config_text("experiment = invert-pure\nspectral_width = 0.1\n"
+                               f"theta_mid = {2 * np.pi!r}\n")
+    assert config.theta_mid == 2 * np.pi
+
+
+def test_reservoir_and_trajectory_calls_do_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # the pipeline evaluates the closed forms over whole time arrays, so doubling
+    # the grid must not add a single call (a per-sample loop would double them)
+    from blochsteer import cli, environment
+    from blochsteer.trajectories import TrajectorySpec
+
+    calls = {"evaluate": 0, "decay_and_shift": 0}
+    evaluate, decay_and_shift = TrajectorySpec.evaluate, environment.decay_and_shift
+
+    def counted_evaluate(self, t):
+        calls["evaluate"] += 1
+        return evaluate(self, t)
+
+    def counted_decay_and_shift(env, t):
+        calls["decay_and_shift"] += 1
+        return decay_and_shift(env, t)
+    monkeypatch.setattr(TrajectorySpec, "evaluate", counted_evaluate)
+    for module in list(vars(blochsteer).values()) + [blochsteer]:
+        if getattr(module, "decay_and_shift", None) is decay_and_shift:
+            monkeypatch.setattr(module, "decay_and_shift", counted_decay_and_shift)
+
+    config = cli.load_config(Path(__file__).resolve().parents[1]
+                             / "scripts" / "configs" / "pure_inversion.cfg")
+    counts = []
+    # grid 200 is left out: there the forward norm leaves the ball by 1.05e-8
+    # (MalformedStateError), the grid-dependent verdict the ROADMAP records
+    for grid in (400, 800):
+        calls.update(evaluate=0, decay_and_shift=0)
+        cli.run(cli.apply_overrides(config, [f"grid={grid}", f"min_steps={grid}"]),
+                out_dir=tmp_path / str(grid))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["evaluate"] > 0 and counts[0]["decay_and_shift"] > 0

@@ -243,3 +243,81 @@ def test_schedule_from_trajectory_pure_midpoint(inversion_setup):
     assert abs(times[mid] - t_final / 2) < 1e-12
     assert np.all(np.isfinite(sched.omega_x)) and np.all(np.isfinite(sched.omega_y))
     assert abs(sched.excitation[mid] + 0.5) < 1e-3
+
+
+def scalar_schedule(traj, env, times, protocol):
+    """Reference: the scalar solver sample by sample, singular samples replaced
+    by the mean of their one-sided probes t -+ 1e-6 t_final."""
+    from blochsteer.environment import decay_and_shift
+    solver = two_level_controls if protocol == "xy" else two_level_controls_detuning
+    eps = 1e-6 * traj.t_final
+
+    def at(t):
+        r, rdot = traj.evaluate(t)
+        return np.array(solver(r, rdot, *decay_and_shift(env, t)))
+    rows, patched = [], []
+    for t in times:
+        try:
+            rows.append(at(t))
+        except SingularControlError:
+            probes = [p for p in (t - eps, t + eps) if 0.0 <= p <= traj.t_final]
+            rows.append(np.mean([at(p) for p in probes], axis=0))
+            patched.append(t)
+    return np.array(rows), patched
+
+
+def tilted_orbit(t_final):
+    """A smooth path with r_y bounded away from zero (regular in both protocols)."""
+    from blochsteer.trajectories import TrajectorySpec
+    w = 2.0 * np.pi / t_final
+
+    def evaluator(t):
+        r = np.stack([0.3 * np.sin(w * t), 0.45 + 0.0 * t, -0.5 + 0.2 * np.sin(w * t) ** 2],
+                     axis=-1)
+        rdot = np.stack([0.3 * w * np.cos(w * t), 0.0 * t,
+                         0.4 * w * np.sin(w * t) * np.cos(w * t)], axis=-1)
+        return r, rdot
+    return TrajectorySpec(kind="orbit", t_final=float(t_final), _evaluator=evaluator)
+
+
+@pytest.mark.parametrize("protocol", ["xy", "x-detuning"])
+def test_schedule_matches_scalar_solver_loop(inversion_setup, protocol):
+    if protocol == "xy":
+        # r_z = 0 at t_final / 2 and G = 0 at t = 0 both take the -+ eps path
+        env, t_break, _ = inversion_setup
+        traj = pure_inversion(2.0 * t_break)
+    else:
+        env = inversion_setup[0]
+        traj = tilted_orbit(6.0)
+    times = np.linspace(0.0, traj.t_final, 201)
+    sched = schedule_from_trajectory(traj, env, times, protocol=protocol)
+    second = sched.omega_y if protocol == "xy" else sched.detuning_r
+    batched = np.column_stack([sched.omega_x, second, sched.excitation])
+    expected, patched = scalar_schedule(traj, env, times, protocol)
+    assert times[0] in patched
+    if protocol == "xy":
+        assert times[100] in patched and abs(times[100] - traj.t_final / 2) < 1e-12
+    scale = np.maximum(1.0, np.abs(expected))
+    assert np.max(np.abs(batched - expected) / scale) <= 1e-12
+
+
+def test_stacked_solver_matches_scalar_calls(rng):
+    r = np.array([random_state(rng, component=1) for _ in range(40)])
+    rdot = rng.normal(size=(40, 3))
+    gamma = rng.uniform(0.1, 2.0, size=40)
+    shift = rng.normal(size=40)
+    for solver in (two_level_controls, two_level_controls_detuning):
+        stacked = np.column_stack(solver(r, rdot, gamma, shift))
+        single = np.array([solver(r[i], rdot[i], gamma[i], shift[i]) for i in range(40)])
+        assert all(isinstance(v, float) for v in solver(r[0], rdot[0], gamma[0], shift[0]))
+        assert np.array_equal(stacked, single)
+    r[7, 2] = 0.0
+    with pytest.raises(SingularControlError, match="r_z"):
+        two_level_controls(r, rdot, gamma, shift)
+
+
+def test_genuinely_singular_sample_names_its_time(tracking_env, hold):
+    # on the equator for the whole run: the probes around a sample are singular too
+    times = np.linspace(0.0, 4.0, 41)
+    with pytest.raises(SingularControlError, match=r"t = "):
+        schedule_from_trajectory(hold([0.3, 0.4, 0.0], 4.0), tracking_env, times)

@@ -245,3 +245,18 @@ def test_tune_detuning(inversion_setup):
     with pytest.raises(RootNotFoundError):
         tune_detuning_for_lamb_zero(LorentzianEnvironment(lam=0.1, cavity_detuning=0.1),
                                     bracket=(0.5, 1.0))
+
+
+def test_decay_zero_is_bit_identical_for_every_drive_detuning(monkeypatch):
+    # Gamma0 = Re v carries no drive detuning, so the tuning finds t_i once
+    template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
+    t_i = find_gamma_zero(template)
+    for delta in np.linspace(-2.0, 2.0, 9):
+        assert find_gamma_zero(template.replace_drive_detuning(delta)) == t_i
+    import blochsteer.environment as environment
+    calls = []
+    monkeypatch.setattr(environment, "find_gamma_zero",
+                        lambda env: calls.append(env) or find_gamma_zero(env))
+    tuned = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
+    assert len(calls) == 1
+    assert abs(decay_and_shift(template.replace_drive_detuning(tuned), t_i)[1]) < 1e-8

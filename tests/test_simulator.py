@@ -116,13 +116,11 @@ def test_step_maps_match_rk4_loop_complex_without_drift(rng, n_out, sub):
     assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
 
 
-def test_stationary_hold(tracking_env):
+def test_stationary_hold(tracking_env, hold):
     # controls solved with rdot = 0 freeze the state despite oscillating rates
     r_target = np.array([0.25, -0.15, -0.55])
-    hold = type("Hold", (), {"t_final": 10.0,
-                             "evaluate": staticmethod(lambda t: (r_target, np.zeros(3)))})()
     times = np.linspace(0.0, 10.0, 1001)
-    sched = schedule_from_trajectory(hold, tracking_env, times)
+    sched = schedule_from_trajectory(hold(r_target, 10.0), tracking_env, times)
     run = integrate_bloch(sched, tracking_env, r_target, times)
     assert np.max(np.abs(run.states - r_target)) < 1e-8
 
@@ -217,13 +215,12 @@ def test_adiabatic_gap_and_limits(tracking_env):
     assert slow.min_fidelity > adiabatic.min_fidelity
 
 
-def test_detuning_protocol_stationary_hold(tracking_env):
+def test_detuning_protocol_stationary_hold(tracking_env, hold):
     # the x-detuning protocol drives with a real field plus level shift only
     r_target = np.array([0.0, 0.45, -0.5])
-    hold = type("Hold", (), {"t_final": 8.0,
-                             "evaluate": staticmethod(lambda t: (r_target, np.zeros(3)))})()
     times = np.linspace(0.0, 8.0, 801)
-    sched = schedule_from_trajectory(hold, tracking_env, times, protocol="x-detuning")
+    sched = schedule_from_trajectory(hold(r_target, 8.0), tracking_env, times,
+                                     protocol="x-detuning")
     assert sched.omega_y is None and sched.detuning_r is not None
     run = integrate_bloch(sched, tracking_env, r_target, times)
     assert np.max(np.abs(run.states - r_target)) < 1e-8
@@ -272,3 +269,43 @@ def test_general_dimension_dual_representation(rng):
                                      basis, min_steps=800)
     density_states = np.array([density_to_bloch(r, basis) for r in rhos])
     assert np.max(np.abs(bloch_states - density_states)) < 1e-8
+
+
+def test_batched_fidelity_matches_scalar_calls(rng):
+    from blochsteer.sun_algebra import random_bloch_vector
+    r1 = np.array([random_bloch_vector(2, rng, 1.0) for _ in range(60)])
+    r2 = np.array([random_bloch_vector(2, rng, 1.0) for _ in range(60)])
+    r1[0] = r2[0] = [0.0, 0.0, 1.0]
+    batched = fidelity_bloch(r1, r2)
+    assert batched.shape == (60,)
+    assert np.array_equal(batched, [fidelity_bloch(a, b) for a, b in zip(r1, r2)])
+    r1[30] = [0.0, 0.0, 1.1]
+    with pytest.raises(MalformedStateError):
+        fidelity_bloch(r1, r2)
+
+
+def test_fidelity_failure_names_time_and_state(tracking_env, hold):
+    r_target = np.array([0.25, -0.15, -0.55])
+    times = np.linspace(0.0, 2.0, 21)
+    sched = schedule_from_trajectory(hold(r_target, 2.0), tracking_env, times)
+
+    def reference(ts):
+        ref = np.tile(r_target, (len(ts), 1))
+        ref[ts > 1.25] = [0.0, 0.0, 1.5]
+        return ref
+    with pytest.raises(MalformedStateError, match=r"reference left the Bloch ball at t = 1.3\b"):
+        integrate_bloch(sched, tracking_env, r_target, times, min_steps=200,
+                        reference=reference)
+
+
+def test_density_run_matches_bloch_run(tracking_env):
+    traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
+    times = np.linspace(0.0, 10.0, 201)
+    sched = schedule_from_trajectory(traj, tracking_env, times)
+    r0, _ = traj.evaluate(0.0)
+    dens = density_run_from_bloch(sched, tracking_env, r0, times, min_steps=2000,
+                                  reference=traj, keep_densities=True)
+    assert dens.densities.shape == (201, 2, 2)
+    bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reference=traj)
+    assert np.max(np.abs(dens.states - bloch.states)) < 1e-12
+    assert np.max(np.abs(dens.fidelity - bloch.fidelity)) < 1e-12

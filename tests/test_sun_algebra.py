@@ -168,3 +168,17 @@ def test_reconstruction_spot_check_dim4(rng):
         comm = t[i] @ t[j] - t[j] @ t[i]
         rec = 1j * np.tensordot(tensors.f[i, j], t, axes=1)
         assert np.max(np.abs(comm - rec)) < 1e-12
+
+
+def test_stacked_density_to_bloch_matches_scalar_calls():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        basis = build_basis(dim)
+        rhos = np.array([random_density(dim, rng) for _ in range(25)])
+        stacked = density_to_bloch(rhos, basis)
+        assert stacked.shape == (25, dim * dim - 1)
+        for rho, r in zip(rhos, stacked):
+            assert np.max(np.abs(r - density_to_bloch(rho, basis))) <= 1e-15
+        rhos[11] *= 1.01
+        with pytest.raises(MalformedStateError, match="matrix 11"):
+            density_to_bloch(rhos, basis)

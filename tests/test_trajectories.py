@@ -206,14 +206,33 @@ def test_controllability_mixed_inversion(inversion_setup):
     assert report.fields_bounded and not report.excitation_nonnegative
 
 
-def test_controllability_ground_state_hold(tracking_env):
+def test_controllability_ground_state_hold(tracking_env, hold):
     times = np.linspace(0.0, 5.0, 101)
-    hold = type("Hold", (), {
-        "t_final": 5.0,
-        "evaluate": staticmethod(lambda t: (np.array([0.0, 0.0, -1.0]), np.zeros(3))),
-    })()
-    sched = schedule_from_trajectory(hold, tracking_env, times)
-    report = controllability_check(sched, hold, tracking_env)
+    ground = hold([0.0, 0.0, -1.0], 5.0)
+    sched = schedule_from_trajectory(ground, tracking_env, times)
+    report = controllability_check(sched, ground, tracking_env)
     assert report.max_omega_x < 1e-12 and report.max_second_field < 1e-12
     assert abs(report.min_excitation) < 1e-12
     assert report.dynamically_controllable
+
+
+def test_sample_matches_evaluate_loop(tracking_env, inversion_setup):
+    # the batched evaluator gives the same path as one evaluate call per sample
+    env, t_break, t_final = inversion_setup
+    designs = (tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0),
+               pure_inversion(2.0 * t_break),
+               mixed_inversion_trajectory(t_break, t_final))
+    for traj in designs:
+        times = np.linspace(0.0, traj.t_final, 401)
+        r, rdot = traj.sample(times)
+        assert r.shape == rdot.shape == (len(times), 3)
+        for i, t in enumerate(times):
+            r_i, rdot_i = traj.evaluate(t)
+            assert np.max(np.abs(r[i] - r_i)) <= 1e-15, (traj.kind, t)
+            assert np.max(np.abs(rdot[i] - rdot_i)) <= 1e-15, (traj.kind, t)
+
+
+def test_sample_names_first_time_outside_window():
+    traj = pure_inversion(4.0)
+    with pytest.raises(InvalidInputError, match="time 4.5 outside"):
+        traj.sample(np.array([0.0, 1.0, 4.5, -1.0]))
