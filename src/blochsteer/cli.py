@@ -59,20 +59,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
         if self.experiment == "selfcheck":
             return self
-        if self.spectral_width is None or not self.spectral_width > 0:
-            raise ConfigError("spectral_width must be set and positive")
-        if not self.gamma0 > 0:
-            raise ConfigError("gamma0 must be positive")
-        for name in ("cavity_detuning", "n0", "omega_c", "theta_mid"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if abs(self.theta_mid) > 2.0 * np.pi:
-            # an azimuth: more than one turn is not a meaningful bump
-            raise ConfigError("theta_mid must lie in [-2 pi, 2 pi]")
-        for name in ("t_final", "t_break"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive when set")
+        self._check_values()
         if self.grid < 16:
             raise ConfigError("grid must be at least 16")
         if self.min_steps < self.grid:
@@ -85,9 +72,32 @@ class ExperimentConfig:
                 raise ConfigError(f"scan_parameter must be one of {_SCANNABLE}")
             if not self.scan_values:
                 raise ConfigError("scan_values must list at least one value")
+            for value in self.scan_values:
+                try:
+                    replace(self, **{self.scan_parameter: value})._check_values()
+                except ConfigError as exc:
+                    raise ConfigError(f"scan value {value}: {exc}") from None
             if self.t_final is None:
                 raise ConfigError("env-scan requires t_final")
         return self
+
+    def _check_values(self) -> None:
+        """The rules for each float key, which every scan value obeys as well."""
+        for name in _FLOAT_KEYS:
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
+        if self.spectral_width is None or not self.spectral_width > 0:
+            raise ConfigError("spectral_width must be set and positive")
+        if not self.gamma0 > 0:
+            raise ConfigError("gamma0 must be positive")
+        if abs(self.theta_mid) > 2.0 * np.pi:
+            # an azimuth: more than one turn is not a meaningful bump
+            raise ConfigError("theta_mid must lie in [-2 pi, 2 pi]")
+        for name in ("t_final", "t_break"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be finite and positive when set")
 
 
 _FLOAT_KEYS = ("spectral_width", "gamma0", "cavity_detuning", "drive_detuning",
@@ -254,11 +264,9 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
         times = np.linspace(0.0, config.t_final, config.grid + 1)
 
         def compute(value: float):
-            scan_env = _environment(replace(config, **{config.scan_parameter: value}),
-                                    0.0 if config.scan_parameter != "drive_detuning"
-                                    else value)
-            if config.scan_parameter != "drive_detuning" and config.drive_detuning is not None:
-                scan_env = scan_env.replace_drive_detuning(config.drive_detuning)
+            cfg = replace(config, **{config.scan_parameter: value})
+            scan_env = _environment(cfg, 0.0 if cfg.drive_detuning is None
+                                    else cfg.drive_detuning)
             gam, shift = decay_and_shift(scan_env, times)
             return np.atleast_1d(gam), np.atleast_1d(shift)
 

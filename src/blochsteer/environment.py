@@ -1,10 +1,11 @@
 """Exactly solvable two-level Lorentzian reservoir.
 
 Closed forms for the propagator u(t), the time-dependent decay rate
-Gamma0(t) = -Re[udot/u], the Lamb shift s0(t) = -Im[udot/u], the
-renormalized drive transform and its inverse, plus the root-finding
-utilities the inversion protocols need (decay-rate zero, first negative
-maximum, detuning tuning).
+Gamma0(t) = -Re[udot/u] and the Lamb shift s0(t) = -Im[udot/u], plus the
+root-finding utilities the inversion protocols need (decay-rate zero,
+first negative maximum, detuning tuning), which share one bisection.  The
+drive renormalization and its inverse are ODEs and live with the RK4 core
+in ``simulator``.
 
 Conventions: gamma0 sets the frequency unit; delta = omega0 - omega_c is
 the cavity detuning, Delta = omega0 - omega_L the drive detuning.  The
@@ -20,7 +21,6 @@ which is branch-insensitive (cosh is even and sinh(x)/x is even in d).
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,13 +28,10 @@ from .errors import InvalidInputError, PropagatorZeroError, RootNotFoundError
 
 __all__ = [
     "LorentzianEnvironment",
-    "EnvSnapshot",
     "correlation_kernel",
     "propagator_u",
     "decay_and_shift",
     "decay_shift_derivatives",
-    "renormalized_field",
-    "lab_field_from_effective",
     "find_gamma_zero",
     "find_gamma_negmax",
     "tune_detuning_for_lamb_zero",
@@ -77,16 +74,6 @@ class LorentzianEnvironment:
     def _envelope_rate(self) -> complex:
         """(lam + 2i Delta - i delta) / 2, the log-derivative of the prefactor."""
         return (self.lam + 2j * self.drive_detuning - 1j * self.cavity_detuning) / 2.0
-
-
-@dataclass(frozen=True)
-class EnvSnapshot:
-    """Reservoir state at one instant."""
-
-    t: float
-    u: complex
-    decay_rate: float
-    lamb_shift: float
 
 
 def _sinhc(z):
@@ -164,97 +151,20 @@ def decay_shift_derivatives(env: LorentzianEnvironment, t):
     return vals if q.ndim else tuple(float(x) for x in vals)
 
 
-def snapshot(env: LorentzianEnvironment, t: float) -> EnvSnapshot:
-    gam, shift = decay_and_shift(env, t)
-    return EnvSnapshot(t=float(t), u=propagator_u(env, t), decay_rate=gam, lamb_shift=shift)
-
-
-# ---------------------------------------------------------------------------
-# drive transforms
-
-
-def _rk4_complex(rhs, y0: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
-    """Fixed-step RK4 over the given grid for a complex first-order system."""
-    out = np.empty((len(tgrid), len(y0)), dtype=complex)
-    out[0] = y0
-    y = np.array(y0, dtype=complex)
-    for i in range(len(tgrid) - 1):
-        t0, t1 = tgrid[i], tgrid[i + 1]
-        h = t1 - t0
-        k1 = rhs(t0, y)
-        k2 = rhs(t0 + h / 2, y + h / 2 * k1)
-        k3 = rhs(t0 + h / 2, y + h / 2 * k2)
-        k4 = rhs(t1, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = y
-    return out
-
-
-def renormalized_field(env: LorentzianEnvironment, omega: Callable[[float], complex],
-                       tgrid: np.ndarray) -> np.ndarray:
-    """Effective drive Omega^R(t) produced by the physical drive Omega(t).
-
-    Solves h' = -i Delta h - w - i Omega, w' = f(0) h - mu w (the local form
-    of the memory convolution) and returns i [h' - h u'/u] on the grid.
-    """
-    tgrid = np.asarray(tgrid, dtype=float)
-    f0 = 0.5 * env.gamma0 * env.lam
-    mu = env._memory_rate
-
-    def rhs(t, y):
-        h, w = y
-        return np.array([-1j * env.drive_detuning * h - w - 1j * omega(t),
-                         f0 * h - mu * w])
-
-    sol = _rk4_complex(rhs, np.zeros(2, dtype=complex), tgrid)
-    h, w = sol[:, 0], sol[:, 1]
-    hdot = -1j * env.drive_detuning * h - w - 1j * np.array([omega(t) for t in tgrid])
-    q, _ = _log_derivative(env, tgrid)
-    return 1j * (hdot - h * q)
-
-
-def lab_field_from_effective(env: LorentzianEnvironment,
-                             omega_r: Callable[[float], complex],
-                             t_final: float, n: int = 2000) -> tuple[np.ndarray, np.ndarray]:
-    """Physical drive Omega(t) realizing a prescribed effective drive Omega^R(t).
-
-    Integrates h' = -i Omega^R + h u'/u from h(0) = 0 together with the
-    memory variable, then reads off Omega = i [h' + i Delta h + w].
-    Returns (times, Omega samples).
-
-    Raises
-    ------
-    PropagatorZeroError
-        If u vanishes inside [0, t_final]; the message carries the location.
-    """
-    tgrid = np.linspace(0.0, float(t_final), n + 1)
-    f0 = 0.5 * env.gamma0 * env.lam
-    mu = env._memory_rate
-
-    def rhs(t, y):
-        h, w = y
-        q, _ = _log_derivative(env, t)
-        return np.array([-1j * omega_r(t) + h * q, f0 * h - mu * w])
-
-    sol = _rk4_complex(rhs, np.zeros(2, dtype=complex), tgrid)
-    h, w = sol[:, 0], sol[:, 1]
-    q, _ = _log_derivative(env, tgrid)
-    hdot = -1j * np.array([omega_r(t) for t in tgrid]) + h * q
-    omega = 1j * (hdot + 1j * env.drive_detuning * h + w)
-    return tgrid, omega
-
-
 # ---------------------------------------------------------------------------
 # root finding
 
 
 def _bisect(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+    """Root of ``fun`` in [lo, hi] to ``tol``; a midpoint with fun = 0 is returned as is."""
     flo = fun(lo)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
             return mid
         fmid = fun(mid)
+        if fmid == 0.0:
+            return mid
         if flo * fmid <= 0:
             hi = mid
         else:
@@ -339,15 +249,4 @@ def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
         raise RootNotFoundError(
             f"Lamb shift at the decay zero has no sign change for Delta in "
             f"[{lo}, {hi}]; widen the bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        fmid = f_of(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return _bisect(f_of, lo, hi, tol=tol)

@@ -14,6 +14,11 @@ output node; no Python code runs per step.
 
 Controls are sampled schedules, interpolated cubically at the half steps;
 reservoir coefficients are evaluated from their closed forms exactly.
+Output grids must be uniform.
+
+The reservoir's drive renormalization Omega -> Omega^R and its inverse are
+linear ODEs in (h, w), the local form of the memory convolution, and run
+through the same core with one step per output interval.
 
 Everything after the core is batched over the output grid as well: the
 density run converts all its rows to Bloch vectors in one call, and the
@@ -25,15 +30,15 @@ samples to reference Bloch vectors of shape (n, 3).
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
+from typing import Callable
 
 import numpy as np
 
 from . import liouvillian as lv
 from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
-from .environment import LorentzianEnvironment, decay_and_shift
-from .errors import IntegrationDivergedError, MalformedStateError
-from .sun_algebra import (bloch_to_density, build_basis, density_to_bloch,
-                          structure_constants)
+from .environment import LorentzianEnvironment, _log_derivative, decay_and_shift
+from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
+from .sun_algebra import build_basis, density_to_bloch, structure_constants
 from .trajectories import (TrajectorySpec, reference_ramp, steady_state_bloch,
                            tracking_trajectory)
 
@@ -44,10 +49,11 @@ __all__ = [
     "integrate_bloch",
     "integrate_density",
     "integrate_density_general",
-    "density_run_from_bloch",
     "adiabatic_reference_run",
     "fidelity",
     "fidelity_bloch",
+    "renormalized_field",
+    "lab_field_from_effective",
 ]
 
 DEFAULT_MIN_STEPS = 20000
@@ -117,7 +123,13 @@ def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
 
 
 def _fine_grid(times: np.ndarray, min_steps: int) -> tuple[np.ndarray, int]:
+    """Step nodes and half steps of ``sub`` equal steps per interval of ``times``."""
     n_out = len(times) - 1
+    steps = np.diff(times)
+    if n_out < 1 or np.ptp(steps) > 1e-9 * abs(times[-1] - times[0]):
+        raise InvalidInputError(f"output times must be two or more, uniformly spaced; got "
+                                f"{len(times)} with steps {steps.min(initial=0.0)} .. "
+                                f"{steps.max(initial=0.0)}")
     sub = max(1, ceil(min_steps / n_out))
     n_steps = n_out * sub
     fine = np.linspace(times[0], times[-1], 2 * n_steps + 1)
@@ -186,15 +198,18 @@ def _rk4_affine(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
     out = np.empty((n_out + 1, y0.size), dtype=np.result_type(y0, float))
     out[0] = y0
     y = np.append(out[0], 1.0)
-    for first in range(0, n_out, per_chunk):
-        last = min(n_out, first + per_chunk)
-        for j, a in enumerate(_interval_maps(stages, first, last, sub, h), start=first + 1):
-            y = a @ y
-            out[j] = y[:-1]
-        finite = np.all(np.isfinite(out[first + 1:last + 1]), axis=1)
-        if not finite.all():
-            bad = first + 1 + int(np.argmin(finite))
-            raise IntegrationDivergedError(f"state became non-finite at t = {times[bad]:.6g}")
+    # a diverging run overflows on its way to inf or nan; the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_out, per_chunk):
+            last = min(n_out, first + per_chunk)
+            for j, a in enumerate(_interval_maps(stages, first, last, sub, h), start=first + 1):
+                y = a @ y
+                out[j] = y[:-1]
+            finite = np.all(np.isfinite(out[first + 1:last + 1]), axis=1)
+            if not finite.all():
+                bad = first + 1 + int(np.argmin(finite))
+                raise IntegrationDivergedError(
+                    f"state became non-finite at t = {times[bad]:.6g}")
     return out
 
 
@@ -383,12 +398,61 @@ def integrate_density_general(hamiltonian_fun, channels, rho0: np.ndarray,
     return raw.reshape(len(raw), basis.dimension, basis.dimension)
 
 
-def density_run_from_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
-                           r0: np.ndarray, times: np.ndarray,
-                           min_steps: int = DEFAULT_MIN_STEPS, reference=None,
-                           keep_densities: bool = False) -> SimulationRun:
-    """Convenience wrapper: density-form run started from a Bloch vector."""
-    basis = _qubit_parts()[0]
-    return integrate_density(schedule, env, bloch_to_density(np.asarray(r0, float), basis),
-                             times, min_steps=min_steps, reference=reference,
-                             keep_densities=keep_densities)
+# ---------------------------------------------------------------------------
+# drive transforms
+
+
+def _drive_ode(env: LorentzianEnvironment, h_row, drive: np.ndarray,
+               tgrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, w) on ``tgrid`` for h' = h_row . (h, w) - i drive, w' = f(0) h - mu w.
+
+    Starts from h = w = 0 and takes one RK4 step per interval; ``h_row`` and
+    ``drive`` hold values at the fine-grid nodes (step nodes and half steps).
+    """
+    m = np.zeros((len(drive), 2, 2), dtype=complex)
+    m[:, 0] = h_row
+    m[:, 1] = 0.5 * env.gamma0 * env.lam, -env._memory_rate
+    b = np.zeros((len(drive), 2), dtype=complex)
+    b[:, 0] = -1j * drive
+    y = _rk4_affine(lambda idx: (m[idx], b[idx]), np.zeros(2, dtype=complex), tgrid, 1)
+    return y[:, 0], y[:, 1]
+
+
+def renormalized_field(env: LorentzianEnvironment, omega: Callable[[float], complex],
+                       tgrid: np.ndarray) -> np.ndarray:
+    """Effective drive Omega^R(t) produced by the physical drive Omega(t).
+
+    Solves h' = -i Delta h - w - i Omega, w' = f(0) h - mu w (the local form
+    of the memory convolution) on the uniform grid ``tgrid`` and returns
+    i [h' - h u'/u] on it.
+    """
+    tgrid = np.asarray(tgrid, dtype=float)
+    fine, _ = _fine_grid(tgrid, len(tgrid) - 1)
+    drive = np.array([omega(t) for t in fine], dtype=complex)
+    h, w = _drive_ode(env, (-1j * env.drive_detuning, -1.0), drive, tgrid)
+    hdot = -1j * env.drive_detuning * h - w - 1j * drive[::2]
+    q, _ = _log_derivative(env, tgrid)
+    return 1j * (hdot - h * q)
+
+
+def lab_field_from_effective(env: LorentzianEnvironment,
+                             omega_r: Callable[[float], complex],
+                             t_final: float, n: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+    """Physical drive Omega(t) realizing a prescribed effective drive Omega^R(t).
+
+    Integrates h' = -i Omega^R + h u'/u from h(0) = 0 together with the
+    memory variable, then reads off Omega = i [h' + i Delta h + w].
+    Returns (times, Omega samples).
+
+    Raises
+    ------
+    PropagatorZeroError
+        If u vanishes inside [0, t_final]; the message carries the location.
+    """
+    tgrid = np.linspace(0.0, float(t_final), n + 1)
+    fine, _ = _fine_grid(tgrid, n)
+    q, _ = _log_derivative(env, fine)
+    drive = np.array([omega_r(t) for t in fine], dtype=complex)
+    h, w = _drive_ode(env, np.column_stack([q, np.zeros_like(q)]), drive, tgrid)
+    hdot = -1j * drive[::2] + h * q[::2]
+    return tgrid, 1j * (hdot + 1j * env.drive_detuning * h + w)

@@ -35,8 +35,8 @@ from blochsteer.environment import decay_and_shift, propagator_u
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel,
                                     assemble_components, kron_liouvillian,
                                     trace_preservation_residual, unvec, vec)
-from blochsteer.simulator import (adiabatic_reference_run, density_run_from_bloch,
-                                  integrate_affine, integrate_bloch)
+from blochsteer.simulator import (adiabatic_reference_run, integrate_affine,
+                                  integrate_bloch, integrate_density)
 from blochsteer.sun_algebra import random_bloch_vector
 from blochsteer.trajectories import (mixed_inversion_trajectory, pure_inversion,
                                      tracking_trajectory)
@@ -243,15 +243,15 @@ def test_criterion_8_markovian_reduction():
 
 
 def test_criterion_9_numerics_hygiene(tracking_bundle, mixed_bundle, tmp_path, qubit):
-    _, tensors = qubit
+    basis, tensors = qubit
     env1, times1, sched1, run1, _, _ = tracking_bundle
     env3, _, t_final3, times3, sched3, run3, _ = mixed_bundle
     dual1 = float(np.max(np.abs(
-        density_run_from_bloch(sched1, env1, run1.states[0], times1,
-                               min_steps=MIN_STEPS).states - run1.states)))
+        integrate_density(sched1, env1, bloch_to_density(run1.states[0], basis), times1,
+                          min_steps=MIN_STEPS).states - run1.states)))
     dual3 = float(np.max(np.abs(
-        density_run_from_bloch(sched3, env3, np.array([0.0, 0.0, -1.0]), times3,
-                               min_steps=MIN_STEPS).states - run3.states)))
+        integrate_density(sched3, env3, bloch_to_density(np.array([0.0, 0.0, -1.0]), basis),
+                          times3, min_steps=MIN_STEPS).states - run3.states)))
     # fourth-order convergence on the constant-coefficient decay case
     ham = HamiltonianSpec(np.zeros(4))
     comp = assemble_components(ham, [LindbladChannel(SIGMA_MINUS_SHAPE, rate=0.9)], tensors)

@@ -110,6 +110,47 @@ def test_nonpositive_or_nonfinite_times_exit_2_without_files(tmp_path, key, valu
     assert list(out.iterdir()) == []
 
 
+ENV_SCAN_LINES = ["experiment = env-scan", "spectral_width = 0.1", "cavity_detuning = 0.1",
+                  "t_final = 8.0", "grid = 100"]
+
+
+@pytest.mark.parametrize("lines", [
+    ["experiment = invert-pure", "spectral_width = inf"],
+    ["experiment = invert-pure", "spectral_width = 0.1", "gamma0 = inf"],
+    ["experiment = invert-pure", "spectral_width = 0.1", "drive_detuning = nan"],
+    ENV_SCAN_LINES + ["scan_parameter = spectral_width", "scan_values = -1.0, 0.5"],
+    ENV_SCAN_LINES + ["scan_parameter = cavity_detuning", "scan_values = nan"],
+], ids=["spectral_width-inf", "gamma0-inf", "drive_detuning-nan",
+        "scan-spectral_width-negative", "scan-cavity_detuning-nan"])
+def test_nonfinite_values_and_bad_scan_values_exit_2_without_files(tmp_path, lines):
+    from blochsteer.cli import main
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_diverging_run_exits_3_with_one_line_and_no_files(tmp_path):
+    cfg = write_cfg(tmp_path, """
+experiment = track-steady
+spectral_width = 0.22846
+cavity_detuning = 0.23232
+drive_detuning = -0.12032
+n0 = 1e-5
+omega_c = 7.2839
+t_final = 10
+grid = 2000
+min_steps = 2000
+""")
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out))
+    assert cp.returncode == 3
+    assert cp.stderr == ("numerical failure in track-steady: IntegrationDivergedError: "
+                         "state became non-finite at t = 9.1\n")
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, TRACK_CFG)
     outs = []

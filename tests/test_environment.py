@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson, solve_ivp
 
-from blochsteer.environment import (EnvSnapshot, LorentzianEnvironment, correlation_kernel,
+from blochsteer.environment import (LorentzianEnvironment, _bisect, correlation_kernel,
                                     decay_and_shift, decay_shift_derivatives,
-                                    find_gamma_negmax, find_gamma_zero,
-                                    lab_field_from_effective, propagator_u,
-                                    renormalized_field, snapshot,
+                                    find_gamma_negmax, find_gamma_zero, propagator_u,
                                     tune_detuning_for_lamb_zero)
 from blochsteer.errors import (InvalidInputError, PropagatorZeroError, RootNotFoundError)
+from blochsteer.simulator import lab_field_from_effective, renormalized_field
 
 
 def ode_propagator(env, tgrid):
@@ -96,8 +95,6 @@ def test_decay_shift_boundary_exact():
     gam, shift = decay_and_shift(env, 0.0)
     assert abs(gam) < 1e-10
     assert abs(shift - env.drive_detuning) < 1e-10
-    snap = snapshot(env, 0.0)
-    assert isinstance(snap, EnvSnapshot) and snap.u == 1.0 + 0.0j
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,3 +257,13 @@ def test_decay_zero_is_bit_identical_for_every_drive_detuning(monkeypatch):
     tuned = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
     assert len(calls) == 1
     assert abs(decay_and_shift(template.replace_drive_detuning(tuned), t_i)[1]) < 1e-8
+
+
+def test_bisect_returns_an_exact_root_at_the_midpoint():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return x - 0.5
+    assert _bisect(fun, 0.0, 1.0) == 0.5
+    assert calls == [0.0, 0.5]

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from blochsteer.controls import (SIGMA_MINUS_SHAPE, ControlSchedule,
                                  schedule_from_trajectory)
-from blochsteer.errors import IntegrationDivergedError, MalformedStateError
+from blochsteer.environment import LorentzianEnvironment, _log_derivative
+from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
+                               MalformedStateError)
 from blochsteer.liouvillian import HamiltonianSpec, LindbladChannel, assemble_components
-from blochsteer.simulator import (adiabatic_reference_run, density_run_from_bloch,
-                                  fidelity, fidelity_bloch, integrate_affine,
-                                  integrate_bloch)
+from blochsteer.simulator import (adiabatic_reference_run, fidelity, fidelity_bloch,
+                                  integrate_affine, integrate_bloch, integrate_density,
+                                  lab_field_from_effective, renormalized_field)
 from blochsteer.sun_algebra import bloch_to_density
 from blochsteer.trajectories import tracking_trajectory
 
@@ -125,23 +129,24 @@ def test_stationary_hold(tracking_env, hold):
     assert np.max(np.abs(run.states - r_target)) < 1e-8
 
 
-def test_dual_representation_agreement(tracking_env):
+def test_dual_representation_agreement(tracking_env, qubit):
     traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
     times = np.linspace(0.0, 10.0, 501)
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     run_b = integrate_bloch(sched, tracking_env, r0, times, min_steps=5000)
-    run_d = density_run_from_bloch(sched, tracking_env, r0, times, min_steps=5000)
+    run_d = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
+                              min_steps=5000)
     assert np.max(np.abs(run_b.states - run_d.states)) < 1e-8
 
 
-def test_density_run_preserves_trace_and_hermiticity(tracking_env):
+def test_density_run_preserves_trace_and_hermiticity(tracking_env, qubit):
     traj = tracking_trajectory(tracking_env, 1e-5, 6.0, 6.0)
     times = np.linspace(0.0, 6.0, 301)
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
-    run = density_run_from_bloch(sched, tracking_env, r0, times, min_steps=3000,
-                                 keep_densities=True)
+    run = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
+                            min_steps=3000, keep_densities=True)
     traces = np.array([np.trace(rho) for rho in run.densities])
     assert np.max(np.abs(traces - 1.0)) < 1e-10
     herm = max(np.max(np.abs(rho - rho.conj().T)) for rho in run.densities)
@@ -155,11 +160,29 @@ def test_integration_divergence_raises(tracking_env):
     huge = np.full_like(times, 1e155)
     sched = ControlSchedule(times=times, omega_x=huge, omega_y=huge,
                             excitation=np.ones_like(times), protocol="xy")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the run overflows on its way to inf; that must raise, not print warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(IntegrationDivergedError) as err:
             integrate_bloch(sched, tracking_env, np.array([0.0, 0.0, -1.0]), times,
                             min_steps=200)
     assert "t =" in str(err.value)
+
+
+def test_non_uniform_output_grid_is_rejected():
+    # on [0, 1, 3] a uniform-step integrator would report e^-1.5 at t = 1
+    minus_one = lambda t: -np.eye(1)
+    with pytest.raises(InvalidInputError, match="uniformly spaced"):
+        integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1),
+                         np.array([0.0, 1.0, 3.0]), min_steps=300)
+    with pytest.raises(InvalidInputError):
+        renormalized_field(LorentzianEnvironment(lam=0.5), lambda t: 1.0,
+                           np.array([0.0, 1.0, 3.0]))
+    rounded = np.linspace(0.0, 3.0, 4)
+    rounded[1] += 1e-15
+    states = integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1), rounded,
+                              min_steps=300)
+    assert abs(states[1, 0] - np.exp(-1.0)) < 1e-9
 
 
 def test_fidelity_trivials(qubit):
@@ -298,14 +321,48 @@ def test_fidelity_failure_names_time_and_state(tracking_env, hold):
                         reference=reference)
 
 
-def test_density_run_matches_bloch_run(tracking_env):
+def test_density_run_matches_bloch_run(tracking_env, qubit):
     traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
     times = np.linspace(0.0, 10.0, 201)
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
-    dens = density_run_from_bloch(sched, tracking_env, r0, times, min_steps=2000,
-                                  reference=traj, keep_densities=True)
+    dens = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
+                             min_steps=2000, reference=traj, keep_densities=True)
     assert dens.densities.shape == (201, 2, 2)
     bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reference=traj)
     assert np.max(np.abs(dens.states - bloch.states)) < 1e-12
     assert np.max(np.abs(dens.fidelity - bloch.fidelity)) < 1e-12
+
+
+# the drive transforms are the (h, w) memory ODE on the shared core, one step
+# per output interval; the literal loop and the post-processing are spelled out
+TRANSFORM_ENVS = [LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=0.1),
+                  LorentzianEnvironment(lam=0.1, cavity_detuning=0.1, drive_detuning=-0.68)]
+
+
+@pytest.mark.parametrize("env", TRANSFORM_ENVS)
+def test_renormalized_field_matches_rk4_loop(env):
+    omega = lambda t: 0.5 * np.sin(0.7 * t) + 0.2 + 0.1j * np.cos(t)
+    f0, mu = 0.5 * env.gamma0 * env.lam, env._memory_rate
+    times = np.linspace(0.0, 7.0, 701)
+    matrix = np.array([[-1j * env.drive_detuning, -1.0], [f0, -mu]])
+    h, w = rk4_loop(lambda t: matrix, lambda t: np.array([-1j * omega(t), 0.0]),
+                    np.zeros(2, dtype=complex), times, 1).T
+    hdot = -1j * env.drive_detuning * h - w - 1j * np.array([omega(t) for t in times])
+    expected = 1j * (hdot - h * _log_derivative(env, times)[0])
+    assert np.max(np.abs(renormalized_field(env, omega, times) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("env", TRANSFORM_ENVS)
+def test_lab_field_matches_rk4_loop(env):
+    omega_r = lambda t: 0.8 * (t / 7.0) ** 2 * (3 - 2 * t / 7.0) + 0.05j * t
+    f0, mu = 0.5 * env.gamma0 * env.lam, env._memory_rate
+    times = np.linspace(0.0, 7.0, 701)
+    h, w = rk4_loop(lambda t: np.array([[_log_derivative(env, t)[0], 0.0], [f0, -mu]]),
+                    lambda t: np.array([-1j * omega_r(t), 0.0]),
+                    np.zeros(2, dtype=complex), times, 1).T
+    hdot = -1j * np.array([omega_r(t) for t in times]) + h * _log_derivative(env, times)[0]
+    expected = 1j * (hdot + 1j * env.drive_detuning * h + w)
+    got_times, got = lab_field_from_effective(env, omega_r, 7.0, n=700)
+    assert np.array_equal(got_times, times)
+    assert np.max(np.abs(got - expected)) <= 1e-12
