@@ -24,7 +24,7 @@ import numpy as np
 from .controls import schedule_from_trajectory
 from .environment import (LorentzianEnvironment, decay_and_shift, find_gamma_negmax,
                           find_gamma_zero, tune_detuning_for_lamb_zero)
-from .errors import BlochSteerError, ConfigError
+from .errors import BlochSteerError, ConfigError, InvalidInputError
 from .selfcheck import run_selfcheck
 from .simulator import adiabatic_reference_run, integrate_bloch
 from .trajectories import (mixed_inversion_trajectory, pure_inversion,
@@ -267,8 +267,15 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
             cfg = replace(config, **{config.scan_parameter: value})
             scan_env = _environment(cfg, 0.0 if cfg.drive_detuning is None
                                     else cfg.drive_detuning)
-            gam, shift = decay_and_shift(scan_env, times)
-            return np.atleast_1d(gam), np.atleast_1d(shift)
+            with np.errstate(all="ignore"):   # a non-finite rate is named below
+                columns = decay_and_shift(scan_env, times)
+            for name, column in zip(("decay_rate", "lamb_shift"), columns):
+                bad = ~np.isfinite(column)
+                if bad.any():
+                    raise InvalidInputError(
+                        f"scan value {config.scan_parameter} = {value}: {name} is not "
+                        f"finite at t = {times[np.argmax(bad)]:.6g}")
+            return columns
 
         results = [compute(value) for value in config.scan_values]
         out.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,11 @@ The closed forms take one sample (three floats out) or a stack of n samples
 the same expressions.  ``schedule_from_trajectory`` samples the trajectory
 and the reservoir once over the whole grid and solves all regular samples in
 one call; only the few samples on the singular locus are patched separately.
+
+A ``ControlSchedule`` interpolates its fields with the not-a-knot cubic
+spline in numpy (``_cubic``): one tridiagonal slope solve for all fields,
+then Horner's rule on the piece each time falls in, found by index
+arithmetic on the uniform sample grid.
 """
 
 from dataclasses import dataclass
@@ -24,8 +29,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._cubic import (cubic_value, hermite_coefficients, not_a_knot_slopes,
+                     require_uniform, uniform_pieces)
 from .environment import LorentzianEnvironment, decay_and_shift
 from .errors import InvalidInputError, NoUniqueSolutionError, SingularControlError
 from .liouvillian import HamiltonianSpec, LindbladChannel, channel_drift, channel_matrix
@@ -310,10 +316,12 @@ def markovian_reduction_check(r: np.ndarray, rdot: np.ndarray,
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Time-sampled control parameters with cubic interpolation between samples.
+    """Time-sampled control parameters, interpolated between samples by the
+    not-a-knot cubic spline of each field.
 
     ``protocol`` is "xy" (omega_x, omega_y, excitation) or "x-detuning"
-    (omega_x, detuning_r, excitation).
+    (omega_x, detuning_r, excitation).  Times must be uniformly spaced, so
+    ``value`` finds a sample's piece by index arithmetic.
     """
 
     times: np.ndarray
@@ -327,6 +335,7 @@ class ControlSchedule:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
             raise InvalidInputError("schedule times must be strictly increasing")
+        require_uniform(t, "schedule times")
         for name in ("omega_x", "omega_y", "detuning_r", "excitation"):
             arr = getattr(self, name)
             if arr is None:
@@ -340,16 +349,22 @@ class ControlSchedule:
         object.__setattr__(self, "times", t)
 
     @cached_property
-    def _splines(self):
-        fields = {"omega_x": self.omega_x, "excitation": self.excitation}
-        if self.omega_y is not None:
-            fields["omega_y"] = self.omega_y
-        if self.detuning_r is not None:
-            fields["detuning_r"] = self.detuning_r
-        return {k: CubicSpline(self.times, v) for k, v in fields.items()}
+    def _coefficients(self) -> dict[str, np.ndarray]:
+        """Power coefficients (4, n - 1) of each field; the fields share one
+        slope solve."""
+        names = [name for name in ("omega_x", "omega_y", "detuning_r", "excitation")
+                 if getattr(self, name) is not None]
+        values = np.array([getattr(self, name) for name in names])
+        coefficients = hermite_coefficients(self.times, values,
+                                            not_a_knot_slopes(self.times, values))
+        return dict(zip(names, coefficients))
 
     def value(self, name: str, t):
-        return self._splines[name](np.clip(t, self.times[0], self.times[-1]))
+        """Field ``name`` at times t, clamped to the sampled span; shaped like t."""
+        shape = np.shape(t)
+        t = np.clip(np.ravel(t), self.times[0], self.times[-1])
+        return cubic_value(self._coefficients[name], self.times, t,
+                           uniform_pieces(self.times, t)).reshape(shape)
 
     @property
     def t_final(self) -> float:

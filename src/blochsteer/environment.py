@@ -20,6 +20,7 @@ The closed form is
 which is branch-insensitive (cosh is even and sinh(x)/x is even in d).
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ class LorentzianEnvironment:
         if not (self.lam > 0 and self.gamma0 > 0):
             raise InvalidInputError(
                 f"need lam > 0 and gamma0 > 0, got lam={self.lam}, gamma0={self.gamma0}")
+        self._d   # raises before any closed form runs on parameters it cannot represent
 
     def replace_drive_detuning(self, value: float) -> "LorentzianEnvironment":
         return LorentzianEnvironment(self.lam, self.cavity_detuning, float(value),
@@ -62,8 +64,15 @@ class LorentzianEnvironment:
     # derived constants of the closed form
     @property
     def _d(self) -> complex:
-        return np.sqrt(complex((self.lam - 1j * self.cavity_detuning) ** 2
-                               - 2.0 * self.gamma0 * self.lam))
+        """d of the closed form; raises ``InvalidInputError`` when it overflows."""
+        z = self.lam - 1j * self.cavity_detuning
+        d2 = z * z - 2.0 * self.gamma0 * self.lam   # Python complex: inf, not an error
+        if not cmath.isfinite(d2):
+            raise InvalidInputError(
+                f"reservoir constant d = sqrt((lam - i delta)^2 - 2 gamma0 lam) is not finite "
+                f"for lam = {self.lam}, cavity_detuning = {self.cavity_detuning}, "
+                f"gamma0 = {self.gamma0}")
+        return np.sqrt(d2)
 
     @property
     def _memory_rate(self) -> complex:

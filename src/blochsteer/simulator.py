@@ -35,9 +35,10 @@ from typing import Callable
 import numpy as np
 
 from . import liouvillian as lv
+from ._cubic import require_uniform
 from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
 from .environment import LorentzianEnvironment, _log_derivative, decay_and_shift
-from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
+from .errors import IntegrationDivergedError, MalformedStateError
 from .sun_algebra import build_basis, density_to_bloch, structure_constants
 from .trajectories import (TrajectorySpec, reference_ramp, steady_state_bloch,
                            tracking_trajectory)
@@ -124,12 +125,8 @@ def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
 
 def _fine_grid(times: np.ndarray, min_steps: int) -> tuple[np.ndarray, int]:
     """Step nodes and half steps of ``sub`` equal steps per interval of ``times``."""
+    require_uniform(times, "output times")
     n_out = len(times) - 1
-    steps = np.diff(times)
-    if n_out < 1 or np.ptp(steps) > 1e-9 * abs(times[-1] - times[0]):
-        raise InvalidInputError(f"output times must be two or more, uniformly spaced; got "
-                                f"{len(times)} with steps {steps.min(initial=0.0)} .. "
-                                f"{steps.max(initial=0.0)}")
     sub = max(1, ceil(min_steps / n_out))
     n_steps = n_out * sub
     fine = np.linspace(times[0], times[-1], 2 * n_steps + 1)

@@ -3,7 +3,9 @@
 Three constructions: instantaneous steady-state tracking (the state follows
 the null vector of the frozen reference generator), a pure-state inversion
 ansatz in spherical coordinates, and a mixed-state piecewise-cubic inversion
-path satisfying a knot table of values and derivatives exactly.  A
+path satisfying a knot table of values and derivatives exactly (a cubic
+Hermite spline in numpy, ``_cubic``, evaluated with its derivative by
+Horner's rule).  A
 controllability report summarizes whether a solved schedule is physically
 realizable (nonnegative excitation number, bounded fields).
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
+from ._cubic import cubic_derivative, cubic_value, hermite_coefficients, pieces
 from .controls import ControlSchedule
 from .environment import (LorentzianEnvironment, decay_and_shift,
                           decay_shift_derivatives, propagator_u)
@@ -100,6 +102,12 @@ def _degenerate(z, t):
             "all vanish")
 
 
+def _thermal_factor(n0: float) -> np.float64:
+    """2 n0 + 1 as a numpy float, so that its square overflows to inf (caught
+    downstream as a non-finite field) instead of raising OverflowError."""
+    return np.float64(2.0 * n0 + 1.0)
+
+
 def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.ndarray:
     """Instantaneous steady state of the reference generator at time t.
 
@@ -109,7 +117,7 @@ def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.n
     ``t`` may be arrays of n samples; the result then has shape (n, 3).
     """
     g, s0 = decay_and_shift(env, t)
-    npr = 2.0 * n0 + 1.0
+    npr = _thermal_factor(n0)
     ss = s0 ** 2 + npr ** 2 * g ** 2
     z = npr * (ss + 2.0 * omega0 ** 2)
     _degenerate(z, t)
@@ -129,7 +137,7 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
     if np.min(probe) < 1e-10:
         raise PropagatorZeroError(
             f"propagator vanishes inside [0, {t_final}]; steady state undefined there")
-    npr = 2.0 * n0 + 1.0
+    npr = _thermal_factor(n0)
 
     def evaluator(t: np.ndarray):
         _check_window(t, t_final)
@@ -218,11 +226,25 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
         knots[comp] = (base_times.copy(), vals, slopes)
 
     def build():
-        return {c: CubicHermiteSpline(*knots[c]) for c in knots}
+        splines = {}
+        for comp, (ts, vs, ms) in knots.items():
+            try:
+                splines[comp] = (ts, hermite_coefficients(ts, vs, ms))
+            except InvalidInputError as exc:
+                raise InfeasibleTrajectoryError(f"{comp} knot table: {exc}") from None
+        return splines
+
+    def curve(spline, t, evaluate=cubic_value):
+        ts, coefficients = spline
+        return evaluate(coefficients, ts, t, pieces(ts, t))
 
     def max_violation(splines, n=4001):
         ts = np.linspace(0.0, t_final, n)
-        norm = np.sqrt(splines["r_y"](ts) ** 2 + splines["r_z"](ts) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.sqrt(curve(splines["r_y"], ts) ** 2 + curve(splines["r_z"], ts) ** 2)
+        if not np.all(np.isfinite(norm)):
+            raise InfeasibleTrajectoryError(
+                f"trajectory norm is not finite at t = {ts[np.argmin(np.isfinite(norm))]:.6g}")
         i = int(np.argmax(norm))
         return float(norm[i]) - 1.0, float(ts[i])
 
@@ -243,9 +265,10 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
             for comp in knots:
                 ts, vs, ms = knots[comp]
                 j = int(np.searchsorted(ts, t_new))
+                at = np.array([t_new])
                 knots[comp] = (np.insert(ts, j, t_new),
-                               np.insert(vs, j, splines[comp](t_new)),
-                               np.insert(ms, j, splines[comp](t_new, 1)))
+                               np.insert(vs, j, curve(splines[comp], at)),
+                               np.insert(ms, j, curve(splines[comp], at, cubic_derivative)))
         for comp in knots:
             ts, vs, ms = knots[comp]
             ms = ms.copy()
@@ -260,13 +283,13 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
             f"after {max_remediation} remediation rounds")
 
     ry, rz = splines["r_y"], splines["r_z"]
-    ry_d, rz_d = ry.derivative(), rz.derivative()
 
     def evaluator(t: np.ndarray):
         _check_window(t, t_final)
         zero = np.zeros_like(t)
-        return (np.stack([zero, ry(t), rz(t)], axis=-1),
-                np.stack([zero, ry_d(t), rz_d(t)], axis=-1))
+        return (np.stack([zero, curve(ry, t), curve(rz, t)], axis=-1),
+                np.stack([zero, curve(ry, t, cubic_derivative),
+                          curve(rz, t, cubic_derivative)], axis=-1))
 
     knot_tuple = tuple((c, tuple(knots[c][0]), tuple(knots[c][1]), tuple(knots[c][2]))
                        for c in ("r_y", "r_z"))

@@ -30,11 +30,14 @@ cavity_detuning = 0.1
 """
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "blochsteer", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args):
+    return run_python("-m", "blochsteer", *args)
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -149,6 +152,62 @@ min_steps = 2000
     assert cp.stderr == ("numerical failure in track-steady: IntegrationDivergedError: "
                          "state became non-finite at t = 9.1\n")
     assert not out.exists()
+
+
+EXTREME_CONFIGS = {
+    "track-steady": TRACK_CFG,
+    "invert-pure": "experiment = invert-pure\nspectral_width = 0.1\ncavity_detuning = 0.1\n",
+    "invert-mixed": MIXED_CFG,
+    # scanning the drive detuning leaves spectral_width to the override
+    "env-scan": "\n".join(ENV_SCAN_LINES + ["scan_parameter = drive_detuning",
+                                           "scan_values = 0.0, 0.5"]) + "\n",
+}
+D_NOT_FINITE = "InvalidInputError: reservoir constant d = "
+
+
+@pytest.mark.parametrize("experiment, override, message", [
+    *[(experiment, override, D_NOT_FINITE) for experiment in EXTREME_CONFIGS
+      for override in ("spectral_width=1e308", "cavity_detuning=1e308",
+                       "cavity_detuning=-1e308")],
+    ("env-scan", "gamma0=1e308", D_NOT_FINITE),
+    ("env-scan", "t_final=1e308", "InvalidInputError: scan value drive_detuning = 0.0: "
+                                  "decay_rate is not finite at t = "),
+    ("invert-mixed", "t_break=1e-300", "InfeasibleTrajectoryError: r_y knot table: "
+                                       "cubic coefficients overflow"),
+    ("invert-mixed", "t_final=1e308", "InfeasibleTrajectoryError: trajectory norm is not "
+                                      "finite at t = "),
+])
+def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, experiment,
+                                                                 override, message):
+    cfg = write_cfg(tmp_path, EXTREME_CONFIGS[experiment])
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", override,
+                 "--override", "grid=100", "--override", "min_steps=100")
+    assert cp.returncode == 3
+    assert cp.stderr.startswith(f"numerical failure in {experiment}: {message}")
+    assert cp.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_overflowing_thermal_factor_exits_3_without_files(tmp_path):
+    # (2 n0 + 1)^2 overflows; numpy warnings still precede the exit-3 line here
+    cfg = write_cfg(tmp_path, TRACK_CFG)
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", "n0=1e200",
+                 "--override", "grid=100", "--override", "min_steps=100")
+    assert cp.returncode == 3
+    assert "numerical failure in track-steady" in cp.stderr
+    assert not out.exists()
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "mixed_inversion.cfg"
+    cp = run_python("-c", "import sys; from blochsteer import cli; "
+                          f"cli.run(cli.load_config({str(config)!r}), {str(tmp_path)!r}); "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert cp.returncode == 0, cp.stderr
+    assert (tmp_path / "states.csv").exists()
+    assert cp.stdout == "[]\n"
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -138,6 +138,31 @@ def test_mixed_inversion_knots(inversion_setup):
     assert abs(np.linalg.norm(r0) - 1) < 1e-12 and abs(np.linalg.norm(rf) - 1) < 1e-12
 
 
+# Knot tables built with scipy's CubicHermiteSpline before the numpy cubics;
+# each case inserts one knot at the midpoint and scales its slopes by 0.9 in
+# two remediation rounds.
+SCIPY_KNOT_TABLES = [
+    ((8.025624305807515, 9.252612287032694),
+     (("r_y", (0.0, 4.0128121529037575, 8.025624305807515, 9.252612287032694),
+       (0.0, 0.06, 0.12, 0.0), (0.0, 0.018166811009891898, 0.0, 0.0)),
+      ("r_z", (0.0, 4.0128121529037575, 8.025624305807515, 9.252612287032694),
+       (-1.0, -0.9012812152903757, 0.0, 1.0), (0.0, 0.07039009174909916, 0.4, 1.0)))),
+    ((8.0, 8.5),
+     (("r_y", (0.0, 4.0, 8.0, 8.5), (0.0, 0.06, 0.12, 0.0), (0.0, 0.018225, 0.0, 0.0)),
+      ("r_z", (0.0, 4.0, 8.0, 8.5), (-1.0, -0.9, 0.0, 1.0),
+       (0.0, 0.07087500000000001, 0.4, 1.0)))),
+]
+
+
+@pytest.mark.parametrize("times, expected", SCIPY_KNOT_TABLES)
+def test_remediated_knot_table_matches_the_scipy_construction(times, expected):
+    knots = mixed_inversion_trajectory(*times).knots
+    for (comp, ts, vs, ms), (comp_e, ts_e, vs_e, ms_e) in zip(knots, expected, strict=True):
+        assert comp == comp_e and ts == ts_e
+        np.testing.assert_allclose(vs, vs_e, rtol=0, atol=1e-16)
+        np.testing.assert_allclose(ms, ms_e, rtol=0, atol=1e-16)
+
+
 def test_mixed_inversion_stays_in_ball(inversion_setup):
     _, t_break, t_final = inversion_setup
     traj = mixed_inversion_trajectory(t_break, t_final)
@@ -174,6 +199,10 @@ def test_mixed_inversion_invalid_and_infeasible():
              "r_z": ((-1.0, 0.0), (0.0, 60.0), (1.0, 1.0))}
     with pytest.raises(InfeasibleTrajectoryError):
         mixed_inversion_trajectory(8.0, 9.2, boundary=steep)
+    not_finite = {"r_y": ((0.0, 0.0), (np.nan, 0.0), (0.0, 0.0)),
+                  "r_z": ((-1.0, 0.0), (0.0, 0.4), (1.0, 1.0))}
+    with pytest.raises(InfeasibleTrajectoryError, match="r_y knot table"):
+        mixed_inversion_trajectory(8.0, 9.2, boundary=not_finite)
 
 
 def test_controllability_pure_inversion(inversion_setup):
