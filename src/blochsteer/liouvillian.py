@@ -184,19 +184,28 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape(n, n)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square matrices, (a (x) b)[i m + k, j m + l] = a[i, j] b[k, l].
+
+    The same elementwise products as ``np.kron``, by one broadcast multiply.
+    """
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
 def kron_liouvillian(hamiltonian: HamiltonianSpec, channels: Sequence[LindbladChannel],
                      basis: GeneratorBasis, t: float = 0.0) -> np.ndarray:
     """Supermatrix on row-major vectorized density matrices."""
     dim = basis.dimension
     eye = np.eye(dim, dtype=complex)
     h = hamiltonian.matrix(basis)
-    s = -1.0j * (np.kron(h, eye) - np.kron(eye, h.T))
+    s = -1.0j * (_kron(h, eye) - _kron(eye, h.T))
     for ch in channels:
         l = ch.operator(basis)
         ldl = l.conj().T @ l
-        s += ch.effective_rate(t) * (2.0 * np.kron(l, l.conj())
-                                     - np.kron(ldl, eye)
-                                     - np.kron(eye, ldl.T))
+        s += ch.effective_rate(t) * (2.0 * _kron(l, l.conj())
+                                     - _kron(ldl, eye)
+                                     - _kron(eye, ldl.T))
     return s
 
 

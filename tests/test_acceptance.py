@@ -24,17 +24,15 @@ import time
 import numpy as np
 import pytest
 
-from blochsteer import (LorentzianEnvironment, bloch_to_density, build_basis,
-                        density_to_bloch, find_gamma_negmax, find_gamma_zero,
-                        structure_constants, tune_detuning_for_lamb_zero)
+from blochsteer import (LorentzianEnvironment, bloch_to_density, find_gamma_negmax,
+                        find_gamma_zero, tune_detuning_for_lamb_zero)
 from blochsteer.cli import ExperimentConfig, run
-from blochsteer.controls import (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE,
-                                 schedule_from_trajectory, solve_controls,
+from blochsteer.controls import (SIGMA_MINUS_SHAPE, schedule_from_trajectory,
                                  two_level_controls)
-from blochsteer.environment import decay_and_shift, propagator_u
+from blochsteer.environment import decay_and_shift
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel,
-                                    assemble_components, kron_liouvillian,
-                                    trace_preservation_residual, unvec, vec)
+                                    assemble_components)
+from blochsteer.selfcheck import _suite_liouvillian, _suite_propagator, _suite_solver
 from blochsteer.simulator import (adiabatic_reference_run, integrate_affine,
                                   integrate_bloch, integrate_density)
 from blochsteer.sun_algebra import random_bloch_vector
@@ -130,92 +128,27 @@ def test_criterion_4_pure_inversion(mixed_bundle):
 
 
 def test_criterion_5_liouvillian_oracle():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    count = 0
-    for dim in (2, 3):
-        basis = build_basis(dim)
-        tensors = structure_constants(basis)
-        n = dim * dim - 1
-        for _ in range(50):
-            ham = HamiltonianSpec(rng.normal(size=dim * dim))
-            chans = [LindbladChannel(shape=rng.normal(size=n) + 1j * rng.normal(size=n),
-                                     rate=float(rng.normal()))
-                     for _ in range(int(rng.integers(1, 4)))]
-            comp = assemble_components(ham, chans, tensors)
-            sup = kron_liouvillian(ham, chans, basis)
-            assert trace_preservation_residual(sup) < 1e-12
-            r = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim))
-            image = unvec(sup @ vec(bloch_to_density(r, basis))) + np.eye(dim) / dim
-            worst = max(worst, float(np.max(np.abs(comp.apply(r)
-                                                   - density_to_bloch(image, basis)))))
-            count += 1
-    ok = worst < 1e-10 and count == 100
-    report(5, ok, f"component vs kronecker action on {count} random instances, "
-                  f"worst deviation {worst:.2e} (< 1e-10)")
+    # 50 random generators in each of dimensions 2 and 3
+    worst, residual = _suite_liouvillian(np.random.default_rng(5), 50)
+    ok = worst < 1e-10 and residual < 1e-12
+    report(5, ok, f"component vs kronecker action on 100 random instances, "
+                  f"worst deviation {worst:.2e} (< 1e-10), trace-preservation residual "
+                  f"{residual:.2e} (< 1e-12)")
 
 
-def test_criterion_6_closed_form_solver_equivalence(qubit):
-    basis, tensors = qubit
-    rng = np.random.default_rng(6)
-    worst_eq = 0.0
-    worst_back = 0.0
-    for _ in range(100):
-        r = random_bloch_vector(2, rng, 0.95)
-        while abs(r[2]) < 0.1:
-            r = random_bloch_vector(2, rng, 0.95)
-        rdot = rng.normal(size=3)
-        gamma = float(rng.uniform(0.1, 2.0))
-        shift = float(rng.normal())
-        closed = np.array(two_level_controls(r, rdot, gamma, shift))
-        channels = [
-            LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma, control_index=None),
-            LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma, control_index=0),
-            LindbladChannel(SIGMA_PLUS_SHAPE, rate=gamma, control_index=0),
-        ]
-        drift = HamiltonianSpec([shift / 2, 0.0, 0.0, shift / 2])
-        from blochsteer.controls import assemble_control_system
-        generic = solve_controls(
-            assemble_control_system(r, rdot, (1, 2), channels, tensors, drift=drift)).values
-        worst_eq = max(worst_eq, float(np.max(np.abs(generic - closed))))
-        ham = HamiltonianSpec([shift / 2, closed[0], closed[1], shift / 2])
-        chans = [LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma * (closed[2] + 1)),
-                 LindbladChannel(SIGMA_PLUS_SHAPE, rate=gamma * closed[2])]
-        field = assemble_components(ham, chans, tensors).apply(r)
-        worst_back = max(worst_back, float(np.max(np.abs(field - rdot))))
+def test_criterion_6_closed_form_solver_equivalence():
+    worst_eq, worst_back = _suite_solver(np.random.default_rng(6), 100)
     ok = worst_eq < 1e-9 and worst_back < 1e-10
     report(6, ok, f"closed form vs generic solve worst {worst_eq:.2e} (< 1e-9), "
                   f"back-substitution worst {worst_back:.2e} (< 1e-10)")
 
 
 def test_criterion_7_environment_oracle():
-    from scipy.integrate import solve_ivp
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(20):
-        env = LorentzianEnvironment(lam=float(rng.uniform(0.05, 5.0)),
-                                    cavity_detuning=float(rng.uniform(-1, 1)),
-                                    drive_detuning=float(rng.uniform(-1, 1)))
-        grid = np.linspace(0.0, 10.0, 400)
-        f0 = 0.5 * env.gamma0 * env.lam
-        mu = env.lam + 1j * (env.drive_detuning - env.cavity_detuning)
-
-        def rhs(t, y):
-            u, z = y[0] + 1j * y[1], y[2] + 1j * y[3]
-            return [(-1j * env.drive_detuning * u - z).real,
-                    (-1j * env.drive_detuning * u - z).imag,
-                    (f0 * u - mu * z).real, (f0 * u - mu * z).imag]
-
-        sol = solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0, 0.0, 0.0], t_eval=grid,
-                        rtol=1e-11, atol=1e-13, method="DOP853")
-        worst = max(worst, float(np.max(np.abs(propagator_u(env, grid)
-                                               - (sol.y[0] + 1j * sol.y[1])))))
-        gam0, shift0 = decay_and_shift(env, 0.0)
-        assert abs(gam0) < 1e-10 and abs(shift0 - env.drive_detuning) < 1e-10
-    ok = worst < 1e-6
-    report(7, ok, f"closed-form propagator vs memory-kernel ODE, sup deviation "
-                  f"{worst:.2e} over [0,10] for 20 parameter sets (< 1e-6); "
-                  f"boundary identities exact to 1e-10")
+    worst, boundary = _suite_propagator(np.random.default_rng(7), 20, 400)
+    ok = worst < 1e-12 and boundary < 1e-10
+    report(7, ok, f"closed-form propagator vs matrix exponential of the memory-kernel "
+                  f"system, sup deviation {worst:.2e} over [0,10] for 20 parameter sets "
+                  f"(< 1e-12); boundary identities exact to {boundary:.2e} (< 1e-10)")
 
 
 def test_criterion_8_markovian_reduction():

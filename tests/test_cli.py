@@ -210,6 +210,29 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert cp.stdout == "[]\n"
 
 
+def test_selfcheck_imports_no_scipy_integrate():
+    # the propagator oracle is a matrix exponential, not an ODE solve
+    cp = run_python("-c", "import io, sys; from blochsteer.selfcheck import run_selfcheck; "
+                          "code = run_selfcheck(stream=io.StringIO()); "
+                          "print(code, sorted(m for m in sys.modules "
+                          "if m.startswith('scipy.integrate')))")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "0 []\n"
+
+
+def test_unallocatable_step_count_exits_3_with_one_line_and_no_files(tmp_path):
+    # 2e15 fine-grid nodes are 16 PB: numpy refuses the allocation at once
+    cfg = write_cfg(tmp_path, TRACK_CFG)
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out),
+                 "--override", "min_steps=1000000000000000")
+    assert cp.returncode == 3
+    assert cp.stderr == ("numerical failure in track-steady: InvalidInputError: "
+                         "1000000000000000 RK4 steps need a fine grid of 2000000000000001 "
+                         "nodes, which does not fit in memory\n")
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, TRACK_CFG)
     outs = []

@@ -9,6 +9,7 @@ from blochsteer.environment import (LorentzianEnvironment, _bisect, correlation_
                                     find_gamma_negmax, find_gamma_zero, propagator_u,
                                     tune_detuning_for_lamb_zero)
 from blochsteer.errors import (InvalidInputError, PropagatorZeroError, RootNotFoundError)
+from blochsteer.selfcheck import _expm_propagator
 from blochsteer.simulator import lab_field_from_effective, renormalized_field
 
 
@@ -63,6 +64,14 @@ def test_propagator_boundary_and_oracle(rng):
         dev = np.max(np.abs(propagator_u(env, grid) - ode_propagator(env, grid)))
         worst = max(worst, float(dev))
     assert worst < 1e-6
+
+
+def test_propagator_matches_expm_oracle_at_degenerate_reservoir():
+    # lam = 2 gamma0 with no detuning gives d = 0, the sinhc series branch
+    env = LorentzianEnvironment(lam=2.0)
+    assert env._d == 0.0
+    grid = np.linspace(0.0, 10.0, 400)
+    assert np.max(np.abs(propagator_u(env, grid) - _expm_propagator(env, grid))) <= 1e-12
 
 
 def test_propagator_branch_insensitive():

@@ -4,9 +4,9 @@ import pytest
 from blochsteer import bloch_to_density, density_to_bloch
 from blochsteer.controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE
 from blochsteer.errors import MalformedLiouvillianError
-from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
-                                    channel_drift, channel_matrix, coherent_part,
-                                    components_from_kron, incoherent_part,
+from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, _kron,
+                                    assemble_components, channel_drift, channel_matrix,
+                                    coherent_part, components_from_kron, incoherent_part,
                                     inhomogeneous_part, kron_liouvillian,
                                     trace_preservation_residual, unvec, vec)
 from blochsteer.sun_algebra import random_bloch_vector
@@ -73,6 +73,14 @@ def test_kron_zero(qubit):
     basis, _ = qubit
     s = kron_liouvillian(HamiltonianSpec(np.zeros(4)), [], basis)
     assert np.allclose(s, 0.0)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3)])
+def test_kron_helper_is_np_kron_bit_for_bit(n, m, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    for left, right in ((a, b), (a, np.eye(m, dtype=complex)), (np.eye(n, dtype=complex), b)):
+        assert np.array_equal(_kron(left, right), np.kron(left, right))
 
 
 def test_kron_reference_supermatrix(qubit):

@@ -3,15 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from blochsteer.controls import (SIGMA_MINUS_SHAPE, ControlSchedule,
+from blochsteer.controls import (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule,
                                  schedule_from_trajectory)
 from blochsteer.environment import LorentzianEnvironment, _log_derivative
 from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
                                MalformedStateError)
-from blochsteer.liouvillian import HamiltonianSpec, LindbladChannel, assemble_components
-from blochsteer.simulator import (adiabatic_reference_run, fidelity, fidelity_bloch,
-                                  integrate_affine, integrate_bloch, integrate_density,
-                                  lab_field_from_effective, renormalized_field)
+from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
+                                    kron_liouvillian)
+from blochsteer.simulator import (_stage_coefficients, adiabatic_reference_run, fidelity,
+                                  fidelity_bloch, integrate_affine, integrate_bloch,
+                                  integrate_density, lab_field_from_effective,
+                                  renormalized_field)
 from blochsteer.sun_algebra import bloch_to_density
 from blochsteer.trajectories import tracking_trajectory
 
@@ -118,6 +120,29 @@ def test_step_maps_match_rk4_loop_complex_without_drift(rng, n_out, sub):
     states = integrate_affine(matrix, drift, y0, times, min_steps=n_out * sub)
     assert states.dtype == complex
     assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_out, sub", [(300, 1), (2, 600)])
+def test_density_run_matches_complex_rk4_loop(tracking_env, qubit, n_out, sub):
+    # the real block form against literal complex RK4 on the Kronecker supermatrix
+    basis = qubit[0]
+    traj = tracking_trajectory(tracking_env, 1e-5, 3.0, 3.0)
+    sched = schedule_from_trajectory(traj, tracking_env, np.linspace(0.0, 3.0, 61))
+    rho0 = bloch_to_density(traj.evaluate(0.0)[0], basis)
+
+    def supermatrix(t):
+        c_x, c_y, c_z, rate_minus, rate_plus = (
+            float(c[0]) for c in _stage_coefficients(sched, tracking_env, np.array([t])))
+        return kron_liouvillian(HamiltonianSpec([0.0, c_x, c_y, c_z]),
+                                [LindbladChannel(SIGMA_MINUS_SHAPE, rate=rate_minus),
+                                 LindbladChannel(SIGMA_PLUS_SHAPE, rate=rate_plus)], basis)
+
+    times = np.linspace(0.0, 3.0, n_out + 1)
+    run = integrate_density(sched, tracking_env, rho0, times, min_steps=n_out * sub,
+                            keep_densities=True)
+    loop = rk4_loop(supermatrix, lambda t: np.zeros(4), rho0.reshape(-1), times, sub)
+    assert run.densities.shape == (n_out + 1, 2, 2)
+    assert np.max(np.abs(run.densities.reshape(n_out + 1, 4) - loop)) <= 1e-12
 
 
 def test_stationary_hold(tracking_env, hold):
