@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and drop the CSV output under out/.
 
+Each config goes through ``blochsteer run --config CFG --out OUT/<stem>``
+in this process, so its summary, messages and exit code are the CLI's.
+Exits 1 if any config exits non-zero.
+
 Usage: python scripts/run_all_experiments.py [--out DIR]
 """
 
@@ -8,29 +12,20 @@ import argparse
 import sys
 from pathlib import Path
 
-from blochsteer.cli import load_config, run
+from blochsteer import cli
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out", help="root output directory")
-    args = parser.parse_args()
-    root = Path(args.out)
+    args = parser.parse_args(argv)
     failures = 0
     for cfg_path in sorted(CONFIG_DIR.glob("*.cfg")):
-        config = load_config(cfg_path)
-        target = root / cfg_path.stem
-        print(f"== {cfg_path.name} -> {target}")
-        try:
-            summary = run(config, out_dir=target)
-        except Exception as exc:
-            print(f"   failed: {type(exc).__name__}: {exc}")
-            failures += 1
-            continue
-        for key, value in summary.items():
-            print(f"   {key} = {value}")
+        target = Path(args.out) / cfg_path.stem
+        print(f"== {cfg_path.name} -> {target}", flush=True)
+        failures += cli.main(["run", "--config", str(cfg_path), "--out", str(target)]) != 0
     return 1 if failures else 0
 
 

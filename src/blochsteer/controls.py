@@ -60,20 +60,20 @@ SINGULARITY_TOL = 1e-8
 _CONDITION_LIMIT = 1e12
 
 
-def _singular_mask(r: np.ndarray, decay_rate, tol: float, k: int) -> np.ndarray:
-    """Samples on the singular locus of a closed form: |r_k| < tol (fields,
-    k = 2 in the two-field protocol, k = 1 in the detuning protocol) or
-    |G| < tol (excitation number)."""
-    return (np.abs(r.T[k]) < tol) | (np.abs(decay_rate) < tol)
+def _singular_mask(r: np.ndarray, decay_rate, k: int) -> np.ndarray:
+    """Samples on the singular locus of a closed form: |r_k| < SINGULARITY_TOL
+    (fields, k = 2 in the two-field protocol, k = 1 in the detuning protocol)
+    or |G| < SINGULARITY_TOL (excitation number)."""
+    return (np.abs(r.T[k]) < SINGULARITY_TOL) | (np.abs(decay_rate) < SINGULARITY_TOL)
 
 
-def _singular_error(r: np.ndarray, rdot: np.ndarray, decay_rate: float, tol: float,
+def _singular_error(r: np.ndarray, rdot: np.ndarray, decay_rate: float,
                     k: int, where: str = "") -> SingularControlError:
     """The error for one sample (r of shape (3,)) on the singular locus."""
-    if abs(r[k]) < tol:
+    if abs(r[k]) < SINGULARITY_TOL:
         label = "coherent controls" if k == 2 else "detuning protocol"
         return SingularControlError(
-            f"{label} singular: |r_{'xyz'[k]}| = {abs(r[k]):.3e} < {tol}{where}")
+            f"{label} singular: |r_{'xyz'[k]}| = {abs(r[k]):.3e} < {SINGULARITY_TOL}{where}")
     g = decay_rate
     back = float(np.dot(r, rdot)) + 2 * g * r[2]
     return SingularControlError(
@@ -81,21 +81,21 @@ def _singular_error(r: np.ndarray, rdot: np.ndarray, decay_rate: float, tol: flo
         f"(r.rdot + 2 G r_z = {back:.3e}){where}")
 
 
-def _closed_form_inputs(r, rdot, decay_rate, lamb_shift, tol: float, k: int):
+def _closed_form_inputs(r, rdot, decay_rate, lamb_shift, k: int):
     """Arrays of one sample or a stack; raises on the first singular sample."""
     r = np.asarray(r, dtype=float)
     rdot = np.asarray(rdot, dtype=float)
     if r.ndim == 1:   # plain floats: numpy 0-d arithmetic is ten times slower
         g, s0 = float(decay_rate), float(lamb_shift)
-        if _singular_mask(r, g, tol, k):
-            raise _singular_error(r, rdot, g, tol, k)
+        if _singular_mask(r, g, k):
+            raise _singular_error(r, rdot, g, k)
         return r, rdot, g, s0
     g = np.asarray(decay_rate, dtype=float)
     s0 = np.asarray(lamb_shift, dtype=float)
-    singular = _singular_mask(r, g, tol, k)
+    singular = _singular_mask(r, g, k)
     if singular.any():
         i = int(np.argmax(singular))
-        raise _singular_error(r[i], rdot[i], float(g[i]), tol, k)
+        raise _singular_error(r[i], rdot[i], float(g[i]), k)
     return r, rdot, g, s0
 
 
@@ -115,8 +115,7 @@ def _result(*values):
     return values
 
 
-def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift,
-                       tol: float = SINGULARITY_TOL):
+def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
     """Closed-form (Omega_x^R, Omega_y^R, N) driving the state along (r, rdot).
 
     Takes one sample (r, rdot of shape (3,), scalar rates; returns three
@@ -126,11 +125,11 @@ def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift,
     Raises
     ------
     SingularControlError
-        If |r_z| < tol (field singularity) or the excitation number has no
+        If |r_z| < SINGULARITY_TOL (field singularity) or the excitation number has no
         finite value because the decay rate vanishes while r.rdot + 2 G r_z
         does not; for a stack, at the first such sample.
     """
-    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, tol, 2)
+    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, 2)
     (rx, ry, rz), (rdx, rdy, _) = r.T, rdot.T
     excitation, rr, dd = _excitation(r, rdot, g)
     back = rr + 2.0 * g * rz
@@ -139,15 +138,14 @@ def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift,
     return _result(omega_x, omega_y, excitation)
 
 
-def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift,
-                                tol: float = SINGULARITY_TOL):
+def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
     """Closed-form (Omega_x^R, Delta^R, N) for the protocol without Omega_y^R.
 
     Singular where r_y vanishes; the excitation-number expression is the
     same rational function as in the two-field protocol.  Takes one sample
     or a stack, like ``two_level_controls``.
     """
-    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, tol, 1)
+    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, 1)
     (rx, ry, rz), (rdx, rdy, rdz) = r.T, rdot.T
     excitation, _, dd = _excitation(r, rdot, g)
     perp = rx * rx + ry * ry
@@ -396,7 +394,7 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.n
         return r, rdot, g, s0
 
     r, rdot, g, s0 = inputs(times)
-    singular = _singular_mask(r, g, SINGULARITY_TOL, k)
+    singular = _singular_mask(r, g, k)
     regular = ~singular
     rows = np.empty((len(times), 3))
     rows[regular] = np.column_stack(solver(r[regular], rdot[regular], g[regular], s0[regular]))
@@ -417,7 +415,7 @@ def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):
     valid = (probes >= 0.0) & (probes <= t_final) & (probes != t_sing[:, None])
     r, rdot, g, s0 = inputs(probes[valid])
     probe_singular = np.zeros_like(valid)
-    probe_singular[valid] = _singular_mask(r, g, SINGULARITY_TOL, k)
+    probe_singular[valid] = _singular_mask(r, g, k)
     failed = ~valid.any(axis=1) | probe_singular.any(axis=1)
     if np.any(failed):
         j = int(np.argmax(failed))
@@ -427,7 +425,7 @@ def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):
                 f"no probe inside [0, {t_final}]")
         m = int(np.argmax(probe_singular[j]))
         i = np.cumsum(valid.ravel())[2 * j + m] - 1   # position of probe (j, m) in r
-        raise _singular_error(r[i], rdot[i], float(g[i]), SINGULARITY_TOL, k,
+        raise _singular_error(r[i], rdot[i], float(g[i]), k,
                               f" at t = {probes[j, m]:.6g} (probe of the singular sample "
                               f"at t = {t_sing[j]:.6g})")
     values = np.full(valid.shape + (3,), np.nan)

@@ -21,7 +21,7 @@ which is branch-insensitive (cosh is even and sinh(x)/x is even in d).
 """
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _PROPAGATOR_ZERO_TOL = 1e-12
+_SCAN_POINTS = 4001   # samples of the sign-change scan in front of each time bisection
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,12 @@ class LorentzianEnvironment:
     cavity_detuning: float = 0.0
     drive_detuning: float = 0.0
     gamma0: float = 1.0
-    n0: float = 0.0
 
     def __post_init__(self):
         if not (self.lam > 0 and self.gamma0 > 0):
             raise InvalidInputError(
                 f"need lam > 0 and gamma0 > 0, got lam={self.lam}, gamma0={self.gamma0}")
         self._d   # raises before any closed form runs on parameters it cannot represent
-
-    def replace_drive_detuning(self, value: float) -> "LorentzianEnvironment":
-        return LorentzianEnvironment(self.lam, self.cavity_detuning, float(value),
-                                     self.gamma0, self.n0)
 
     # derived constants of the closed form
     @property
@@ -125,17 +121,37 @@ def _log_derivative(env: LorentzianEnvironment, t):
 
     Exact at t = 0 (q = -i Delta), so Gamma0(0) = 0 and s0(0) = Delta hold to
     machine precision.
+
+    Raises
+    ------
+    PropagatorZeroError
+        If |u| < 1e-12 at some t; the message names the t of the smallest |u|.
+    InvalidInputError
+        If the decay rate, Lamb shift or |u| overflows; names the first such t.
     """
     t = np.asarray(t, dtype=float)
-    g = _cosh_g(env, t)
-    u_abs = np.abs(np.exp(-env._envelope_rate * t) * g)
-    if np.min(u_abs) < _PROPAGATOR_ZERO_TOL:
-        t_bad = np.atleast_1d(t)[np.argmin(np.atleast_1d(u_abs))]
-        raise PropagatorZeroError(f"propagator magnitude < {_PROPAGATOR_ZERO_TOL} at t = {t_bad}")
-    half = 0.5 * t
-    v = env.gamma0 * env.lam * half * _sinhc(env._d * half) / g
-    q = -1j * env.drive_detuning - v
+    # an overflowing closed form gives inf or nan; the checks below name it
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _cosh_g(env, t)
+        u_abs = np.abs(np.exp(-env._envelope_rate * t) * g)
+        if (u_abs < _PROPAGATOR_ZERO_TOL).any():
+            t_bad = np.atleast_1d(t)[np.nanargmin(u_abs)]
+            raise PropagatorZeroError(
+                f"propagator magnitude < {_PROPAGATOR_ZERO_TOL} at t = {t_bad}")
+        half = 0.5 * t
+        v = env.gamma0 * env.lam * half * _sinhc(env._d * half) / g
+        q = -1j * env.drive_detuning - v
+    if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
+        raise _not_finite(t, q, u_abs)
     return (q, v) if q.ndim else (complex(q), complex(v))
+
+
+def _not_finite(t, q, u_abs) -> InvalidInputError:
+    """The error naming the first time at which a rate or |u| is not finite."""
+    bad = ~np.isfinite(np.reshape([q.real, q.imag, u_abs], (3, -1)))
+    i = int(np.argmax(bad.any(axis=0)))
+    name = ("decay_rate", "lamb_shift", "propagator magnitude")[int(np.argmax(bad[:, i]))]
+    return InvalidInputError(f"{name} is not finite at t = {np.ravel(t)[i]:.6g}")
 
 
 def decay_and_shift(env: LorentzianEnvironment, t):
@@ -164,10 +180,11 @@ def decay_shift_derivatives(env: LorentzianEnvironment, t):
 # root finding
 
 
-def _bisect(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of ``fun`` in [lo, hi] to ``tol``; a midpoint with fun = 0 is returned as is."""
+def _bisect(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Root of ``fun`` in [lo, hi] to ``tol`` (at most 200 halvings); a midpoint
+    with fun = 0 is returned as is."""
     flo = fun(lo)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
             return mid
@@ -181,8 +198,7 @@ def _bisect(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) 
     return 0.5 * (lo + hi)
 
 
-def find_gamma_zero(env: LorentzianEnvironment, window: tuple[float, float] = None,
-                    scan_points: int = 4001) -> float:
+def find_gamma_zero(env: LorentzianEnvironment, window: tuple[float, float] = None) -> float:
     """First root of Gamma0 with a + to - sign change, to 1e-10 in time.
 
     Raises
@@ -193,7 +209,7 @@ def find_gamma_zero(env: LorentzianEnvironment, window: tuple[float, float] = No
     if window is None:
         window = (1e-9, 30.0 / env.gamma0)
     lo, hi = window
-    ts = np.linspace(lo, hi, scan_points)
+    ts = np.linspace(lo, hi, _SCAN_POINTS)
     gam = decay_and_shift(env, ts)[0]
     crossings = np.nonzero((gam[:-1] > 0) & (gam[1:] <= 0))[0]
     if len(crossings) == 0:
@@ -204,7 +220,7 @@ def find_gamma_zero(env: LorentzianEnvironment, window: tuple[float, float] = No
 
 
 def find_gamma_negmax(env: LorentzianEnvironment, t_start: float,
-                      t_max: float = None, scan_points: int = 4001) -> float:
+                      t_max: float = None) -> float:
     """First local minimizer of Gamma0 after t_start (the negative maximum).
 
     Located by the analytic derivative's - to + sign change, bisected to
@@ -213,7 +229,7 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float,
     if t_max is None:
         im_d = abs(np.imag(env._d))
         t_max = t_start + (4.0 * np.pi / im_d if im_d > 1e-9 else 30.0 / env.gamma0)
-    ts = np.linspace(t_start + 1e-9, t_max, scan_points)
+    ts = np.linspace(t_start + 1e-9, t_max, _SCAN_POINTS)
     dgam = decay_shift_derivatives(env, ts)[2]
     crossings = np.nonzero((dgam[:-1] < 0) & (dgam[1:] >= 0))[0]
     if len(crossings) == 0:
@@ -228,11 +244,10 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float,
 
 
 def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
-                                bracket: tuple[float, float] = (-2.0, 2.0),
-                                tol: float = 1e-8) -> float:
+                                bracket: tuple[float, float] = (-2.0, 2.0)) -> float:
     """Drive detuning Delta such that s0 vanishes at the decay-rate zero t_i.
 
-    Bisection over Delta of F(Delta) = s0(t_i; Delta).  The decay rate
+    Bisection over Delta of F(Delta) = s0(t_i; Delta), to 1e-8.  The decay rate
     Gamma0 = Re v does not depend on Delta, even in floating point, so t_i
     is found once, before the bisection, and is the same for every trial
     Delta.
@@ -246,7 +261,7 @@ def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
     t_i = find_gamma_zero(env)
 
     def f_of(delta_drive: float) -> float:
-        return decay_and_shift(env.replace_drive_detuning(delta_drive), t_i)[1]
+        return decay_and_shift(replace(env, drive_detuning=delta_drive), t_i)[1]
 
     lo, hi = bracket
     flo, fhi = f_of(lo), f_of(hi)
@@ -258,4 +273,4 @@ def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
         raise RootNotFoundError(
             f"Lamb shift at the decay zero has no sign change for Delta in "
             f"[{lo}, {hi}]; widen the bracket")
-    return _bisect(f_of, lo, hi, tol=tol)
+    return _bisect(f_of, lo, hi, tol=1e-8)

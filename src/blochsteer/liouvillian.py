@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, MalformedLiouvillianError
-from .sun_algebra import GeneratorBasis, StructureTensors, bloch_scale
+from .sun_algebra import TRACE_NORMALIZATION, GeneratorBasis, StructureTensors, bloch_scale
 
 __all__ = [
     "HamiltonianSpec",
@@ -230,7 +230,7 @@ def components_from_kron(supermatrix: np.ndarray, basis: GeneratorBasis) -> Liou
             f"supermatrix violates trace preservation by {resid:.3e}")
     dim = basis.dimension
     n = basis.n_traceless
-    eta = basis.normalization
+    eta = TRACE_NORMALIZATION
     m = np.empty((n, n))
     for j in range(n):
         image = unvec(supermatrix @ vec(basis.generators[j + 1]))

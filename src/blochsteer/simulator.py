@@ -47,8 +47,7 @@ from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
 from .environment import LorentzianEnvironment, _log_derivative, decay_and_shift
 from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
 from .sun_algebra import build_basis, density_to_bloch, structure_constants
-from .trajectories import (TrajectorySpec, reference_ramp, steady_state_bloch,
-                           tracking_trajectory)
+from .trajectories import TrajectorySpec, reference_ramp, steady_state_bloch
 
 __all__ = [
     "SimulationRun",
@@ -75,7 +74,6 @@ class SimulationRun:
     times: np.ndarray
     states: np.ndarray
     fidelity: np.ndarray | None
-    schedule: ControlSchedule | None = None
     densities: np.ndarray | None = None
 
     @property
@@ -272,18 +270,17 @@ def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
     states = _rk4_linear(stages, np.append(np.asarray(r0, dtype=float), 1.0), times,
                          sub)[:, :-1]
     fid = _reference_fidelity(states, times, reference)
-    return SimulationRun(times=times, states=states, fidelity=fid, schedule=schedule)
+    return SimulationRun(times=times, states=states, fidelity=fid)
 
 
 def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
                       rho0: np.ndarray, times: np.ndarray,
-                      min_steps: int = DEFAULT_MIN_STEPS, reference=None,
-                      keep_densities: bool = False) -> SimulationRun:
+                      min_steps: int = DEFAULT_MIN_STEPS, reference=None) -> SimulationRun:
     """Integrate the vectorized density matrix with the Kronecker supermatrix.
 
     States are reported as Bloch vectors for direct comparison with
-    ``integrate_bloch``; this is the primary dynamics oracle.  With
-    ``keep_densities`` the raw matrices are attached to the run as well.
+    ``integrate_bloch``; this is the primary dynamics oracle.  The density
+    matrices themselves are attached to the run as ``densities``.
     """
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
@@ -297,9 +294,7 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     raw = (y[:, :4] + 1j * y[:, 4:]).reshape(-1, 2, 2)
     states = density_to_bloch(raw, basis)
     fid = _reference_fidelity(states, times, reference)
-    densities = raw if keep_densities else None
-    return SimulationRun(times=times, states=states, fidelity=fid, schedule=schedule,
-                         densities=densities)
+    return SimulationRun(times=times, states=states, fidelity=fid, densities=raw)
 
 
 def _reference_fidelity(states, times, reference):
@@ -328,17 +323,18 @@ def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: floa
                             min_steps: int = DEFAULT_MIN_STEPS) -> SimulationRun:
     """Reference protocol: omega_x follows the bare ramp, omega_y = 0, N = n0.
 
-    The fidelity column compares against the instantaneous steady state.
+    The run starts in the instantaneous steady state at t = 0, and the
+    fidelity column compares against the instantaneous steady state.
     """
     times = np.asarray(times, dtype=float)
     ramp = reference_ramp(omega_c, t_final, times)
     schedule = ControlSchedule(times=times, omega_x=ramp, omega_y=np.zeros_like(ramp),
                                excitation=np.full_like(ramp, n0), protocol="xy")
-    designed = tracking_trajectory(env, n0, omega_c, t_final)
-    r0, _ = designed.evaluate(0.0)
-    return integrate_bloch(schedule, env, r0, times, min_steps=min_steps,
-                           reference=lambda ts: steady_state_bloch(
-                               env, n0, reference_ramp(omega_c, t_final, ts), ts))
+
+    def steady(ts):
+        return steady_state_bloch(env, n0, reference_ramp(omega_c, t_final, ts), ts)
+    return integrate_bloch(schedule, env, steady(0.0), times, min_steps=min_steps,
+                           reference=steady)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ class GeneratorBasis:
 
     dimension: int
     generators: np.ndarray
-    normalization: float = TRACE_NORMALIZATION
 
     @property
     def n_traceless(self) -> int:
@@ -82,7 +81,6 @@ class StructureTensors:
     d: np.ndarray
     s: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
-    normalization: float = TRACE_NORMALIZATION
 
 
 def build_basis(dim: int) -> GeneratorBasis:
@@ -122,15 +120,14 @@ def build_basis(dim: int) -> GeneratorBasis:
 def _product_coefficients(basis: GeneratorBasis) -> np.ndarray:
     """z[a, b, p] with T_a T_b = (eta/N) delta_ab I + sum_p z[a,b,p] T_p (a, b, p traceless)."""
     t = basis.traceless()
-    eta = basis.normalization
-    return np.einsum("aij,bjk,pki->abp", t, t, t) / eta
+    return np.einsum("aij,bjk,pki->abp", t, t, t) / TRACE_NORMALIZATION
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     """Compute f_{ijk}, d_{ijk} and the cached dissipator tensors.
 
     f_{ijk} = -i Tr[[T_i, T_j] T_k] / eta and d_{ijk} = Tr[{T_i, T_j} T_k] / eta
-    with eta the trace normalization.  Imaginary residues beyond 1e-12 are
+    with eta = TRACE_NORMALIZATION.  Imaginary residues beyond 1e-12 are
     rejected; below that they are discarded.
     """
     z = _product_coefficients(basis)
@@ -144,20 +141,20 @@ def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     d = d_c.real
     s = _dissipator_tensor(basis, z, f, d)
     g = _inhomogeneous_tensor(basis, f)
-    return StructureTensors(dimension=basis.dimension, f=f, d=d, s=s, g=g,
-                            normalization=basis.normalization)
+    return StructureTensors(dimension=basis.dimension, f=f, d=d, s=s, g=g)
 
 
 def _dissipator_tensor(basis: GeneratorBasis, z: np.ndarray, f: np.ndarray,
                        d: np.ndarray) -> np.ndarray:
-    """s[m, n, j, i] = Tr[T_i (2 T_m T_j T_n - T_n T_m T_j - T_j T_n T_m)] / eta.
+    """s[m, n, j, i] = Tr[T_i (2 T_m T_j T_n - T_n T_m T_j - T_j T_n T_m)] / eta,
+    eta = TRACE_NORMALIZATION.
 
     m, n include the identity slot 0 (where T_0 acts trivially and the
     expression collapses to commutators); j, i are traceless only.
     """
     dim = basis.dimension
     n = basis.n_traceless
-    eta = basis.normalization
+    eta = TRACE_NORMALIZATION
     eye = np.eye(n)
     s = np.zeros((n + 1, n + 1, n, n), dtype=complex)
     term1 = (2.0 * eta / dim) * (np.einsum("im,jn->mnji", eye, eye)
@@ -211,7 +208,7 @@ def density_to_bloch(rho: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
         where = f" (matrix {i} of the stack)" if rho.ndim == 3 else ""
         raise MalformedStateError(
             f"density matrix trace {np.atleast_1d(tr)[i]} is not 1 within 1e-9{where}")
-    coeff = dim / (bloch_scale(dim) * basis.normalization)
+    coeff = dim / (bloch_scale(dim) * TRACE_NORMALIZATION)
     r = coeff * np.einsum("kij,...ji->...k", basis.traceless(), rho)
     return r.real
 

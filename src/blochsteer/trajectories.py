@@ -41,7 +41,8 @@ __all__ = [
     "controllability_check",
 ]
 
-NORM_SLACK = 1e-9
+# Rounds of knot insertion and slope scaling before a mixed path is infeasible
+_MAX_REMEDIATION = 20
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,9 @@ class TrajectorySpec:
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._evaluator(np.asarray(times, dtype=float))
 
-    def max_norm(self, n: int = 1000) -> float:
-        ts = np.linspace(0.0, self.t_final, n)
+    def max_norm(self) -> float:
+        """Largest |r| over 1000 equally spaced times."""
+        ts = np.linspace(0.0, self.t_final, 1000)
         r, _ = self.sample(ts)
         return float(np.max(np.linalg.norm(r, axis=1)))
 
@@ -198,15 +200,13 @@ BOUNDARY_TABLE = {
 
 
 def mixed_inversion_trajectory(t_break: float, t_final: float,
-                               boundary: dict = None,
-                               max_remediation: int = 20) -> TrajectorySpec:
+                               boundary: dict = None) -> TrajectorySpec:
     """Piecewise cubic Hermite path through the knot table, r_x == 0.
 
     The knots are matched exactly.  If the interpolant leaves the Bloch
     ball between knots, the offending original segment is subdivided at
     its midpoint (knot values and slopes read off the current curve) and
-    the inserted slope is scaled by 0.9 repeatedly, up to
-    ``max_remediation`` rounds.
+    the inserted slope is scaled by 0.9 repeatedly, up to 20 rounds.
 
     Raises
     ------
@@ -250,7 +250,7 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
 
     inserted_times: list[float] = []
     splines = build()
-    for _ in range(max_remediation):
+    for _ in range(_MAX_REMEDIATION):
         excess, t_bad = max_violation(splines)
         if excess <= 1e-12:
             break
@@ -280,7 +280,7 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
         excess, t_bad = max_violation(splines)
         raise InfeasibleTrajectoryError(
             f"trajectory norm exceeds 1 by {excess:.3e} at t = {t_bad:.4f} "
-            f"after {max_remediation} remediation rounds")
+            f"after {_MAX_REMEDIATION} remediation rounds")
 
     ry, rz = splines["r_y"], splines["r_z"]
 
@@ -314,8 +314,7 @@ class ControllabilityReport:
         return self.excitation_nonnegative and self.fields_bounded
 
 
-def controllability_check(schedule: ControlSchedule, trajectory: TrajectorySpec = None,
-                          env: LorentzianEnvironment = None) -> ControllabilityReport:
+def controllability_check(schedule: ControlSchedule) -> ControllabilityReport:
     """Report min excitation number, sign changes and field bounds.
 
     Never raises on physical grounds; the flags carry the verdict.

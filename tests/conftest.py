@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def qutrit():
 @pytest.fixture(scope="session")
 def tracking_env():
     """Strong-drive tracking configuration (decay rate stays positive)."""
-    return LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=0.1, n0=1e-5)
+    return LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=0.1)
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +31,7 @@ def inversion_setup():
     """Narrow-reservoir configuration with derived detuning and switch times."""
     template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
     drive = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
-    env = template.replace_drive_detuning(drive)
+    env = replace(template, drive_detuning=drive)
     t_break = find_gamma_zero(env)
     t_final = find_gamma_negmax(env, t_break)
     return env, t_break, t_final

@@ -20,6 +20,7 @@ loosened (the checks are kept at their stated tolerances):
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def report(number: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def tracking_bundle():
-    env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=0.1, n0=1e-5)
+    env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=0.1)
     start = time.perf_counter()
     trajectory = tracking_trajectory(env, 1e-5, 10.0, 10.0)
     times = np.linspace(0.0, 10.0, GRID + 1)
@@ -67,7 +68,7 @@ def mixed_bundle():
     template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
     start = time.perf_counter()
     drive = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
-    env = template.replace_drive_detuning(drive)
+    env = replace(template, drive_detuning=drive)
     t_break = find_gamma_zero(env)
     t_final = find_gamma_negmax(env, t_break)
     trajectory = mixed_inversion_trajectory(t_break, t_final)

@@ -1,12 +1,18 @@
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blochsteer
+from blochsteer.cli import _SCANNABLE, EXPERIMENTS, ExperimentConfig, main, parse_config_text
+from blochsteer.errors import ConfigError
 
 # the child interpreter imports the same package as the tests, installed or not
 PACKAGE_ROOT = str(Path(blochsteer.__file__).resolve().parents[1])
@@ -163,6 +169,8 @@ EXTREME_CONFIGS = {
                                            "scan_values = 0.0, 0.5"]) + "\n",
 }
 D_NOT_FINITE = "InvalidInputError: reservoir constant d = "
+RATE_NOT_FINITE = "InvalidInputError: decay_rate is not finite at t = "
+U_NOT_FINITE = "InvalidInputError: propagator magnitude is not finite at t = "
 
 
 @pytest.mark.parametrize("experiment, override, message", [
@@ -176,6 +184,15 @@ D_NOT_FINITE = "InvalidInputError: reservoir constant d = "
                                        "cubic coefficients overflow"),
     ("invert-mixed", "t_final=1e308", "InfeasibleTrajectoryError: trajectory norm is not "
                                       "finite at t = "),
+    # the reservoir closed forms overflow: the decay rate or |u| is named with its t
+    *[(experiment, "gamma0=1e-300", RATE_NOT_FINITE)
+      for experiment in ("invert-pure", "invert-mixed")],
+    ("invert-mixed", "gamma0=1e200", "RootNotFoundError: decay rate has no interior "
+                                     "minimum in "),
+    ("invert-mixed", "t_break=1e200", RATE_NOT_FINITE),
+    ("invert-mixed", "drive_detuning=1e308", U_NOT_FINITE),
+    ("invert-mixed", "drive_detuning=-1e308", U_NOT_FINITE),
+    ("invert-pure", "t_final=1e200", RATE_NOT_FINITE),
 ])
 def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, experiment,
                                                                  override, message):
@@ -379,3 +396,69 @@ def test_reservoir_and_trajectory_calls_do_not_grow_with_the_grid(tmp_path, monk
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["evaluate"] > 0 and counts[0]["decay_and_shift"] > 0
+
+
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+RAW_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-1e400", "abc", "0", "-1", "16",
+                     "2000", "20000", "0.1", "1e-300", "1e308", "7.0", "0.1, 0.5", "1, x",
+                     ",", *EXPERIMENTS, *_SCANNABLE, "wobble"]),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12))
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS + ["wobble", "Grid", ""]), RAW_VALUES).map(
+        lambda pair: f"{pair[0]} = {pair[1]}"),
+    st.sampled_from(["no equals sign", "# comment only", "", "= 3", "experiment"]))
+# valid configs that the generated lines then override or break
+CONFIG_BASES = st.sampled_from([
+    [], ["experiment = selfcheck"], ["experiment = invert-pure", "spectral_width = 0.1"],
+    TRACK_CFG.strip().splitlines(), EXTREME_CONFIGS["env-scan"].strip().splitlines()])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(CONFIG_BASES, st.lists(CONFIG_LINES, max_size=4))
+def test_config_text_parses_to_a_valid_config_or_exits_2_without_files(base, lines):
+    # any text: a validated config with every value of its annotated type, or a
+    # ConfigError, which the CLI turns into exit 2 before any file is written
+    text = "\n".join(base + lines) + "\n"
+    try:
+        config = parse_config_text(text)
+    except ConfigError:
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
+            path.write_text(text)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+            assert not out.exists()
+        return
+    assert config.validate() is config
+    for f in fields(config):
+        value = getattr(config, f.name)
+        assert value is None or type(value) is f.type
+
+
+def test_run_all_experiments_writes_every_config(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    cp = run_python(str(script), "--out", str(tmp_path))
+    assert cp.returncode == 0, cp.stderr
+    stems = sorted(p.stem for p in script.parent.glob("configs/*.cfg"))
+    assert stems == ["env_scan", "mixed_inversion", "pure_inversion", "selfcheck", "tracking"]
+    assert cp.stdout.count("== ") == len(stems)
+    assert sorted(p.name for p in (tmp_path / "env_scan").iterdir()) == [
+        f"env_{i:03d}.csv" for i in range(4)]
+    for stem in ("mixed_inversion", "pure_inversion", "tracking"):
+        assert sorted(p.name for p in (tmp_path / stem).iterdir()) == [
+            "controls.csv", "env.csv", "states.csv"]
+    assert cp.stdout.count("PASS") == 3   # the selfcheck suites; selfcheck writes no file
+
+
+def test_run_all_experiments_exits_1_when_a_config_fails(tmp_path, monkeypatch):
+    import importlib.util
+    from blochsteer import cli
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or
+                        (3 if argv[2].endswith("tracking.cfg") else 0))
+    assert module.main(["--out", str(tmp_path)]) == 1
+    assert len(calls) == 5 and all(argv[0] == "run" for argv in calls)

@@ -1,8 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import simpson
 
 from blochsteer.environment import (LorentzianEnvironment, _bisect, correlation_kernel,
                                     decay_and_shift, decay_shift_derivatives,
@@ -11,22 +14,6 @@ from blochsteer.environment import (LorentzianEnvironment, _bisect, correlation_
 from blochsteer.errors import (InvalidInputError, PropagatorZeroError, RootNotFoundError)
 from blochsteer.selfcheck import _expm_propagator
 from blochsteer.simulator import lab_field_from_effective, renormalized_field
-
-
-def ode_propagator(env, tgrid):
-    """Independent oracle: integrate the memory equation as a local system."""
-    f0 = 0.5 * env.gamma0 * env.lam
-    mu = env.lam + 1j * (env.drive_detuning - env.cavity_detuning)
-
-    def rhs(t, y):
-        u, z = y[0] + 1j * y[1], y[2] + 1j * y[3]
-        du = -1j * env.drive_detuning * u - z
-        dz = f0 * u - mu * z
-        return [du.real, du.imag, dz.real, dz.imag]
-
-    sol = solve_ivp(rhs, (tgrid[0], tgrid[-1]), [1.0, 0.0, 0.0, 0.0], t_eval=tgrid,
-                    rtol=1e-11, atol=1e-13, method="DOP853")
-    return sol.y[0] + 1j * sol.y[1]
 
 
 def test_environment_validation():
@@ -54,6 +41,7 @@ def test_kernel_flat_spectrum_area():
 
 
 def test_propagator_boundary_and_oracle(rng):
+    # the memory equation as a constant-coefficient system: u(t) = [exp(A t)]_00
     worst = 0.0
     for _ in range(20):
         env = LorentzianEnvironment(lam=float(rng.uniform(0.05, 5.0)),
@@ -61,9 +49,9 @@ def test_propagator_boundary_and_oracle(rng):
                                     drive_detuning=float(rng.uniform(-1, 1)))
         assert propagator_u(env, 0.0) == 1.0 + 0.0j
         grid = np.linspace(0.0, 10.0, 400)
-        dev = np.max(np.abs(propagator_u(env, grid) - ode_propagator(env, grid)))
+        dev = np.max(np.abs(propagator_u(env, grid) - _expm_propagator(env, grid)))
         worst = max(worst, float(dev))
-    assert worst < 1e-6
+    assert worst <= 1e-12
 
 
 def test_propagator_matches_expm_oracle_at_degenerate_reservoir():
@@ -148,6 +136,21 @@ def test_propagator_zero_error():
             hi = mid
     with pytest.raises(PropagatorZeroError):
         decay_and_shift(env, 0.5 * (lo + hi))
+
+
+def test_overflowing_closed_form_names_quantity_and_time_without_warnings():
+    # the closed forms overflow to inf or nan without a RuntimeWarning; the
+    # error names the first quantity and time that are not finite
+    env = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (np.array([0.0, 1.0, 1e200, 1e300]), 1e200):
+            with pytest.raises(InvalidInputError,
+                               match=r"^decay_rate is not finite at t = 1e\+200$"):
+                decay_and_shift(env, t)
+        with pytest.raises(InvalidInputError,
+                           match="^propagator magnitude is not finite at t = 0$"):
+            decay_shift_derivatives(replace(env, drive_detuning=1e308), np.array([0.0, 1.0]))
 
 
 def test_renormalized_field_zero_drive(tracking_env):
@@ -258,14 +261,14 @@ def test_decay_zero_is_bit_identical_for_every_drive_detuning(monkeypatch):
     template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
     t_i = find_gamma_zero(template)
     for delta in np.linspace(-2.0, 2.0, 9):
-        assert find_gamma_zero(template.replace_drive_detuning(delta)) == t_i
+        assert find_gamma_zero(replace(template, drive_detuning=delta)) == t_i
     import blochsteer.environment as environment
     calls = []
     monkeypatch.setattr(environment, "find_gamma_zero",
                         lambda env: calls.append(env) or find_gamma_zero(env))
     tuned = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
     assert len(calls) == 1
-    assert abs(decay_and_shift(template.replace_drive_detuning(tuned), t_i)[1]) < 1e-8
+    assert abs(decay_and_shift(replace(template, drive_detuning=tuned), t_i)[1]) < 1e-8
 
 
 def test_bisect_returns_an_exact_root_at_the_midpoint():

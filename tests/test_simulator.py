@@ -138,8 +138,7 @@ def test_density_run_matches_complex_rk4_loop(tracking_env, qubit, n_out, sub):
                                  LindbladChannel(SIGMA_PLUS_SHAPE, rate=rate_plus)], basis)
 
     times = np.linspace(0.0, 3.0, n_out + 1)
-    run = integrate_density(sched, tracking_env, rho0, times, min_steps=n_out * sub,
-                            keep_densities=True)
+    run = integrate_density(sched, tracking_env, rho0, times, min_steps=n_out * sub)
     loop = rk4_loop(supermatrix, lambda t: np.zeros(4), rho0.reshape(-1), times, sub)
     assert run.densities.shape == (n_out + 1, 2, 2)
     assert np.max(np.abs(run.densities.reshape(n_out + 1, 4) - loop)) <= 1e-12
@@ -171,7 +170,7 @@ def test_density_run_preserves_trace_and_hermiticity(tracking_env, qubit):
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     run = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
-                            min_steps=3000, keep_densities=True)
+                            min_steps=3000)
     traces = np.array([np.trace(rho) for rho in run.densities])
     assert np.max(np.abs(traces - 1.0)) < 1e-10
     herm = max(np.max(np.abs(rho - rho.conj().T)) for rho in run.densities)
@@ -352,7 +351,7 @@ def test_density_run_matches_bloch_run(tracking_env, qubit):
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     dens = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
-                             min_steps=2000, reference=traj, keep_densities=True)
+                             min_steps=2000, reference=traj)
     assert dens.densities.shape == (201, 2, 2)
     bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reference=traj)
     assert np.max(np.abs(dens.states - bloch.states)) < 1e-12

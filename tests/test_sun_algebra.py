@@ -25,7 +25,6 @@ def test_pauli_case():
     assert np.allclose(basis.generators[0], np.eye(2))
     for got, want in zip(basis.traceless(), (SX, SY, SZ)):
         assert np.allclose(got, want)
-    assert basis.normalization == 2.0
 
 
 def test_invalid_dimension():
