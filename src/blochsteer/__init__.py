@@ -23,7 +23,6 @@ from .sun_algebra import (GeneratorBasis, StructureTensors, bloch_to_density,
                           build_basis, density_to_bloch, structure_constants)
 from .trajectories import (BOUNDARY_TABLE, ControllabilityReport, TrajectorySpec,
                            controllability_check, mixed_inversion_trajectory,
-                           pure_inversion, pure_inversion_trajectory,
-                           reference_ramp, steady_state_bloch, tracking_trajectory)
+                           pure_inversion, reference_ramp, steady_state_bloch, tracking_trajectory)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controls import schedule_from_trajectory
+from .controls import PROTOCOLS, schedule_from_trajectory
 from .environment import (LorentzianEnvironment, decay_and_shift, find_gamma_negmax,
                           find_gamma_zero, tune_detuning_for_lamb_zero)
 from .errors import BlochSteerError, ConfigError, InvalidInputError
@@ -212,7 +212,7 @@ def _run_controlled(env, trajectory, config: ExperimentConfig):
     schedule = schedule_from_trajectory(trajectory, env, times)
     r0, _ = trajectory.evaluate(0.0)
     run_fwd = integrate_bloch(schedule, env, r0, times, min_steps=config.min_steps,
-                              reference=trajectory)
+                              reference=trajectory.sample(times)[0])
     return times, schedule, run_fwd
 
 
@@ -223,15 +223,11 @@ def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
                [times, run_fwd.states[:, 0], run_fwd.states[:, 1], run_fwd.states[:, 2],
                 run_fwd.fidelity])
     files.append("states.csv")
-    if schedule.protocol == "xy":
-        second_name, second = "omega_y", schedule.omega_y
-    else:
-        second_name, second = "detuning_r", schedule.detuning_r
-    _write_csv(out / "controls.csv", f"t,omega_x,{second_name},excitation",
-               [times, schedule.omega_x, second, schedule.excitation])
+    names = PROTOCOLS[schedule.protocol]
+    _write_csv(out / "controls.csv", ",".join(("t", *names)),
+               [times, *(getattr(schedule, name) for name in names)])
     files.append("controls.csv")
-    _write_csv(out / "env.csv", "t,decay_rate,lamb_shift",
-               [times, np.atleast_1d(gam), np.atleast_1d(shift)])
+    _write_csv(out / "env.csv", "t,decay_rate,lamb_shift", [times, gam, shift])
     files.append("env.csv")
     return files
 

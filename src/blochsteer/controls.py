@@ -12,11 +12,12 @@ The generic path assembles the same linear system for any SU(N) setup from
 the structure tensors and solves it densely; closed forms and generic solve
 cross-check each other.
 
-The closed forms take one sample (three floats out) or a stack of n samples
-(r, rdot of shape (n, 3), rates of shape (n,); three arrays out), through
-the same expressions.  ``schedule_from_trajectory`` samples the trajectory
-and the reservoir once over the whole grid and solves all regular samples in
-one call; only the few samples on the singular locus are patched separately.
+The closed forms follow numpy's shape rules: one sample gives three numpy
+floats, a stack of n samples (r, rdot of shape (n, 3), rates of shape (n,))
+three arrays, through the same expressions.  ``schedule_from_trajectory``
+samples the trajectory and the reservoir once over the whole grid and
+solves all regular samples in one call; only the few samples on the
+singular locus are patched separately.
 
 A ``ControlSchedule`` interpolates its fields with the not-a-knot cubic
 spline in numpy (``_cubic``): one tridiagonal slope solve for all fields,
@@ -41,6 +42,7 @@ __all__ = [
     "SIGMA_MINUS_SHAPE",
     "SIGMA_PLUS_SHAPE",
     "SINGULARITY_TOL",
+    "PROTOCOLS",
     "ControlSystem",
     "ControlSolution",
     "ControlSchedule",
@@ -57,7 +59,10 @@ SIGMA_MINUS_SHAPE = np.array([0.5, -0.5j, 0.0])
 SIGMA_PLUS_SHAPE = np.array([0.5, 0.5j, 0.0])
 
 SINGULARITY_TOL = 1e-8
-_CONDITION_LIMIT = 1e12
+
+PROTOCOLS = {"xy": ("omega_x", "omega_y", "excitation"),
+             "x-detuning": ("omega_x", "detuning_r", "excitation")}
+"""The fields of a schedule under each control protocol, in column order."""
 
 
 def _singular_mask(r: np.ndarray, decay_rate, k: int) -> np.ndarray:
@@ -82,20 +87,12 @@ def _singular_error(r: np.ndarray, rdot: np.ndarray, decay_rate: float,
 
 
 def _closed_form_inputs(r, rdot, decay_rate, lamb_shift, k: int):
-    """Arrays of one sample or a stack; raises on the first singular sample."""
-    r = np.asarray(r, dtype=float)
-    rdot = np.asarray(rdot, dtype=float)
-    if r.ndim == 1:   # plain floats: numpy 0-d arithmetic is ten times slower
-        g, s0 = float(decay_rate), float(lamb_shift)
-        if _singular_mask(r, g, k):
-            raise _singular_error(r, rdot, g, k)
-        return r, rdot, g, s0
-    g = np.asarray(decay_rate, dtype=float)
-    s0 = np.asarray(lamb_shift, dtype=float)
+    """The inputs as float arrays; raises on the first singular sample."""
+    r, rdot, g, s0 = (np.asarray(x, dtype=float) for x in (r, rdot, decay_rate, lamb_shift))
     singular = _singular_mask(r, g, k)
     if singular.any():
-        i = int(np.argmax(singular))
-        raise _singular_error(r[i], rdot[i], float(g[i]), k)
+        i = np.unravel_index(np.argmax(singular), singular.shape)
+        raise _singular_error(r[i], rdot[i], np.broadcast_to(g, singular.shape)[i], k)
     return r, rdot, g, s0
 
 
@@ -108,19 +105,12 @@ def _excitation(r, rdot, g):
     return -(2.0 * g * rz + rr + g * dd) / (2.0 * g * dd), rr, dd
 
 
-def _result(*values):
-    """Three floats for one sample, three arrays for a stack."""
-    if np.ndim(values[0]) == 0:
-        return tuple(float(v) for v in values)
-    return values
-
-
 def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
     """Closed-form (Omega_x^R, Omega_y^R, N) driving the state along (r, rdot).
 
-    Takes one sample (r, rdot of shape (3,), scalar rates; returns three
-    floats) or a stack (r, rdot of shape (n, 3), rates of shape (n,);
-    returns three arrays of shape (n,)).
+    Follows numpy's shape rules: one sample (r, rdot of shape (3,), scalar
+    rates) gives three numpy floats, a stack (r, rdot of shape (n, 3), rates
+    of shape (n,)) three arrays of shape (n,).
 
     Raises
     ------
@@ -135,7 +125,7 @@ def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
     back = rr + 2.0 * g * rz
     omega_x = (dd * (rx * s0 - rdy) + back * ry) / (2.0 * rz * dd)
     omega_y = (dd * (ry * s0 + rdx) - back * rx) / (2.0 * rz * dd)
-    return _result(omega_x, omega_y, excitation)
+    return omega_x, omega_y, excitation
 
 
 def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
@@ -153,7 +143,7 @@ def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate, lam
     omega_x = ((2.0 * g + rdz) * perp - perp_dot * rz) / (2.0 * ry * dd)
     detuning_r = -s0 + (rx * (ry * rdy + rz * rdz) + 2.0 * g * rx * rz
                         - rdx * (ry * ry + 2.0 * rz * rz)) / (ry * dd)
-    return _result(omega_x, detuning_r, excitation)
+    return omega_x, detuning_r, excitation
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +170,11 @@ class ControlSystem:
     def matrix(self) -> np.ndarray:
         return np.hstack([self.coherent, self.incoherent])
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class ControlSolution:
     values: np.ndarray
     residual: float
-    condition: float
-
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.condition > _CONDITION_LIMIT
 
 
 def assemble_control_system(r: np.ndarray, rdot: np.ndarray,
@@ -252,8 +233,7 @@ def solve_controls(system: ControlSystem) -> ControlSolution:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("control system contains non-finite entries")
     if a.size == 0:
-        return ControlSolution(values=np.zeros(0), residual=float(np.linalg.norm(b)),
-                               condition=0.0)
+        return ControlSolution(values=np.zeros(0), residual=float(np.linalg.norm(b)))
     u, sing, vt = np.linalg.svd(a, full_matrices=False)
     smax = sing[0] if sing.size else 0.0
     rank_tol = max(a.shape) * np.finfo(float).eps * smax
@@ -269,7 +249,7 @@ def solve_controls(system: ControlSystem) -> ControlSolution:
         raise NoUniqueSolutionError(
             f"control system is inconsistent: least-squares residual {residual:.3e}; "
             "the requested trajectory is not reachable with the selected controls")
-    return ControlSolution(values=x, residual=residual, condition=float(smax / sing[-1]))
+    return ControlSolution(values=x, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +292,22 @@ def markovian_reduction_check(r: np.ndarray, rdot: np.ndarray,
 # sampled schedules
 
 
+def _protocol_fields(protocol: str) -> tuple[str, str, str]:
+    """The fields of ``protocol``; raises ``InvalidInputError`` for an unknown one."""
+    if protocol not in PROTOCOLS:
+        raise InvalidInputError(f"unknown protocol {protocol!r}; pick one of {tuple(PROTOCOLS)}")
+    return PROTOCOLS[protocol]
+
+
 @dataclass(frozen=True)
 class ControlSchedule:
     """Time-sampled control parameters, interpolated between samples by the
     not-a-knot cubic spline of each field.
 
-    ``protocol`` is "xy" (omega_x, omega_y, excitation) or "x-detuning"
-    (omega_x, detuning_r, excitation).  Times must be uniformly spaced, so
-    ``value`` finds a sample's piece by index arithmetic.
+    ``protocol`` names the fields the schedule holds (``PROTOCOLS``): "xy"
+    (omega_x, omega_y, excitation) or "x-detuning" (omega_x, detuning_r,
+    excitation); any other field must be None.  Times must be uniformly
+    spaced, so ``value`` finds a sample's piece by index arithmetic.
     """
 
     times: np.ndarray
@@ -334,10 +322,14 @@ class ControlSchedule:
         if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
             raise InvalidInputError("schedule times must be strictly increasing")
         require_uniform(t, "schedule times")
-        for name in ("omega_x", "omega_y", "detuning_r", "excitation"):
+        names = _protocol_fields(self.protocol)
+        for name in ("omega_y", "detuning_r"):
+            if name not in names and getattr(self, name) is not None:
+                raise InvalidInputError(f"protocol {self.protocol!r} takes no field {name}")
+        for name in names:
             arr = getattr(self, name)
             if arr is None:
-                continue
+                raise InvalidInputError(f"protocol {self.protocol!r} needs field {name}")
             arr = np.asarray(arr, dtype=float)
             if arr.shape != t.shape:
                 raise InvalidInputError(f"schedule field {name} must match the time grid")
@@ -350,8 +342,7 @@ class ControlSchedule:
     def _coefficients(self) -> dict[str, np.ndarray]:
         """Power coefficients (4, n - 1) of each field; the fields share one
         slope solve."""
-        names = [name for name in ("omega_x", "omega_y", "detuning_r", "excitation")
-                 if getattr(self, name) is not None]
+        names = PROTOCOLS[self.protocol]
         values = np.array([getattr(self, name) for name in names])
         coefficients = hermite_coefficients(self.times, values,
                                             not_a_knot_slopes(self.times, values))
@@ -381,8 +372,7 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.n
     genuinely singular sample (a singular probe, or no probe inside the
     window) raises ``SingularControlError`` naming its time.
     """
-    if protocol not in ("xy", "x-detuning"):
-        raise InvalidInputError(f"unknown protocol {protocol!r}")
+    names = _protocol_fields(protocol)
     solver, k = (two_level_controls, 2) if protocol == "xy" else (two_level_controls_detuning, 1)
     times = np.asarray(times, dtype=float)
     t_final = float(trajectory.t_final)
@@ -400,11 +390,7 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.n
     rows[regular] = np.column_stack(solver(r[regular], rdot[regular], g[regular], s0[regular]))
     if np.any(singular):
         rows[singular] = _one_sided_limits(inputs, solver, k, times[singular], eps, t_final)
-    if protocol == "xy":
-        return ControlSchedule(times=times, omega_x=rows[:, 0], omega_y=rows[:, 1],
-                               excitation=rows[:, 2], protocol=protocol)
-    return ControlSchedule(times=times, omega_x=rows[:, 0], detuning_r=rows[:, 1],
-                           excitation=rows[:, 2], protocol=protocol)
+    return ControlSchedule(times=times, protocol=protocol, **dict(zip(names, rows.T)))
 
 
 def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):

@@ -4,8 +4,9 @@ Closed forms for the propagator u(t), the time-dependent decay rate
 Gamma0(t) = -Re[udot/u] and the Lamb shift s0(t) = -Im[udot/u], plus the
 root-finding utilities the inversion protocols need (decay-rate zero,
 first negative maximum, detuning tuning), which share one bisection.  The
-drive renormalization and its inverse are ODEs and live with the RK4 core
-in ``simulator``.
+closed forms follow numpy's shape rules: an array of times gives arrays of
+its shape, one time gives numpy scalars.  The drive renormalization and its
+inverse are ODEs and live with the RK4 core in ``simulator``.
 
 Conventions: gamma0 sets the frequency unit; delta = omega0 - omega_c is
 the cavity detuning, Delta = omega0 - omega_L the drive detuning.  The
@@ -86,8 +87,7 @@ def _sinhc(z):
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 + z * z / 6.0 + z ** 4 / 120.0, np.sinh(safe) / safe)
-    return out if out.ndim else complex(out)
+    return np.where(small, 1.0 + z * z / 6.0 + z ** 4 / 120.0, np.sinh(safe) / safe)
 
 
 def correlation_kernel(env: LorentzianEnvironment, tau):
@@ -95,8 +95,7 @@ def correlation_kernel(env: LorentzianEnvironment, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidInputError("correlation kernel defined for tau >= 0")
-    val = 0.5 * env.lam * env.gamma0 * np.exp(-env._memory_rate * tau)
-    return val if val.ndim else complex(val)
+    return 0.5 * env.lam * env.gamma0 * np.exp(-env._memory_rate * tau)
 
 
 def _cosh_g(env: LorentzianEnvironment, t):
@@ -112,8 +111,7 @@ def propagator_u(env: LorentzianEnvironment, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidInputError("propagator defined for t >= 0")
-    val = np.exp(-env._envelope_rate * t) * _cosh_g(env, t)
-    return val if val.ndim else complex(val)
+    return np.exp(-env._envelope_rate * t) * _cosh_g(env, t)
 
 
 def _log_derivative(env: LorentzianEnvironment, t):
@@ -143,7 +141,7 @@ def _log_derivative(env: LorentzianEnvironment, t):
         q = -1j * env.drive_detuning - v
     if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
         raise _not_finite(t, q, u_abs)
-    return (q, v) if q.ndim else (complex(q), complex(v))
+    return q, v
 
 
 def _not_finite(t, q, u_abs) -> InvalidInputError:
@@ -157,9 +155,7 @@ def _not_finite(t, q, u_abs) -> InvalidInputError:
 def decay_and_shift(env: LorentzianEnvironment, t):
     """(Gamma0, s0) = (-Re, -Im) of the analytic log-derivative of u."""
     q, _ = _log_derivative(env, t)
-    q = np.asarray(q)
-    out = (-q.real, -q.imag)
-    return out if q.ndim else (float(out[0]), float(out[1]))
+    return -q.real, -q.imag
 
 
 def decay_shift_derivatives(env: LorentzianEnvironment, t):
@@ -169,11 +165,8 @@ def decay_shift_derivatives(env: LorentzianEnvironment, t):
     v the memory-integral ratio, avoiding finite differences.
     """
     q, v = _log_derivative(env, t)
-    q = np.asarray(q)
-    v = np.asarray(v)
     qdot = -0.5 * env.gamma0 * env.lam + v * (env._memory_rate + q)
-    vals = (-q.real, -q.imag, -qdot.real, -qdot.imag)
-    return vals if q.ndim else tuple(float(x) for x in vals)
+    return -q.real, -q.imag, -qdot.real, -qdot.imag
 
 
 # ---------------------------------------------------------------------------

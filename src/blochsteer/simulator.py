@@ -30,8 +30,8 @@ through the same core with one step per output interval.
 Everything after the core is batched over the output grid as well: the
 density run converts all its rows to Bloch vectors in one call, and the
 fidelity against a reference is one ``fidelity_bloch`` call over the stack.
-A ``reference`` is a TrajectorySpec or a callable mapping a time array of n
-samples to reference Bloch vectors of shape (n, 3).
+A ``reference`` is its states: Bloch vectors of shape (n, 3) at the n
+output times.
 """
 
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
 from .environment import LorentzianEnvironment, _log_derivative, decay_and_shift
 from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
 from .sun_algebra import build_basis, density_to_bloch, structure_constants
-from .trajectories import TrajectorySpec, reference_ramp, steady_state_bloch
+from .trajectories import reference_ramp, steady_state_bloch
 
 __all__ = [
     "SimulationRun",
@@ -77,10 +77,6 @@ class SimulationRun:
     densities: np.ndarray | None = None
 
     @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
     def min_fidelity(self) -> float:
         return float(np.min(self.fidelity))
 
@@ -103,48 +99,37 @@ def _qubit_parts():
     """Cached N = 2 structure: the basis and the five fixed generators of each form.
 
     The generators multiply the stage coefficients (c_x, c_y, c_z, rate_minus,
-    rate_plus).  Bloch form: homogeneous 4 x 4 matrices [[K, b], [0, 0]] from
-    the structure tensors, the channel drifts in the last column.  Density
-    form: the Kronecker supermatrices in real block form, as 8 x 8 matrices
-    flattened to rows of 64.
+    rate_plus); both forms are built from the same five unit specs, the unit
+    c_x, c_y and c_z Hamiltonians and the unit sigma- and sigma+ channels.
+    Bloch form: homogeneous 4 x 4 matrices [[K, b], [0, 0]] of the component
+    generators, the channel drifts in the last column.  Density form: the
+    Kronecker supermatrices in real block form, as 8 x 8 matrices.
     """
     basis = build_basis(2)
     tensors = structure_constants(basis)
-    f_mats = [tensors.f[k].T for k in range(3)]   # coefficient k: C += c_k f_mats[k]
-    channels = (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE)
-    bloch = _homogeneous(
-        np.array([*f_mats, *(lv.channel_matrix(shape, tensors) for shape in channels)]),
-        np.array([np.zeros(3)] * 3 + [lv.channel_drift(shape, tensors) for shape in channels]))
-
-    def unit_ham(k):
-        c = np.zeros(4)
-        c[k + 1] = 1.0
-        return lv.kron_liouvillian(lv.HamiltonianSpec(c), [], basis)
-
-    def unit_channel(shape):
-        return lv.kron_liouvillian(lv.HamiltonianSpec(np.zeros(4)), [lv.LindbladChannel(shape)],
-                                   basis)
-
-    s = np.array([*(unit_ham(k) for k in range(3)), *map(unit_channel, channels)])
+    specs = [(lv.HamiltonianSpec(np.eye(4)[k]), []) for k in (1, 2, 3)]
+    specs += [(lv.HamiltonianSpec(np.zeros(4)), [lv.LindbladChannel(shape)])
+              for shape in (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE)]
+    comps = [lv.assemble_components(ham, chans, tensors) for ham, chans in specs]
+    bloch = _homogeneous(np.array([c.matrix for c in comps]), np.array([c.drift for c in comps]))
+    s = np.array([lv.kron_liouvillian(ham, chans, basis) for ham, chans in specs])
     # S acts on [Re vec rho; Im vec rho] as [[Re S, -Im S], [Im S, Re S]]
-    density = np.block([[s.real, -s.imag], [s.imag, s.real]]).reshape(len(s), -1)
+    density = np.block([[s.real, -s.imag], [s.imag, s.real]])
     return basis, bloch, density
 
 
 def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
                         fine_times: np.ndarray):
     """Hamiltonian coefficients (c_x, c_y, c_z) and channel rates on a fine grid."""
-    omega_x = np.asarray(schedule.value("omega_x", fine_times), dtype=float)
-    excitation = np.asarray(schedule.value("excitation", fine_times), dtype=float)
+    omega_x = schedule.value("omega_x", fine_times)
+    excitation = schedule.value("excitation", fine_times)
     gam, shift = decay_and_shift(env, fine_times)
-    gam = np.asarray(gam, dtype=float)
-    shift = np.asarray(shift, dtype=float)
     if schedule.protocol == "xy":
-        omega_y = np.asarray(schedule.value("omega_y", fine_times), dtype=float)
+        omega_y = schedule.value("omega_y", fine_times)
         c_z = 0.5 * shift
     else:
         omega_y = np.zeros_like(omega_x)
-        c_z = 0.5 * (shift + np.asarray(schedule.value("detuning_r", fine_times), dtype=float))
+        c_z = 0.5 * (shift + schedule.value("detuning_r", fine_times))
     rate_minus = gam * (excitation + 1.0)
     rate_plus = gam * excitation
     return omega_x, omega_y, c_z, rate_minus, rate_plus
@@ -251,46 +236,51 @@ def integrate_affine(matrix_fun, drift_fun, y0: np.ndarray, times: np.ndarray,
     return _rk4_linear(lambda idx: gens[idx], np.append(y0, 1.0), times, sub)[:, :-1]
 
 
-def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
-                    r0: np.ndarray, times: np.ndarray, min_steps: int = DEFAULT_MIN_STEPS,
-                    reference=None) -> SimulationRun:
-    """Integrate the component-form Bloch equations under a control schedule.
-
-    ``reference`` may be a TrajectorySpec or a callable mapping the time
-    array to states of shape (n, 3); when given, the per-sample Uhlmann
-    fidelity against it is recorded.
-    """
-    times = np.asarray(times, dtype=float)
+def _qubit_run(schedule: ControlSchedule, env: LorentzianEnvironment, y0: np.ndarray,
+               times: np.ndarray, min_steps: int, gens: np.ndarray) -> np.ndarray:
+    """RK4 run of a two-level form: the stage generators are the stage
+    coefficients times the form's five fixed generators ``gens`` (5, d, d),
+    stacked by one matrix product."""
     fine, sub = _fine_grid(times, min_steps)
-    gens = _qubit_parts()[1]
     coeffs = np.array(_stage_coefficients(schedule, env, fine))
+    flat = gens.reshape(len(gens), -1)
 
     def stages(idx):
-        return np.einsum("gk,gij->kij", coeffs[:, idx], gens)
-    states = _rk4_linear(stages, np.append(np.asarray(r0, dtype=float), 1.0), times,
-                         sub)[:, :-1]
+        return (coeffs[:, idx].T @ flat).reshape(-1, *gens.shape[1:])
+    return _rk4_linear(stages, y0, times, sub)
+
+
+def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
+                    r0: np.ndarray, times: np.ndarray, min_steps: int = DEFAULT_MIN_STEPS,
+                    reference: np.ndarray | None = None) -> SimulationRun:
+    """Integrate the component-form Bloch equations under a control schedule.
+
+    ``reference`` holds reference states of shape (n, 3) at ``times``; when
+    given, the per-sample Uhlmann fidelity against it is recorded.
+    """
+    times = np.asarray(times, dtype=float)
+    y0 = np.append(np.asarray(r0, dtype=float), 1.0)
+    states = _qubit_run(schedule, env, y0, times, min_steps, _qubit_parts()[1])[:, :-1]
     fid = _reference_fidelity(states, times, reference)
     return SimulationRun(times=times, states=states, fidelity=fid)
 
 
 def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
                       rho0: np.ndarray, times: np.ndarray,
-                      min_steps: int = DEFAULT_MIN_STEPS, reference=None) -> SimulationRun:
+                      min_steps: int = DEFAULT_MIN_STEPS,
+                      reference: np.ndarray | None = None) -> SimulationRun:
     """Integrate the vectorized density matrix with the Kronecker supermatrix.
 
     States are reported as Bloch vectors for direct comparison with
     ``integrate_bloch``; this is the primary dynamics oracle.  The density
     matrices themselves are attached to the run as ``densities``.
+    ``reference`` is as in ``integrate_bloch``.
     """
     times = np.asarray(times, dtype=float)
-    fine, sub = _fine_grid(times, min_steps)
     basis, _, gens = _qubit_parts()
-    coeffs = np.array(_stage_coefficients(schedule, env, fine))
-
-    def stages(idx):
-        return (coeffs[:, idx].T @ gens).reshape(-1, 8, 8)
     vec0 = lv.vec(np.asarray(rho0, dtype=complex))
-    y = _rk4_linear(stages, np.concatenate([vec0.real, vec0.imag]), times, sub)
+    y = _qubit_run(schedule, env, np.concatenate([vec0.real, vec0.imag]), times, min_steps,
+                   gens)
     raw = (y[:, :4] + 1j * y[:, 4:]).reshape(-1, 2, 2)
     states = density_to_bloch(raw, basis)
     fid = _reference_fidelity(states, times, reference)
@@ -298,14 +288,12 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
 
 
 def _reference_fidelity(states, times, reference):
-    """Fidelity of each state against the reference at its time; raises naming
-    the first time at which the forward state or the reference leaves the ball."""
+    """Fidelity of each state against the reference state at its time; raises
+    naming the first time at which the forward state or the reference leaves
+    the ball."""
     if reference is None:
         return None
-    if isinstance(reference, TrajectorySpec):
-        ref = reference.sample(times)[0]
-    else:
-        ref = np.asarray(reference(times), dtype=float)
+    ref = np.asarray(reference, dtype=float)
     norm2 = _norm2(states), _norm2(ref)
     outside = [n2 > 1.0 + _NORM_SLACK for n2 in norm2]
     if np.any(outside[0] | outside[1]):
@@ -334,7 +322,7 @@ def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: floa
     def steady(ts):
         return steady_state_bloch(env, n0, reference_ramp(omega_c, t_final, ts), ts)
     return integrate_bloch(schedule, env, steady(0.0), times, min_steps=min_steps,
-                           reference=steady)
+                           reference=steady(times))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +343,8 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
 
     F = (1 + r1.r2 + sqrt((1 - |r1|^2)(1 - |r2|^2))) / 2.  Norms may exceed
     1 by integrator slack up to 2e-8; beyond that the state is unphysical.
-    Takes two vectors (returns a float) or two stacks of shape (n, 3)
-    (returns an array of shape (n,)).
+    Follows numpy's shape rules: two vectors give a numpy float, two stacks
+    of shape (n, 3) an array of shape (n,).
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -367,8 +355,7 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
             raise MalformedStateError(f"Bloch norm {np.sqrt(np.max(n2)):.12f} exceeds 1")
         slack.append(np.maximum(0.0, 1.0 - n2))
     val = 0.5 * (1.0 + np.vecdot(r1, r2) + np.sqrt(slack[0] * slack[1]))
-    val = np.minimum(np.maximum(val, 0.0), 1.0 + 1e-12)
-    return float(val) if val.ndim == 0 else val
+    return np.minimum(np.maximum(val, 0.0), 1.0 + 1e-12)
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -35,7 +35,6 @@ __all__ = [
 TRACE_NORMALIZATION = 2.0
 """Value of Tr[T_i T_j] / delta_ij for the traceless generators."""
 
-_HERMITICITY_TOL = 1e-14
 _IMAG_RESIDUE_TOL = 1e-12
 
 

@@ -5,9 +5,8 @@ the null vector of the frozen reference generator), a pure-state inversion
 ansatz in spherical coordinates, and a mixed-state piecewise-cubic inversion
 path satisfying a knot table of values and derivatives exactly (a cubic
 Hermite spline in numpy, ``_cubic``, evaluated with its derivative by
-Horner's rule).  A
-controllability report summarizes whether a solved schedule is physically
-realizable (nonnegative excitation number, bounded fields).
+Horner's rule).  A controllability report summarizes whether a solved
+schedule is physically realizable (nonnegative excitation number).
 
 Every closed form here works on time arrays: a trajectory's evaluator maps
 n sample times to (r, rdot) of shape (n, 3) in one call, and
@@ -21,11 +20,9 @@ from typing import Callable
 import numpy as np
 
 from ._cubic import cubic_derivative, cubic_value, hermite_coefficients, pieces
-from .controls import ControlSchedule
-from .environment import (LorentzianEnvironment, decay_and_shift,
-                          decay_shift_derivatives, propagator_u)
-from .errors import (DegenerateSteadyStateError, InfeasibleTrajectoryError,
-                     InvalidInputError, PropagatorZeroError)
+from .controls import PROTOCOLS, ControlSchedule
+from .environment import LorentzianEnvironment, decay_and_shift, decay_shift_derivatives
+from .errors import DegenerateSteadyStateError, InfeasibleTrajectoryError, InvalidInputError
 
 __all__ = [
     "TrajectorySpec",
@@ -35,7 +32,6 @@ __all__ = [
     "reference_ramp_rate",
     "steady_state_bloch",
     "tracking_trajectory",
-    "pure_inversion_trajectory",
     "pure_inversion",
     "mixed_inversion_trajectory",
     "controllability_check",
@@ -110,6 +106,17 @@ def _thermal_factor(n0: float) -> np.float64:
     return np.float64(2.0 * n0 + 1.0)
 
 
+def _steady_state(g, s0, npr, w, t):
+    """(r, ss, z) of the instantaneous steady state under the drive w, with
+    ss = s0^2 + (2 n0 + 1)^2 G^2 and the normalizer z = (2 n0 + 1)(ss + 2 w^2);
+    ``npr`` is 2 n0 + 1.  Raises where z vanishes."""
+    ss = s0 * s0 + npr ** 2 * g * g
+    z = npr * (ss + 2.0 * w * w)
+    _degenerate(z, t)
+    r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z, -ss / z], axis=-1)
+    return r, ss, z
+
+
 def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.ndarray:
     """Instantaneous steady state of the reference generator at time t.
 
@@ -119,76 +126,71 @@ def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.n
     ``t`` may be arrays of n samples; the result then has shape (n, 3).
     """
     g, s0 = decay_and_shift(env, t)
-    npr = _thermal_factor(n0)
-    ss = s0 ** 2 + npr ** 2 * g ** 2
-    z = npr * (ss + 2.0 * omega0 ** 2)
-    _degenerate(z, t)
-    return np.stack([-2.0 * omega0 * s0 / z, 2.0 * npr * omega0 * g / z, -ss / z], axis=-1)
+    return _steady_state(g, s0, _thermal_factor(n0), omega0, t)[0]
 
 
 def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
                         t_final: float) -> TrajectorySpec:
     """Steady-state path under the reference ramp, with analytic derivative.
 
+    The path is checked where it is sampled.
+
     Raises
     ------
     PropagatorZeroError
-        If u(t) becomes numerically zero inside the window.
+        If u(t) vanishes at a sampled time (from the reservoir closed form).
+    InvalidInputError
+        If r or rdot is not finite at a sampled time; names the first one.
     """
-    probe = np.abs(propagator_u(env, np.linspace(0.0, t_final, 2001)))
-    if np.min(probe) < 1e-10:
-        raise PropagatorZeroError(
-            f"propagator vanishes inside [0, {t_final}]; steady state undefined there")
     npr = _thermal_factor(n0)
 
     def evaluator(t: np.ndarray):
         _check_window(t, t_final)
         g, s0, gd, sd = decay_shift_derivatives(env, t)
-        w = reference_ramp(omega_c, t_final, t)
-        wd = reference_ramp_rate(omega_c, t_final, t)
-        ss = s0 * s0 + npr ** 2 * g * g
-        ss_d = 2.0 * s0 * sd + 2.0 * npr ** 2 * g * gd
-        z = npr * (ss + 2.0 * w * w)
-        _degenerate(z, t)
-        zd = npr * (ss_d + 4.0 * w * wd)
-        r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z, -ss / z], axis=-1)
-        rdot = np.stack([
-            -2.0 * (wd * s0 + w * sd) / z + 2.0 * w * s0 * zd / z ** 2,
-            2.0 * npr * (wd * g + w * gd) / z - 2.0 * npr * w * g * zd / z ** 2,
-            -ss_d / z + ss * zd / z ** 2,
-        ], axis=-1)
+        # an overflowing path gives inf or nan; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = reference_ramp(omega_c, t_final, t)
+            wd = reference_ramp_rate(omega_c, t_final, t)
+            r, ss, z = _steady_state(g, s0, npr, w, t)
+            ss_d = 2.0 * s0 * sd + 2.0 * npr ** 2 * g * gd
+            zd = npr * (ss_d + 4.0 * w * wd)
+            rdot = np.stack([
+                -2.0 * (wd * s0 + w * sd) / z + 2.0 * w * s0 * zd / z ** 2,
+                2.0 * npr * (wd * g + w * gd) / z - 2.0 * npr * w * g * zd / z ** 2,
+                -ss_d / z + ss * zd / z ** 2,
+            ], axis=-1)
+        finite = np.isfinite(r).all(axis=-1) & np.isfinite(rdot).all(axis=-1)
+        if not finite.all():
+            raise InvalidInputError(
+                f"steady-state path is not finite at t = {t[np.argmin(finite)]:.6g}")
         return r, rdot
 
     return TrajectorySpec(kind="track-steady", t_final=float(t_final), _evaluator=evaluator)
 
 
-def pure_inversion_trajectory(t_final: float, theta_mid: float, t
-                              ) -> tuple[np.ndarray, np.ndarray]:
+def pure_inversion(t_final: float, theta_mid: float = np.pi / 4) -> TrajectorySpec:
     """Unit-norm path from (0,0,-1) to (0,0,1) via polynomial polar angles.
 
     The polar angle runs pi -> 0 as phi = pi (1 - 3 s^2 + 2 s^3) with
     s = t/t_f, crossing the equator exactly at t_f/2 where the azimuthal
-    bump theta = 16 theta_mid s^2 (1-s)^2 has zero slope.  For n sample
-    times (r, rdot) have shape (n, 3); a scalar t gives length-3 vectors.
+    bump theta = 16 theta_mid s^2 (1-s)^2 has zero slope.
     """
-    _check_window(t, t_final)
-    s = t / t_final
-    phi = np.pi * (1.0 - s * s * (3.0 - 2.0 * s))
-    phi_d = -6.0 * np.pi * s * (1.0 - s) / t_final
-    theta = 16.0 * theta_mid * s * s * (1.0 - s) ** 2
-    theta_d = 32.0 * theta_mid * s * (1.0 - s) * (1.0 - 2.0 * s) / t_final
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    sin_p, cos_p = np.sin(phi), np.cos(phi)
-    r = np.stack([sin_t * sin_p, cos_t * sin_p, cos_p], axis=-1)
-    rdot = np.stack([theta_d * cos_t * sin_p + phi_d * sin_t * cos_p,
-                     -theta_d * sin_t * sin_p + phi_d * cos_t * cos_p,
-                     -phi_d * sin_p], axis=-1)
-    return r, rdot
+    def evaluator(t: np.ndarray):
+        _check_window(t, t_final)
+        s = t / t_final
+        phi = np.pi * (1.0 - s * s * (3.0 - 2.0 * s))
+        phi_d = -6.0 * np.pi * s * (1.0 - s) / t_final
+        theta = 16.0 * theta_mid * s * s * (1.0 - s) ** 2
+        theta_d = 32.0 * theta_mid * s * (1.0 - s) * (1.0 - 2.0 * s) / t_final
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        sin_p, cos_p = np.sin(phi), np.cos(phi)
+        r = np.stack([sin_t * sin_p, cos_t * sin_p, cos_p], axis=-1)
+        rdot = np.stack([theta_d * cos_t * sin_p + phi_d * sin_t * cos_p,
+                         -theta_d * sin_t * sin_p + phi_d * cos_t * cos_p,
+                         -phi_d * sin_p], axis=-1)
+        return r, rdot
 
-
-def pure_inversion(t_final: float, theta_mid: float = np.pi / 4) -> TrajectorySpec:
-    return TrajectorySpec(kind="invert-pure", t_final=float(t_final),
-                          _evaluator=lambda t: pure_inversion_trajectory(t_final, theta_mid, t))
+    return TrajectorySpec(kind="invert-pure", t_final=float(t_final), _evaluator=evaluator)
 
 
 BOUNDARY_TABLE = {
@@ -218,81 +220,73 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
     if not 0.0 < t_break < t_final:
         raise InvalidInputError(f"need 0 < t_break < t_final, got {t_break}, {t_final}")
     boundary = BOUNDARY_TABLE if boundary is None else boundary
-    base_times = np.array([0.0, t_break, t_final])
-    knots = {}
-    for comp in ("r_y", "r_z"):
-        vals = np.array([boundary[comp][i][0] for i in range(3)])
-        slopes = np.array([boundary[comp][i][1] for i in range(3)])
-        knots[comp] = (base_times.copy(), vals, slopes)
+    comps = ("r_y", "r_z")
+    # both components share the knot times; values and slopes have shape (2, knots)
+    ts = np.array([0.0, t_break, t_final])
+    table = np.array([boundary[comp] for comp in comps], dtype=float)
+    vs, ms = table[..., 0], table[..., 1]
 
-    def build():
-        splines = {}
-        for comp, (ts, vs, ms) in knots.items():
+    def build(ts, vs, ms):
+        coefficients = []
+        for comp, v, m in zip(comps, vs, ms):
             try:
-                splines[comp] = (ts, hermite_coefficients(ts, vs, ms))
+                coefficients.append(hermite_coefficients(ts, v, m))
             except InvalidInputError as exc:
                 raise InfeasibleTrajectoryError(f"{comp} knot table: {exc}") from None
-        return splines
+        return coefficients
 
-    def curve(spline, t, evaluate=cubic_value):
-        ts, coefficients = spline
-        return evaluate(coefficients, ts, t, pieces(ts, t))
+    def curves(coefficients, ts, t, *evaluators):
+        """Both components at times t, shape (2, len(t)), for each evaluator;
+        each sample's piece is found once."""
+        i = pieces(ts, t)
+        return [np.array([evaluate(c, ts, t, i) for c in coefficients])
+                for evaluate in evaluators]
 
-    def max_violation(splines, n=4001):
-        ts = np.linspace(0.0, t_final, n)
+    def max_violation(coefficients, ts, n=4001):
+        grid = np.linspace(0.0, t_final, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.sqrt(curve(splines["r_y"], ts) ** 2 + curve(splines["r_z"], ts) ** 2)
+            (ry, rz), = curves(coefficients, ts, grid, cubic_value)
+            norm = np.sqrt(ry ** 2 + rz ** 2)
         if not np.all(np.isfinite(norm)):
             raise InfeasibleTrajectoryError(
-                f"trajectory norm is not finite at t = {ts[np.argmin(np.isfinite(norm))]:.6g}")
+                f"trajectory norm is not finite at t = {grid[np.argmin(np.isfinite(norm))]:.6g}")
         i = int(np.argmax(norm))
-        return float(norm[i]) - 1.0, float(ts[i])
+        return float(norm[i]) - 1.0, float(grid[i])
 
     inserted_times: list[float] = []
-    splines = build()
+    coefficients = build(ts, vs, ms)
     for _ in range(_MAX_REMEDIATION):
-        excess, t_bad = max_violation(splines)
+        excess, t_bad = max_violation(coefficients, ts)
         if excess <= 1e-12:
             break
         # subdivide the offending knot interval once (knot read off the
         # current curve, so the path is unchanged until its slope is scaled)
-        ts_z = knots["r_z"][0]
-        seg = min(max(int(np.searchsorted(ts_z, t_bad, side="right")) - 1, 0),
-                  len(ts_z) - 2)
-        if ts_z[seg] not in inserted_times and ts_z[seg + 1] not in inserted_times:
-            t_new = 0.5 * (ts_z[seg] + ts_z[seg + 1])
+        seg = int(pieces(ts, t_bad))
+        if ts[seg] not in inserted_times and ts[seg + 1] not in inserted_times:
+            t_new = 0.5 * (ts[seg] + ts[seg + 1])
             inserted_times.append(t_new)
-            for comp in knots:
-                ts, vs, ms = knots[comp]
-                j = int(np.searchsorted(ts, t_new))
-                at = np.array([t_new])
-                knots[comp] = (np.insert(ts, j, t_new),
-                               np.insert(vs, j, curve(splines[comp], at)),
-                               np.insert(ms, j, curve(splines[comp], at, cubic_derivative)))
-        for comp in knots:
-            ts, vs, ms = knots[comp]
-            ms = ms.copy()
-            for t_new in inserted_times:
-                ms[int(np.searchsorted(ts, t_new))] *= 0.9
-            knots[comp] = (ts, vs, ms)
-        splines = build()
+            j = int(np.searchsorted(ts, t_new))
+            value, slope = curves(coefficients, ts, np.array([t_new]), cubic_value,
+                                  cubic_derivative)
+            vs = np.insert(vs, j, value[:, 0], axis=1)
+            ms = np.insert(ms, j, slope[:, 0], axis=1)
+            ts = np.insert(ts, j, t_new)
+        for t_new in inserted_times:
+            ms[:, int(np.searchsorted(ts, t_new))] *= 0.9
+        coefficients = build(ts, vs, ms)
     else:
-        excess, t_bad = max_violation(splines)
+        excess, t_bad = max_violation(coefficients, ts)
         raise InfeasibleTrajectoryError(
             f"trajectory norm exceeds 1 by {excess:.3e} at t = {t_bad:.4f} "
             f"after {_MAX_REMEDIATION} remediation rounds")
 
-    ry, rz = splines["r_y"], splines["r_z"]
-
     def evaluator(t: np.ndarray):
         _check_window(t, t_final)
         zero = np.zeros_like(t)
-        return (np.stack([zero, curve(ry, t), curve(rz, t)], axis=-1),
-                np.stack([zero, curve(ry, t, cubic_derivative),
-                          curve(rz, t, cubic_derivative)], axis=-1))
+        (ry, rz), (ry_d, rz_d) = curves(coefficients, ts, t, cubic_value, cubic_derivative)
+        return np.stack([zero, ry, rz], axis=-1), np.stack([zero, ry_d, rz_d], axis=-1)
 
-    knot_tuple = tuple((c, tuple(knots[c][0]), tuple(knots[c][1]), tuple(knots[c][2]))
-                       for c in ("r_y", "r_z"))
+    knot_tuple = tuple((comp, tuple(ts), tuple(v), tuple(m)) for comp, v, m in zip(comps, vs, ms))
     return TrajectorySpec(kind="invert-mixed", t_final=float(t_final),
                           _evaluator=evaluator, knots=knot_tuple)
 
@@ -307,32 +301,29 @@ class ControllabilityReport:
     max_omega_x: float
     max_second_field: float
     excitation_nonnegative: bool
-    fields_bounded: bool
 
     @property
     def dynamically_controllable(self) -> bool:
-        return self.excitation_nonnegative and self.fields_bounded
+        return self.excitation_nonnegative
 
 
 def controllability_check(schedule: ControlSchedule) -> ControllabilityReport:
-    """Report min excitation number, sign changes and field bounds.
+    """Report min excitation number, its sign changes and the largest fields.
 
-    Never raises on physical grounds; the flags carry the verdict.
+    Never raises on physical grounds; the flag carries the verdict.  The
+    fields are finite by construction (``ControlSchedule`` rejects others).
     """
     n = schedule.excitation
     ts = schedule.times
     i_min = int(np.argmin(n))
     signs = np.sign(n)
     flips = np.nonzero(np.diff(signs) != 0)[0]
-    second = schedule.omega_y if schedule.omega_y is not None else schedule.detuning_r
-    finite = bool(np.all(np.isfinite(schedule.omega_x)) and np.all(np.isfinite(n))
-                  and (second is None or np.all(np.isfinite(second))))
+    second = getattr(schedule, PROTOCOLS[schedule.protocol][1])
     return ControllabilityReport(
         min_excitation=float(n[i_min]),
         t_min_excitation=float(ts[i_min]),
         excitation_sign_changes=tuple(float(ts[j]) for j in flips),
         max_omega_x=float(np.max(np.abs(schedule.omega_x))),
-        max_second_field=float(np.max(np.abs(second))) if second is not None else 0.0,
+        max_second_field=float(np.max(np.abs(second))),
         excitation_nonnegative=bool(n[i_min] >= -1e-9),
-        fields_bounded=finite,
     )

@@ -57,7 +57,7 @@ def tracking_bundle():
     times = np.linspace(0.0, 10.0, GRID + 1)
     schedule = schedule_from_trajectory(trajectory, env, times)
     engineered = integrate_bloch(schedule, env, trajectory.evaluate(0.0)[0], times,
-                                 min_steps=MIN_STEPS, reference=trajectory)
+                                 min_steps=MIN_STEPS, reference=trajectory.sample(times)[0])
     elapsed = time.perf_counter() - start
     adiabatic = adiabatic_reference_run(env, 1e-5, 10.0, 10.0, times, min_steps=MIN_STEPS)
     return env, times, schedule, engineered, adiabatic, elapsed
@@ -75,7 +75,7 @@ def mixed_bundle():
     times = np.linspace(0.0, t_final, GRID + 1)
     schedule = schedule_from_trajectory(trajectory, env, times)
     forward = integrate_bloch(schedule, env, np.array([0.0, 0.0, -1.0]), times,
-                              min_steps=MIN_STEPS, reference=trajectory)
+                              min_steps=MIN_STEPS, reference=trajectory.sample(times)[0])
     elapsed = time.perf_counter() - start
     return env, t_break, t_final, times, schedule, forward, elapsed
 
@@ -120,7 +120,7 @@ def test_criterion_4_pure_inversion(mixed_bundle):
     times = np.linspace(0.0, t_final, GRID + 1)
     schedule = schedule_from_trajectory(trajectory, env, times)
     forward = integrate_bloch(schedule, env, np.array([0.0, 0.0, -1.0]), times,
-                              min_steps=MIN_STEPS, reference=trajectory)
+                              min_steps=MIN_STEPS, reference=trajectory.sample(times)[0])
     final_fid = float(forward.fidelity[-1])
     min_n = float(np.min(schedule.excitation))
     ok = final_fid >= 0.999 and min_n < 0

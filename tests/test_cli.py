@@ -53,7 +53,11 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 def read_csv(path):
-    lines = Path(path).read_text().strip().splitlines()
+    return parse_csv(Path(path).read_text())
+
+
+def parse_csv(text):
+    lines = text.strip().splitlines()
     header = lines[0].split(",")
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     return header, data
@@ -171,6 +175,7 @@ EXTREME_CONFIGS = {
 D_NOT_FINITE = "InvalidInputError: reservoir constant d = "
 RATE_NOT_FINITE = "InvalidInputError: decay_rate is not finite at t = "
 U_NOT_FINITE = "InvalidInputError: propagator magnitude is not finite at t = "
+PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
 
 
 @pytest.mark.parametrize("experiment, override, message", [
@@ -193,6 +198,14 @@ U_NOT_FINITE = "InvalidInputError: propagator magnitude is not finite at t = "
     ("invert-mixed", "drive_detuning=1e308", U_NOT_FINITE),
     ("invert-mixed", "drive_detuning=-1e308", U_NOT_FINITE),
     ("invert-pure", "t_final=1e200", RATE_NOT_FINITE),
+    # the steady-state path overflows: named with its t, without numpy warnings
+    *[("track-steady", override, PATH_NOT_FINITE)
+      for override in ("gamma0=1e200", "drive_detuning=1e200", "omega_c=1e308",
+                       "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200")],
+    ("track-steady", "drive_detuning=1e308", U_NOT_FINITE),
+    ("track-steady", "drive_detuning=-1e308", U_NOT_FINITE),
+    ("track-steady", "t_final=1e200", RATE_NOT_FINITE),
+    ("track-steady", "t_final=1e308", RATE_NOT_FINITE),
 ])
 def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, experiment,
                                                                  override, message):
@@ -203,17 +216,6 @@ def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, exper
     assert cp.returncode == 3
     assert cp.stderr.startswith(f"numerical failure in {experiment}: {message}")
     assert cp.stderr.count("\n") == 1
-    assert not out.exists()
-
-
-def test_overflowing_thermal_factor_exits_3_without_files(tmp_path):
-    # (2 n0 + 1)^2 overflows; numpy warnings still precede the exit-3 line here
-    cfg = write_cfg(tmp_path, TRACK_CFG)
-    out = tmp_path / "out"
-    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", "n0=1e200",
-                 "--override", "grid=100", "--override", "min_steps=100")
-    assert cp.returncode == 3
-    assert "numerical failure in track-steady" in cp.stderr
     assert not out.exists()
 
 
@@ -327,7 +329,7 @@ def test_detuning_protocol_csv_columns(tmp_path, tracking_env, hold):
     times = np.linspace(0.0, 3.0, 61)
     sched = schedule_from_trajectory(path, tracking_env, times, protocol="x-detuning")
     run = integrate_bloch(sched, tracking_env, r_target, times, min_steps=600,
-                          reference=path)
+                          reference=path.sample(times)[0])
     files = _write_run_files(tmp_path, times, sched, run, tracking_env)
     assert files == ["states.csv", "controls.csv", "env.csv"]
     header, data = read_csv(tmp_path / "controls.csv")
@@ -462,3 +464,33 @@ def test_run_all_experiments_exits_1_when_a_config_fails(tmp_path, monkeypatch):
                         (3 if argv[2].endswith("tracking.cfg") else 0))
     assert module.main(["--out", str(tmp_path)]) == 1
     assert len(calls) == 5 and all(argv[0] == "run" for argv in calls)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("stem", ["tracking", "pure_inversion", "mixed_inversion"])
+def test_shipped_configs_match_the_recorded_outputs(tmp_path, stem):
+    # the benchmark's rule: each column within 1e-9 of max(1, its largest magnitude)
+    import gzip
+    from blochsteer import cli
+    cli.run(cli.load_config(REPO / "scripts" / "configs" / f"{stem}.cfg"), tmp_path)
+    for name in ("states.csv", "controls.csv", "env.csv"):
+        recorded = (REPO / "perfbench" / "reference" / stem / f"{name}.gz").read_bytes()
+        header, data = read_csv(tmp_path / name)
+        ref_header, ref = parse_csv(gzip.decompress(recorded).decode())
+        assert header == ref_header and data.shape == ref.shape, name
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=0))
+        assert np.all(np.abs(data - ref) <= 1e-9 * scale), name
+
+
+def test_readme_library_example_runs():
+    text = (REPO / "README.md").read_text()
+    example = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    example = example.split("```", 1)[0]
+    printed = []
+    namespace = {"print": lambda *args: printed.append(args)}
+    exec(compile(example, "README.md", "exec"), namespace)
+    (final_state, min_fidelity), = printed
+    assert final_state[2] == pytest.approx(1.0, abs=1e-3)
+    assert min_fidelity > 0.999

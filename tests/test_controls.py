@@ -192,6 +192,21 @@ def test_schedule_validation():
                         omega_y=np.zeros(2), excitation=np.zeros(2))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"omega_y": np.zeros(3), "protocol": "xz"}, "unknown protocol 'xz'"),
+    ({"protocol": "xy"}, "protocol 'xy' needs field omega_y"),
+    ({"omega_y": np.zeros(3), "detuning_r": np.zeros(3), "protocol": "xy"},
+     "protocol 'xy' takes no field detuning_r"),
+    ({"omega_y": np.zeros(3), "protocol": "x-detuning"},
+     "protocol 'x-detuning' takes no field omega_y"),
+], ids=["unknown", "missing", "foreign-xy", "foreign-x-detuning"])
+def test_schedule_fields_follow_the_protocol_table(fields, message):
+    # an unfit schedule fails where it is built, not later in a run
+    with pytest.raises(InvalidInputError, match=message):
+        ControlSchedule(times=np.linspace(0.0, 1.0, 3), omega_x=np.zeros(3),
+                        excitation=np.zeros(3), **fields)
+
+
 def test_schedule_from_trajectory_regularizes_endpoints(inversion_setup):
     # decay rate vanishes exactly at t = 0; the sample is taken one epsilon in
     env, t_break, t_final = inversion_setup
@@ -309,8 +324,11 @@ def test_stacked_solver_matches_scalar_calls(rng):
     for solver in (two_level_controls, two_level_controls_detuning):
         stacked = np.column_stack(solver(r, rdot, gamma, shift))
         single = np.array([solver(r[i], rdot[i], gamma[i], shift[i]) for i in range(40)])
-        assert all(isinstance(v, float) for v in solver(r[0], rdot[0], gamma[0], shift[0]))
         assert np.array_equal(stacked, single)
+        # one sample gives numpy scalars, with the bits of its row of the stack
+        one = solver(r[5], rdot[5], gamma[5], shift[5])
+        assert all(type(v) is np.float64 for v in one)
+        assert np.array_equal(one, stacked[5])
     r[7, 2] = 0.0
     with pytest.raises(SingularControlError, match="r_z"):
         two_level_controls(r, rdot, gamma, shift)

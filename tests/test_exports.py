@@ -18,10 +18,12 @@ def test_every_exported_name_resolves(name):
 
 
 def test_removed_symbols_are_not_exported():
-    from blochsteer import environment, simulator
-    for symbol in ("density_run_from_bloch", "snapshot", "EnvSnapshot", "_rk4_complex"):
+    from blochsteer import environment, simulator, trajectories
+    for symbol in ("density_run_from_bloch", "snapshot", "EnvSnapshot", "_rk4_complex",
+                   "pure_inversion_trajectory"):
         assert not hasattr(blochsteer, symbol)
-        assert not hasattr(environment, symbol) and not hasattr(simulator, symbol)
+        assert not any(hasattr(module, symbol)
+                       for module in (environment, simulator, trajectories))
     # the drive transforms moved to the module that owns the RK4 core
     assert not hasattr(environment, "renormalized_field")
     assert blochsteer.renormalized_field is simulator.renormalized_field

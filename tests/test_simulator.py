@@ -248,7 +248,7 @@ def test_adiabatic_gap_and_limits(tracking_env):
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     engineered = integrate_bloch(sched, tracking_env, r0, times, min_steps=5000,
-                                 reference=traj)
+                                 reference=traj.sample(times)[0])
     adiabatic = adiabatic_reference_run(tracking_env, 1e-5, 10.0, 10.0, times,
                                         min_steps=5000)
     assert adiabatic.min_fidelity < engineered.min_fidelity - 0.01
@@ -342,7 +342,7 @@ def test_fidelity_failure_names_time_and_state(tracking_env, hold):
         return ref
     with pytest.raises(MalformedStateError, match=r"reference left the Bloch ball at t = 1.3\b"):
         integrate_bloch(sched, tracking_env, r_target, times, min_steps=200,
-                        reference=reference)
+                        reference=reference(times))
 
 
 def test_density_run_matches_bloch_run(tracking_env, qubit):
@@ -351,9 +351,10 @@ def test_density_run_matches_bloch_run(tracking_env, qubit):
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     dens = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
-                             min_steps=2000, reference=traj)
+                             min_steps=2000, reference=traj.sample(times)[0])
     assert dens.densities.shape == (201, 2, 2)
-    bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reference=traj)
+    bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000,
+                            reference=traj.sample(times)[0])
     assert np.max(np.abs(dens.states - bloch.states)) < 1e-12
     assert np.max(np.abs(dens.fidelity - bloch.fidelity)) < 1e-12
 
