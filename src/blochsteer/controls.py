@@ -10,7 +10,7 @@ for (Ox, Oy, N) given the reservoir rate G = Gamma0(t) and Lamb shift s0(t),
 or for (Ox, Delta^R, N) in the detuning protocol (Oy = 0, s0 -> s0 + Delta^R).
 The generic path assembles the same linear system for any SU(N) setup from
 the structure tensors and solves it densely; closed forms and generic solve
-cross-check each other.
+cross-check each other; it takes stacks like the Liouvillian builders.
 
 The closed forms follow numpy's shape rules: one sample gives three numpy
 floats, a stack of n samples (r, rdot of shape (n, 3), rates of shape (n,))
@@ -36,7 +36,7 @@ from ._cubic import (cubic_value, hermite_coefficients, not_a_knot_slopes,
 from .environment import LorentzianEnvironment, decay_and_shift
 from .errors import InvalidInputError, NoUniqueSolutionError, SingularControlError
 from .liouvillian import HamiltonianSpec, LindbladChannel, channel_drift, channel_matrix
-from .sun_algebra import StructureTensors
+from .sun_algebra import StructureTensors, _first_in_stack
 
 __all__ = [
     "SIGMA_MINUS_SHAPE",
@@ -156,7 +156,7 @@ class ControlSystem:
 
     ``coherent`` has one column per selected Hamiltonian coefficient,
     ``incoherent`` one column per control group (channels sharing a
-    ``control_index`` are summed, each weighted by its bare rate at t).
+    ``control_index`` are summed, each weighted by its bare rate).
     Drift terms (fixed Hamiltonian part and channels with
     ``control_index=None``) are already subtracted from ``rhs``.
     """
@@ -168,57 +168,58 @@ class ControlSystem:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.hstack([self.coherent, self.incoherent])
+        return np.concatenate([self.coherent, self.incoherent], axis=-1)
 
 
 @dataclass(frozen=True)
 class ControlSolution:
     values: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 def assemble_control_system(r: np.ndarray, rdot: np.ndarray,
                             coherent_indices: Sequence[int],
                             channels: Sequence[LindbladChannel],
-                            tensors: StructureTensors, t: float = 0.0,
+                            tensors: StructureTensors,
                             drift: HamiltonianSpec | None = None) -> ControlSystem:
-    """Assemble the control linear system at one instant.
+    """Assemble the control linear system at one instant, or a stack of them.
 
     Selected coherent coefficients and channel control multipliers are the
     unknowns; everything else is drift.  Columns are exact contractions of
     the structure tensors, so the residual of a candidate control vector
-    equals the residual of the component-form master equation.
+    equals the residual of the component-form master equation.  Stacked
+    states, rates and drifts broadcast to a stack of systems.
     """
     r = np.asarray(r, dtype=float)
     rdot = np.asarray(rdot, dtype=float)
     n = tensors.dimension ** 2 - 1
-    if r.shape != (n,) or rdot.shape != (n,):
+    if r.shape[-1:] != (n,) or rdot.shape[-1:] != (n,):
         raise InvalidInputError(f"state and derivative must have length {n}")
-    cols_c = np.empty((n, len(coherent_indices)))
-    for col, k in enumerate(coherent_indices):
+    for k in coherent_indices:
         if not 1 <= k <= n:
             raise InvalidInputError(f"coherent control index {k} outside 1..{n}")
-        cols_c[:, col] = r @ tensors.f[k - 1]
+    coherent = [np.einsum("...j,ji->...i", r, tensors.f[k - 1]) for k in coherent_indices]
     groups = sorted({ch.control_index for ch in channels if ch.control_index is not None})
-    cols_i = np.zeros((n, len(groups)))
-    rhs = rdot.copy()
+    incoherent = [0.0] * len(groups)
+    rhs = rdot
     for ch in channels:
-        rate = ch.rate(t) if callable(ch.rate) else ch.rate
-        contrib = rate * (channel_matrix(ch.shape, tensors) @ r + channel_drift(ch.shape, tensors))
+        k_r = np.einsum("...ij,...j->...i", channel_matrix(ch.shape, tensors), r)
+        contrib = ch.rate[..., None] * (k_r + channel_drift(ch.shape, tensors))
         if ch.control_index is None:
-            ctrl = ch.control(t) if callable(ch.control) else ch.control
-            rhs -= ctrl * contrib
+            rhs = rhs - ch.control[..., None] * contrib
         else:
-            cols_i[:, groups.index(ch.control_index)] += contrib
+            j = groups.index(ch.control_index)
+            incoherent[j] = incoherent[j] + contrib
     if drift is not None:
-        c = drift.coefficients
-        rhs -= np.einsum("k,kji,j->i", c[1:], tensors.f, r)
-    return ControlSystem(coherent=cols_c, incoherent=cols_i, rhs=rhs,
-                         coherent_indices=tuple(coherent_indices))
+        rhs = rhs - np.einsum("...k,kji,...j->...i", drift.coefficients[..., 1:], tensors.f, r)
+    table = np.stack(np.broadcast_arrays(*coherent, *incoherent, rhs), axis=-1)
+    k = len(coherent)
+    return ControlSystem(coherent=table[..., :k], incoherent=table[..., k:-1],
+                         rhs=table[..., -1], coherent_indices=tuple(coherent_indices))
 
 
 def solve_controls(system: ControlSystem) -> ControlSolution:
-    """Solve the assembled system densely.
+    """Solve the assembled system (a stack of them by one batched SVD) densely.
 
     Raises
     ------
@@ -226,29 +227,35 @@ def solve_controls(system: ControlSystem) -> ControlSolution:
         On non-finite entries.
     NoUniqueSolutionError
         If the matrix is rank deficient; the message names the deficient
-        direction (right-singular vector of the near-zero singular value).
+        direction (right-singular vector of the near-zero singular value);
+        also if it is inconsistent.  A stack names its first such instance.
     """
     a = system.matrix
     b = system.rhs
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("control system contains non-finite entries")
-    if a.size == 0:
-        return ControlSolution(values=np.zeros(0), residual=float(np.linalg.norm(b)))
+    if a.shape[-1] == 0:
+        return ControlSolution(values=np.zeros(b.shape[:-1] + (0,)),
+                               residual=np.linalg.norm(b, axis=-1))
     u, sing, vt = np.linalg.svd(a, full_matrices=False)
-    smax = sing[0] if sing.size else 0.0
-    rank_tol = max(a.shape) * np.finfo(float).eps * smax
-    if smax == 0.0 or sing[-1] <= max(rank_tol, 1e-13 * smax):
-        direction = vt[-1]
+    smax = sing[..., 0]
+    rank_tol = max(a.shape[-2:]) * np.finfo(float).eps * smax
+    deficient = sing[..., -1] <= np.maximum(rank_tol, 1e-13 * smax)
+    if deficient.any():
+        i, where = _first_in_stack(deficient, "instance")
         raise NoUniqueSolutionError(
             "control system is singular; deficient direction "
-            f"{np.array2string(direction, precision=6)} over unknowns "
-            f"(coherent {system.coherent_indices} + {system.incoherent.shape[1]} incoherent)")
-    x = vt.T @ ((u.T @ b) / sing)
-    residual = float(np.linalg.norm(a @ x - b))
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(b))):
+            f"{np.array2string(vt[i][-1], precision=6)} over unknowns "
+            f"(coherent {system.coherent_indices} + {system.incoherent.shape[-1]} incoherent)"
+            f"{where}")
+    x = np.einsum("...ji,...j->...i", vt, np.einsum("...ji,...j->...i", u, b) / sing)
+    residual = np.linalg.norm(np.einsum("...ij,...j->...i", a, x) - b, axis=-1)
+    inconsistent = residual > 1e-8 * np.maximum(1.0, np.linalg.norm(b, axis=-1))
+    if inconsistent.any():
+        i, where = _first_in_stack(inconsistent, "instance")
         raise NoUniqueSolutionError(
-            f"control system is inconsistent: least-squares residual {residual:.3e}; "
-            "the requested trajectory is not reachable with the selected controls")
+            f"control system is inconsistent: least-squares residual {residual[i]:.3e}; "
+            f"the requested trajectory is not reachable with the selected controls{where}")
     return ControlSolution(values=x, residual=residual)
 
 

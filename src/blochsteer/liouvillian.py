@@ -10,10 +10,14 @@ vectorized density matrices,
 
 where g_a is the full channel rate.  The two constructions share no code
 path beyond the basis itself and serve as mutual oracles.
+
+Every builder follows numpy's shape rules over leading batch axes: one
+instance gives one result, a stack a stack.  A generator that depends on time
+is a stack along a time axis, its rates arrays over the sample times.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +40,6 @@ __all__ = [
     "trace_preservation_residual",
 ]
 
-RateLike = float | Callable[[float], float]
-
-
-def _at(value: RateLike, t: float) -> float:
-    return value(t) if callable(value) else value
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -59,10 +57,10 @@ class HamiltonianSpec:
         object.__setattr__(self, "coefficients", c)
 
     def matrix(self, basis: GeneratorBasis) -> np.ndarray:
-        if self.coefficients.shape != (basis.dimension ** 2,):
+        if self.coefficients.shape[-1:] != (basis.dimension ** 2,):
             raise DimensionError(
                 f"need {basis.dimension ** 2} coefficients, got {self.coefficients.shape}")
-        return np.tensordot(self.coefficients, basis.generators, axes=1)
+        return np.einsum("...k,kij->...ij", self.coefficients, basis.generators)
 
 
 @dataclass(frozen=True)
@@ -71,29 +69,34 @@ class LindbladChannel:
 
     ``rate`` is the bare channel rate gamma(t); ``control`` the incoherent
     control multiplier.  Only their product enters the dynamics, so
-    negative rates (non-Markovian intervals) are admitted verbatim.
+    negative rates (non-Markovian intervals) are admitted verbatim.  The
+    shape has length N^2 - 1, or N^2 with the identity coefficient first.
     ``control_index`` groups channels that share one unknown control
     parameter when a control system is assembled; ``None`` marks a fixed
     (drift) channel.
     """
 
     shape: np.ndarray
-    rate: RateLike = 1.0
-    control: RateLike = 1.0
+    rate: float | np.ndarray = 1.0
+    control: float | np.ndarray = 1.0
     control_index: int | None = None
     name: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.shape, dtype=complex)
-        if not np.any(s):
+        if not np.all(np.any(np.atleast_1d(s), axis=-1)):
             raise DimensionError(f"channel {self.name!r} has an identically zero shape vector")
         object.__setattr__(self, "shape", s)
+        object.__setattr__(self, "rate", np.asarray(self.rate, dtype=float))
+        object.__setattr__(self, "control", np.asarray(self.control, dtype=float))
 
-    def effective_rate(self, t: float) -> float:
-        return _at(self.rate, t) * _at(self.control, t)
+    def effective_rate(self):
+        return self.rate * self.control
 
     def operator(self, basis: GeneratorBasis) -> np.ndarray:
-        return np.tensordot(self.shape, basis.traceless(), axes=1)
+        """L over the full basis, identity slot included."""
+        return np.einsum("...k,kij->...ij", _extended_shape(self.shape, basis.dimension),
+                         basis.generators)
 
 
 @dataclass(frozen=True)
@@ -104,33 +107,34 @@ class LiouvillianComponents:
     drift: np.ndarray
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.matrix @ r + self.drift
+        return np.einsum("...ij,...j->...i", self.matrix, r) + self.drift
 
 
 def coherent_part(hamiltonian: HamiltonianSpec, tensors: StructureTensors) -> np.ndarray:
     """C[i, j] = sum_k c_k f_{kji}; the identity coefficient never contributes."""
     c = np.asarray(hamiltonian.coefficients, dtype=float)
     n = tensors.dimension ** 2 - 1
-    if c.shape != (n + 1,):
+    if c.shape[-1:] != (n + 1,):
         raise DimensionError(f"need {n + 1} Hamiltonian coefficients, got {c.shape}")
-    return np.einsum("k,kji->ij", c[1:], tensors.f)
+    return np.einsum("...k,kji->...ij", c[..., 1:], tensors.f)
 
 
-def _extended_shape(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
-    n = tensors.dimension ** 2 - 1
+def _extended_shape(shape: np.ndarray, dim: int) -> np.ndarray:
+    """The shape over the full basis, a zero identity coefficient first."""
+    n = dim ** 2 - 1
     shape = np.asarray(shape, dtype=complex)
-    if shape.shape == (n,):
-        return np.concatenate([[0.0], shape])
-    if shape.shape == (n + 1,):
+    if shape.shape[-1:] == (n,):
+        return np.concatenate([np.zeros(shape.shape[:-1] + (1,)), shape], axis=-1)
+    if shape.shape[-1:] == (n + 1,):
         return shape
     raise DimensionError(f"channel shape must have length {n} (or {n + 1}), got {shape.shape}")
 
 
 def channel_matrix(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
     """Unit-rate Bloch-space dissipator matrix of one channel shape vector."""
-    l = _extended_shape(shape, tensors)
-    a = np.outer(l, l.conj())
-    k = np.einsum("mn,mnji->ij", a, tensors.s)
+    l = _extended_shape(shape, tensors.dimension)
+    a = l[..., :, None] * l[..., None, :].conj()
+    k = np.einsum("...mn,mnji->...ij", a, tensors.s)
     resid = np.max(np.abs(k.imag))
     if resid > 1e-11:
         raise ArithmeticError(f"dissipator matrix has imaginary residue {resid:.3e}")
@@ -139,49 +143,51 @@ def channel_matrix(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
 
 def channel_drift(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
     """Unit-rate constant Bloch drift of one channel; zero for normal shapes."""
-    l = _extended_shape(shape, tensors)[1:]
-    b = np.einsum("m,n,mnk->k", l, l.conj(), tensors.g)
+    l = _extended_shape(shape, tensors.dimension)[..., 1:]
+    b = np.einsum("...m,...n,mnk->...k", l, l.conj(), tensors.g)
     resid = np.max(np.abs(b.imag))
     if resid > 1e-11:
         raise ArithmeticError(f"channel drift has imaginary residue {resid:.3e}")
     return b.real
 
 
-def incoherent_part(channels: Sequence[LindbladChannel], tensors: StructureTensors,
-                    t: float = 0.0) -> np.ndarray:
-    """Dissipative Bloch matrix sum_a gamma_a(t) control_a(t) K_a."""
+def incoherent_part(channels: Sequence[LindbladChannel], tensors: StructureTensors) -> np.ndarray:
+    """Dissipative Bloch matrix sum_a gamma_a control_a K_a."""
     n = tensors.dimension ** 2 - 1
     out = np.zeros((n, n))
     for ch in channels:
-        out += ch.effective_rate(t) * channel_matrix(ch.shape, tensors)
+        out = out + ch.effective_rate()[..., None, None] * channel_matrix(ch.shape, tensors)
     return out
 
 
-def inhomogeneous_part(channels: Sequence[LindbladChannel], tensors: StructureTensors,
-                       t: float = 0.0) -> np.ndarray:
-    """Constant Bloch drift sum_a gamma_a(t) control_a(t) b_a."""
+def inhomogeneous_part(channels: Sequence[LindbladChannel],
+                       tensors: StructureTensors) -> np.ndarray:
+    """Constant Bloch drift sum_a gamma_a control_a b_a."""
     n = tensors.dimension ** 2 - 1
     out = np.zeros(n)
     for ch in channels:
-        out += ch.effective_rate(t) * channel_drift(ch.shape, tensors)
+        out = out + ch.effective_rate()[..., None] * channel_drift(ch.shape, tensors)
     return out
 
 
 def assemble_components(hamiltonian: HamiltonianSpec, channels: Sequence[LindbladChannel],
-                        tensors: StructureTensors, t: float = 0.0) -> LiouvillianComponents:
-    """Full component-form generator at time t."""
-    m = coherent_part(hamiltonian, tensors) + incoherent_part(channels, tensors, t)
-    return LiouvillianComponents(matrix=m, drift=inhomogeneous_part(channels, tensors, t))
+                        tensors: StructureTensors) -> LiouvillianComponents:
+    """Full component-form generator."""
+    m = coherent_part(hamiltonian, tensors) + incoherent_part(channels, tensors)
+    drift = inhomogeneous_part(channels, tensors)
+    return LiouvillianComponents(matrix=m, drift=np.broadcast_to(drift, m.shape[:-1]))
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Row-major vectorization (C order)."""
-    return np.asarray(mat).reshape(-1)
+    mat = np.asarray(mat)
+    return mat.reshape(*mat.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    n = int(round(np.sqrt(v.size)))
-    return np.asarray(v).reshape(n, n)
+    v = np.asarray(v)
+    n = int(round(np.sqrt(v.shape[-1])))
+    return v.reshape(*v.shape[:-1], n, n)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,31 +195,32 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The same elementwise products as ``np.kron``, by one broadcast multiply.
     """
-    n, m = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    n, m = a.shape[-1], b.shape[-1]
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return p.reshape(*p.shape[:-4], n * m, n * m)
 
 
 def kron_liouvillian(hamiltonian: HamiltonianSpec, channels: Sequence[LindbladChannel],
-                     basis: GeneratorBasis, t: float = 0.0) -> np.ndarray:
+                     basis: GeneratorBasis) -> np.ndarray:
     """Supermatrix on row-major vectorized density matrices."""
     dim = basis.dimension
     eye = np.eye(dim, dtype=complex)
     h = hamiltonian.matrix(basis)
-    s = -1.0j * (_kron(h, eye) - _kron(eye, h.T))
+    s = -1.0j * (_kron(h, eye) - _kron(eye, h.mT))
     for ch in channels:
         l = ch.operator(basis)
-        ldl = l.conj().T @ l
-        s += ch.effective_rate(t) * (2.0 * _kron(l, l.conj())
-                                     - _kron(ldl, eye)
-                                     - _kron(eye, ldl.T))
+        ldl = l.conj().mT @ l
+        s = s + ch.effective_rate()[..., None, None] * (2.0 * _kron(l, l.conj())
+                                                        - _kron(ldl, eye)
+                                                        - _kron(eye, ldl.mT))
     return s
 
 
-def trace_preservation_residual(supermatrix: np.ndarray) -> float:
+def trace_preservation_residual(supermatrix: np.ndarray):
     """max |<<I| L|, zero for a trace-preserving generator."""
-    dim = int(round(np.sqrt(supermatrix.shape[0])))
+    dim = int(round(np.sqrt(supermatrix.shape[-1])))
     left = vec(np.eye(dim)) @ supermatrix
-    return float(np.max(np.abs(left)))
+    return np.max(np.abs(left), axis=-1)
 
 
 def components_from_kron(supermatrix: np.ndarray, basis: GeneratorBasis) -> LiouvillianComponents:
@@ -228,15 +235,8 @@ def components_from_kron(supermatrix: np.ndarray, basis: GeneratorBasis) -> Liou
     if resid > 1e-8:
         raise MalformedLiouvillianError(
             f"supermatrix violates trace preservation by {resid:.3e}")
-    dim = basis.dimension
-    n = basis.n_traceless
-    eta = TRACE_NORMALIZATION
-    m = np.empty((n, n))
-    for j in range(n):
-        image = unvec(supermatrix @ vec(basis.generators[j + 1]))
-        col = np.einsum("kab,ba->k", basis.traceless(), image) / eta
-        m[:, j] = col.real
-    drift_img = unvec(supermatrix @ vec(basis.generators[0]))
-    drift = np.einsum("kab,ba->k", basis.traceless(), drift_img).real
-    drift /= bloch_scale(dim) * eta
-    return LiouvillianComponents(matrix=m, drift=drift)
+    # column j: the traceless coefficients of the image of generator j
+    images = unvec(np.einsum("ij,kj->ki", supermatrix, vec(basis.generators)))
+    cols = np.einsum("kab,jba->kj", basis.traceless(), images).real / TRACE_NORMALIZATION
+    return LiouvillianComponents(matrix=cols[:, 1:],
+                                 drift=cols[:, 0] / bloch_scale(basis.dimension))

@@ -2,7 +2,8 @@
 
 Each suite draws its random instances from the generator it is given and
 returns its figures of merit; ``run_selfcheck`` and the acceptance tests call
-the same suites with their own generators and instance counts.
+the same suites with their own generators and instance counts.  The
+Liouvillian and solver suites check all instances in one call of each builder.
 """
 
 import dataclasses
@@ -25,7 +26,8 @@ def _suite_liouvillian(rng: np.random.Generator, instances: int,
     generators in each of dimensions 2 and 3.
 
     Returns the worst deviation between their actions on a random state and
-    the worst trace-preservation residual of the supermatrices.
+    the worst trace-preservation residual of the supermatrices.  Instances
+    with fewer than 3 channels are padded with rate-0 channels.
     """
     worst = residual = 0.0
     for dim in (2, 3):
@@ -34,18 +36,24 @@ def _suite_liouvillian(rng: np.random.Generator, instances: int,
         if perturb_f:
             tensors = dataclasses.replace(tensors, f=tensors.f + perturb_f)
         n = dim * dim - 1
-        for _ in range(instances):
-            ham = lv.HamiltonianSpec(rng.normal(size=dim * dim))
-            chans = [lv.LindbladChannel(shape=rng.normal(size=n) + 1j * rng.normal(size=n),
-                                        rate=float(rng.normal()))
-                     for _ in range(int(rng.integers(1, 4)))]
-            comp = lv.assemble_components(ham, chans, tensors)
-            sup = lv.kron_liouvillian(ham, chans, basis)
-            residual = max(residual, lv.trace_preservation_residual(sup))
-            r = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim))
-            image = lv.unvec(sup @ lv.vec(bloch_to_density(r, basis))) + np.eye(dim) / dim
-            worst = max(worst, float(np.max(np.abs(comp.apply(r)
-                                                   - density_to_bloch(image, basis)))))
+        coefficients = np.empty((instances, dim * dim))
+        shapes = np.ones((3, instances, n), dtype=complex)
+        rates = np.zeros((3, instances))
+        r = np.empty((instances, n))
+        for i in range(instances):
+            coefficients[i] = rng.normal(size=dim * dim)
+            for j in range(int(rng.integers(1, 4))):
+                shapes[j, i] = rng.normal(size=n) + 1j * rng.normal(size=n)
+                rates[j, i] = rng.normal()
+            r[i] = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim))
+        ham = lv.HamiltonianSpec(coefficients)
+        chans = [lv.LindbladChannel(shape=shape, rate=rate) for shape, rate in zip(shapes, rates)]
+        comp = lv.assemble_components(ham, chans, tensors)
+        sup = lv.kron_liouvillian(ham, chans, basis)
+        residual = max(residual, float(np.max(lv.trace_preservation_residual(sup))))
+        rho = lv.vec(bloch_to_density(r, basis))
+        image = lv.unvec(np.einsum("...ij,...j->...i", sup, rho)) + np.eye(dim) / dim
+        worst = max(worst, float(np.max(np.abs(comp.apply(r) - density_to_bloch(image, basis)))))
     return worst, residual
 
 
@@ -90,8 +98,7 @@ def _suite_solver(rng: np.random.Generator, instances: int) -> tuple[float, floa
 
     Returns the worst deviation between the two and the worst residual of
     the velocity that the closed-form controls give back when substituted
-    into the component-form generator.  The closed form solves all instances
-    in one call on their stack.
+    into the component-form generator.
     """
     basis = build_basis(2)
     tensors = structure_constants(basis)
@@ -101,25 +108,23 @@ def _suite_solver(rng: np.random.Generator, instances: int) -> tuple[float, floa
         while abs(r[2]) < 0.1:
             r = random_bloch_vector(2, rng, 0.95)
         draws.append((r, rng.normal(size=3), rng.uniform(0.1, 2.0), rng.normal()))
-    r_all, rdot_all, gam_all, shift_all = map(np.array, zip(*draws))
-    controls = np.column_stack(two_level_controls(r_all, rdot_all, gam_all, shift_all))
-    worst = back = 0.0
-    for r, rdot, gam, shift, closed in zip(r_all, rdot_all, gam_all, shift_all, controls):
-        channels = [
-            lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam, control_index=None),
-            lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam, control_index=0),
-            lv.LindbladChannel(SIGMA_PLUS_SHAPE, rate=gam, control_index=0),
-        ]
-        drift = lv.HamiltonianSpec([shift / 2, 0.0, 0.0, shift / 2])
-        system = assemble_control_system(r, rdot, (1, 2), channels, tensors, drift=drift)
-        generic = solve_controls(system).values
-        worst = max(worst, float(np.max(np.abs(generic - closed))))
-        ham = lv.HamiltonianSpec([shift / 2, closed[0], closed[1], shift / 2])
-        chans = [lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam * (closed[2] + 1)),
-                 lv.LindbladChannel(SIGMA_PLUS_SHAPE, rate=gam * closed[2])]
-        field = lv.assemble_components(ham, chans, tensors).apply(r)
-        back = max(back, float(np.max(np.abs(field - rdot))))
-    return worst, back
+    r, rdot, gam, shift = map(np.array, zip(*draws))
+    omega_x, omega_y, excitation = two_level_controls(r, rdot, gam, shift)
+    channels = [
+        lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam, control_index=None),
+        lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam, control_index=0),
+        lv.LindbladChannel(SIGMA_PLUS_SHAPE, rate=gam, control_index=0),
+    ]
+    zero = np.zeros_like(shift)
+    drift = lv.HamiltonianSpec(np.column_stack([shift / 2, zero, zero, shift / 2]))
+    generic = solve_controls(assemble_control_system(r, rdot, (1, 2), channels, tensors,
+                                                     drift=drift)).values
+    worst = float(np.max(np.abs(generic - np.column_stack([omega_x, omega_y, excitation]))))
+    ham = lv.HamiltonianSpec(np.column_stack([shift / 2, omega_x, omega_y, shift / 2]))
+    chans = [lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam * (excitation + 1)),
+             lv.LindbladChannel(SIGMA_PLUS_SHAPE, rate=gam * excitation)]
+    field = lv.assemble_components(ham, chans, tensors).apply(r)
+    return worst, float(np.max(np.abs(field - rdot)))
 
 
 def run_selfcheck(perturb_f: float = 0.0, stream=None) -> int:

@@ -27,6 +27,9 @@ The reservoir's drive renormalization Omega -> Omega^R and its inverse are
 linear ODEs in (h, w), the local form of the memory convolution, and run
 through the same core with one step per output interval.
 
+User coefficient functions are called once, on the 1-D array of fine-grid
+times; a constant result is broadcast.
+
 Everything after the core is batched over the output grid as well: the
 density run converts all its rows to Bloch vectors in one call, and the
 fidelity against a reference is one ``fidelity_bloch`` call over the stack.
@@ -103,16 +106,21 @@ def _qubit_parts():
     c_x, c_y and c_z Hamiltonians and the unit sigma- and sigma+ channels.
     Bloch form: homogeneous 4 x 4 matrices [[K, b], [0, 0]] of the component
     generators, the channel drifts in the last column.  Density form: the
-    Kronecker supermatrices in real block form, as 8 x 8 matrices.
+    Kronecker supermatrices in real block form, as 8 x 8 matrices.  Padding
+    the Hamiltonian specs with rate-0 channels would turn -0.0 entries of
+    their supermatrices into +0.0, so each form takes two stacked calls.
     """
     basis = build_basis(2)
     tensors = structure_constants(basis)
-    specs = [(lv.HamiltonianSpec(np.eye(4)[k]), []) for k in (1, 2, 3)]
-    specs += [(lv.HamiltonianSpec(np.zeros(4)), [lv.LindbladChannel(shape)])
-              for shape in (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE)]
-    comps = [lv.assemble_components(ham, chans, tensors) for ham, chans in specs]
-    bloch = _homogeneous(np.array([c.matrix for c in comps]), np.array([c.drift for c in comps]))
-    s = np.array([lv.kron_liouvillian(ham, chans, basis) for ham, chans in specs])
+    units = lv.HamiltonianSpec(np.eye(3, 4, 1))
+    zero = lv.HamiltonianSpec(np.zeros(4))
+    decay = [lv.LindbladChannel(np.array([SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE]))]
+    coherent = lv.assemble_components(units, [], tensors)
+    dissipative = lv.assemble_components(zero, decay, tensors)
+    bloch = _homogeneous(np.concatenate([coherent.matrix, dissipative.matrix]),
+                         np.concatenate([coherent.drift, dissipative.drift]))
+    s = np.concatenate([lv.kron_liouvillian(units, [], basis),
+                        lv.kron_liouvillian(zero, decay, basis)])
     # S acts on [Re vec rho; Im vec rho] as [[Re S, -Im S], [Im S, Re S]]
     density = np.block([[s.real, -s.imag], [s.imag, s.real]])
     return basis, bloch, density
@@ -225,14 +233,16 @@ def integrate_affine(matrix_fun, drift_fun, y0: np.ndarray, times: np.ndarray,
                      min_steps: int = DEFAULT_MIN_STEPS) -> np.ndarray:
     """Fixed-step RK4 for ydot = M(t) y + b(t) with callable coefficients.
 
-    Coefficients are evaluated at the step nodes and half steps and run
+    The callables are called once, on the step nodes and half steps t, and
+    return stacks M (len(t), d, d) and b (len(t), d) or constants.  They run
     through the same core as both integrators.  Returns the states on the
     output grid.
     """
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    gens = _homogeneous(np.array([matrix_fun(t) for t in fine]),
-                        np.array([drift_fun(t) for t in fine]))
+    m, b = np.asarray(matrix_fun(fine)), np.asarray(drift_fun(fine))
+    gens = _homogeneous(np.broadcast_to(m, fine.shape + m.shape[-2:]),
+                        np.broadcast_to(b, fine.shape + b.shape[-1:]))
     return _rk4_linear(lambda idx: gens[idx], np.append(y0, 1.0), times, sub)[:, :-1]
 
 
@@ -383,20 +393,19 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
-def integrate_density_general(hamiltonian_fun, channels, rho0: np.ndarray,
-                              times: np.ndarray, basis,
+def integrate_density_general(generator_fun, rho0: np.ndarray, times: np.ndarray, basis,
                               min_steps: int = DEFAULT_MIN_STEPS) -> np.ndarray:
-    """Kronecker-form integration for any SU(N) setup with callable coefficients.
+    """Kronecker-form integration for any SU(N) setup with a callable generator.
 
-    ``hamiltonian_fun(t)`` returns a HamiltonianSpec; channel rates and
-    controls may be callables.  Returns the density matrices on the output
-    grid.  Slower than the two-level path (the supermatrix is assembled at
-    every stage) but dimension-agnostic.
+    ``generator_fun(t)`` returns the HamiltonianSpec and the channels at the
+    step nodes and half steps t, stacked along t or constant.  Returns the
+    density matrices on the output grid.  Slower than the two-level path (a
+    supermatrix per stage) but dimension-agnostic.
     """
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    supers = np.array([lv.kron_liouvillian(hamiltonian_fun(t), channels, basis, t)
-                       for t in fine])
+    s = lv.kron_liouvillian(*generator_fun(fine), basis)
+    supers = np.broadcast_to(s, fine.shape + s.shape[-2:])
     raw = _rk4_linear(lambda idx: supers[idx], lv.vec(np.asarray(rho0, dtype=complex)),
                       times, sub)
     return raw.reshape(len(raw), basis.dimension, basis.dimension)
@@ -422,7 +431,7 @@ def _drive_ode(env: LorentzianEnvironment, h_row, drive: np.ndarray,
     return y[:, 0], y[:, 1]
 
 
-def renormalized_field(env: LorentzianEnvironment, omega: Callable[[float], complex],
+def renormalized_field(env: LorentzianEnvironment, omega: Callable[[np.ndarray], np.ndarray],
                        tgrid: np.ndarray) -> np.ndarray:
     """Effective drive Omega^R(t) produced by the physical drive Omega(t).
 
@@ -432,7 +441,7 @@ def renormalized_field(env: LorentzianEnvironment, omega: Callable[[float], comp
     """
     tgrid = np.asarray(tgrid, dtype=float)
     fine, _ = _fine_grid(tgrid, len(tgrid) - 1)
-    drive = np.array([omega(t) for t in fine], dtype=complex)
+    drive = np.broadcast_to(np.asarray(omega(fine), dtype=complex), fine.shape)
     h, w = _drive_ode(env, (-1j * env.drive_detuning, -1.0), drive, tgrid)
     hdot = -1j * env.drive_detuning * h - w - 1j * drive[::2]
     q, _ = _log_derivative(env, tgrid)
@@ -440,7 +449,7 @@ def renormalized_field(env: LorentzianEnvironment, omega: Callable[[float], comp
 
 
 def lab_field_from_effective(env: LorentzianEnvironment,
-                             omega_r: Callable[[float], complex],
+                             omega_r: Callable[[np.ndarray], np.ndarray],
                              t_final: float, n: int = 2000) -> tuple[np.ndarray, np.ndarray]:
     """Physical drive Omega(t) realizing a prescribed effective drive Omega^R(t).
 
@@ -456,7 +465,7 @@ def lab_field_from_effective(env: LorentzianEnvironment,
     tgrid = np.linspace(0.0, float(t_final), n + 1)
     fine, _ = _fine_grid(tgrid, n)
     q, _ = _log_derivative(env, fine)
-    drive = np.array([omega_r(t) for t in fine], dtype=complex)
+    drive = np.broadcast_to(np.asarray(omega_r(fine), dtype=complex), fine.shape)
     h, w = _drive_ode(env, np.column_stack([q, np.zeros_like(q)]), drive, tgrid)
     hdot = -1j * drive[::2] + h * q[::2]
     return tgrid, 1j * (hdot + 1j * env.drive_detuning * h + w)

@@ -172,11 +172,18 @@ def _inhomogeneous_tensor(basis: GeneratorBasis, f: np.ndarray) -> np.ndarray:
     return (2.0j / bloch_scale(basis.dimension)) * f.astype(complex)
 
 
+def _first_in_stack(mask: np.ndarray, noun: str):
+    """Index of the first True entry of ``mask`` and the words naming it in a
+    message: none for a single instance, " (noun i of the stack)" for a stack."""
+    i = np.unravel_index(np.argmax(mask), mask.shape)
+    return i, f" ({noun} {', '.join(map(str, i))} of the stack)" if i else ""
+
+
 def bloch_to_density(r: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """Map a generalized Bloch vector to its density matrix."""
+    """Map a generalized Bloch vector (or a stack (..., N^2 - 1)) to its density matrix."""
     r = np.asarray(r, dtype=float)
     n = basis.n_traceless
-    if r.shape != (n,):
+    if r.shape[-1:] != (n,):
         raise DimensionError(f"Bloch vector must have length {n}, got shape {r.shape}")
     dim = basis.dimension
     rho = (np.eye(dim, dtype=complex)
@@ -187,8 +194,8 @@ def bloch_to_density(r: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 def density_to_bloch(rho: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """Extract the generalized Bloch vector from a density matrix.
 
-    ``rho`` may be one matrix or a stack of shape (n, N, N); a stack gives
-    Bloch vectors of shape (n, N^2 - 1).
+    ``rho`` may be one matrix or a stack of shape (..., N, N); a stack gives
+    Bloch vectors of shape (..., N^2 - 1).
 
     Raises
     ------
@@ -198,15 +205,13 @@ def density_to_bloch(rho: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     dim = basis.dimension
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (dim, dim):
+    if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
         raise DimensionError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    off = np.atleast_1d(np.abs(tr - 1.0) > 1e-9)
+    off = np.abs(tr - 1.0) > 1e-9
     if off.any():
-        i = int(np.argmax(off))
-        where = f" (matrix {i} of the stack)" if rho.ndim == 3 else ""
-        raise MalformedStateError(
-            f"density matrix trace {np.atleast_1d(tr)[i]} is not 1 within 1e-9{where}")
+        i, where = _first_in_stack(off, "matrix")
+        raise MalformedStateError(f"density matrix trace {tr[i]} is not 1 within 1e-9{where}")
     coeff = dim / (bloch_scale(dim) * TRACE_NORMALIZATION)
     r = coeff * np.einsum("kij,...ji->...k", basis.traceless(), rho)
     return r.real

@@ -339,3 +339,60 @@ def test_genuinely_singular_sample_names_its_time(tracking_env, hold):
     times = np.linspace(0.0, 4.0, 41)
     with pytest.raises(SingularControlError, match=r"t = "):
         schedule_from_trajectory(hold([0.3, 0.4, 0.0], 4.0), tracking_env, times)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_control_system_matches_single_calls(dim, rng):
+    # a stack of 25 systems is assembled and solved (one batched SVD) with the
+    # bits of 25 single calls; rdot is built from known controls, so every
+    # system is consistent
+    from blochsteer.sun_algebra import build_basis, structure_constants
+    tensors = structure_constants(build_basis(dim))
+    n, k = dim * dim - 1, 25
+    coherent_indices = (1, 2) if dim == 2 else tuple(range(1, 7))
+    r = np.array([random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim)) for _ in range(k)])
+    shapes = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    rates = rng.uniform(0.1, 1.0, size=(3, k))
+    drift = rng.normal(size=(k, n + 1))
+
+    def system(i=slice(None), rdot=None):
+        channels = [LindbladChannel(shapes[j], rate=rates[j][i], control_index=index)
+                    for j, index in enumerate((None, 0, 1 if dim == 3 else 0))]
+        rdot = np.zeros_like(r[i]) if rdot is None else rdot[i]
+        return assemble_control_system(r[i], rdot, coherent_indices, channels, tensors,
+                                       drift=HamiltonianSpec(drift[i]))
+
+    known = rng.normal(size=(k, system().matrix.shape[-1]))
+    rest = system()
+    rdot = np.einsum("...ij,...j->...i", rest.matrix, known) - rest.rhs
+    stacked = system(rdot=rdot)
+    singles = [system(i, rdot) for i in range(k)]
+    for part in ("coherent", "incoherent", "rhs"):
+        assert np.array_equal(getattr(stacked, part), [getattr(s, part) for s in singles])
+    solution = solve_controls(stacked)
+    single = [solve_controls(s) for s in singles]
+    assert solution.values.shape == known.shape and solution.residual.shape == (k,)
+    assert np.array_equal(solution.values, [s.values for s in single])
+    assert np.array_equal(solution.residual, [s.residual for s in single])
+    assert np.max(np.abs(solution.values - known)) < 1e-9
+
+
+def test_stacked_solve_names_the_failing_instance(qubit, rng):
+    _, tensors = qubit
+    r = np.array([random_state(rng) for _ in range(12)])
+    gamma = rng.uniform(0.5, 1.5, size=12)
+    singular = r.copy()
+    singular[7] = 0.0   # no coherent column and one incoherent: rank 1
+    with pytest.raises(NoUniqueSolutionError,
+                       match=r"singular; .*\(instance 7 of the stack\)$"):
+        solve_controls(controlled_system(singular, rng.normal(size=(12, 3)), gamma, 0.3,
+                                         tensors))
+    # with omega_x alone the 3 x 2 systems are overdetermined; all but one are
+    # consistent because their rdot comes from known controls
+    channels = [LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma, control_index=0)]
+    rest = assemble_control_system(r, np.zeros((12, 3)), (1,), channels, tensors)
+    rdot = np.einsum("...ij,...j->...i", rest.matrix, rng.normal(size=(12, 2))) - rest.rhs
+    rdot[4] += 0.1
+    with pytest.raises(NoUniqueSolutionError,
+                       match=r"inconsistent: .*\(instance 4 of the stack\)$"):
+        solve_controls(assemble_control_system(r, rdot, (1,), channels, tensors))

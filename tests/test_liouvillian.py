@@ -1,15 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 
 from blochsteer import bloch_to_density, density_to_bloch
 from blochsteer.controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE
-from blochsteer.errors import MalformedLiouvillianError
+from blochsteer.errors import DimensionError, MalformedLiouvillianError
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, _kron,
                                     assemble_components, channel_drift, channel_matrix,
                                     coherent_part, components_from_kron, incoherent_part,
                                     inhomogeneous_part, kron_liouvillian,
                                     trace_preservation_residual, unvec, vec)
-from blochsteer.sun_algebra import random_bloch_vector
+from blochsteer.sun_algebra import build_basis, random_bloch_vector, structure_constants
 
 
 def random_instance(dim, rng, n_channels=None):
@@ -174,3 +176,111 @@ def test_identity_component_shapes_against_oracle(qubit, rng):
         proj = components_from_kron(sup, basis)
         assert np.max(np.abs(mat - proj.matrix)) < 1e-11
         assert np.max(np.abs(drift - proj.drift)) < 1e-11
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_identity_slot_channels_agree_in_both_forms(dim, rng):
+    # a shape of length N^2 carries the identity coefficient first; the
+    # Kronecker form builds L over the full basis like the component form does
+    basis = build_basis(dim)
+    tensors = structure_constants(basis)
+    n = dim * dim - 1
+    for _ in range(30):
+        ham = HamiltonianSpec(rng.normal(size=dim * dim))
+        chans = [LindbladChannel(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1),
+                                 rate=float(rng.normal()))]
+        direct = assemble_components(ham, chans, tensors)
+        proj = components_from_kron(kron_liouvillian(ham, chans, basis), basis)
+        assert np.max(np.abs(proj.matrix - direct.matrix)) < 1e-11
+        assert np.max(np.abs(proj.drift - direct.drift)) < 1e-11
+    # a shape of any other length is a DimensionError in both forms
+    zero = HamiltonianSpec(np.zeros(dim * dim))
+    for length in (n - 1, n + 2):
+        bad = [LindbladChannel(np.ones(length))]
+        message = rf"channel shape must have length {n} \(or {n + 1}\), got \({length},\)"
+        with pytest.raises(DimensionError, match=message):
+            assemble_components(zero, bad, tensors)
+        with pytest.raises(DimensionError, match=message):
+            kron_liouvillian(zero, bad, basis)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_builders_match_single_calls(dim, rng):
+    # every builder follows numpy's shape rules: a stack of 25 instances gives
+    # the bits of 25 single calls
+    basis = build_basis(dim)
+    tensors = structure_constants(basis)
+    n, k = dim * dim - 1, 25
+    coefficients = rng.normal(size=(k, dim * dim))
+    shapes = rng.normal(size=(2, k, n)) + 1j * rng.normal(size=(2, k, n))
+    full = rng.normal(size=(k, n + 1)) + 1j * rng.normal(size=(k, n + 1))
+    rates = rng.normal(size=(2, k))
+    controls = rng.uniform(0.1, 2.0, size=(2, k))
+    r = np.array([random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim)) for _ in range(k)])
+    ham = HamiltonianSpec(coefficients)
+    chans = [LindbladChannel(s, rate=g, control=c) for s, g, c in zip(shapes, rates, controls)]
+
+    def instance(i):
+        return (HamiltonianSpec(coefficients[i]),
+                [LindbladChannel(s[i], rate=g[i], control=c[i])
+                 for s, g, c in zip(shapes, rates, controls)])
+
+    def same(stacked, single):
+        assert stacked.shape == (k, *np.shape(single(0)))
+        assert np.array_equal(stacked, [single(i) for i in range(k)])
+
+    same(ham.matrix(basis), lambda i: instance(i)[0].matrix(basis))
+    same(coherent_part(ham, tensors), lambda i: coherent_part(instance(i)[0], tensors))
+    for shape in (shapes[0], full):
+        same(channel_matrix(shape, tensors), lambda i: channel_matrix(shape[i], tensors))
+        same(channel_drift(shape, tensors), lambda i: channel_drift(shape[i], tensors))
+    same(incoherent_part(chans, tensors), lambda i: incoherent_part(instance(i)[1], tensors))
+    same(inhomogeneous_part(chans, tensors),
+         lambda i: inhomogeneous_part(instance(i)[1], tensors))
+    comp = assemble_components(ham, chans, tensors)
+    same(comp.matrix, lambda i: assemble_components(*instance(i), tensors).matrix)
+    same(comp.drift, lambda i: assemble_components(*instance(i), tensors).drift)
+    same(comp.apply(r), lambda i: assemble_components(*instance(i), tensors).apply(r[i]))
+    a = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+    same(_kron(a, a.conj()), lambda i: np.kron(a[i], a[i].conj()))
+    sup = kron_liouvillian(ham, chans, basis)
+    same(sup, lambda i: kron_liouvillian(*instance(i), basis))
+    same(trace_preservation_residual(sup), lambda i: trace_preservation_residual(sup[i]))
+    rho = bloch_to_density(r, basis)
+    same(rho, lambda i: bloch_to_density(r[i], basis))
+    same(vec(rho), lambda i: vec(rho[i]))
+    assert np.array_equal(unvec(vec(rho)), rho)
+    # a single instance broadcasts against a stack
+    one = assemble_components(instance(0)[0], chans, tensors)
+    assert np.array_equal(one.matrix[3], assemble_components(
+        instance(0)[0], instance(3)[1], tensors).matrix)
+    assert one.drift.shape == (k, n)
+
+
+def test_selfcheck_builder_calls_do_not_grow_with_the_instances(monkeypatch):
+    # each suite checks its whole stack in one call of each builder, so more
+    # instances must not add a single call (a per-instance loop would)
+    from blochsteer import liouvillian, selfcheck
+
+    calls = {"kron_liouvillian": 0, "assemble_components": 0, "solve_controls": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(liouvillian, "kron_liouvillian")
+    counted(liouvillian, "assemble_components")
+    counted(selfcheck, "solve_controls")
+    assert selfcheck.run_selfcheck(stream=io.StringIO()) == 0
+    assert calls == {"kron_liouvillian": 2, "assemble_components": 3, "solve_controls": 1}
+    counts = []
+    for instances in (4, 40):
+        calls.update(dict.fromkeys(calls, 0))
+        selfcheck._suite_liouvillian(np.random.default_rng(1), instances)
+        selfcheck._suite_solver(np.random.default_rng(1), instances)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]

@@ -90,10 +90,10 @@ def test_step_maps_match_rk4_loop_real_with_drift(rng, n_out, sub):
     b0, b1 = rng.normal(size=3), rng.normal(size=3)
 
     def matrix(t):
-        return base + np.sin(2.0 * t) * mod
+        return base + np.sin(2.0 * t)[..., None, None] * mod
 
     def drift(t):
-        return b0 + np.cos(t) * b1
+        return b0 + np.cos(t)[..., None] * b1
 
     y0 = rng.normal(size=3)
     times = np.linspace(0.0, 3.0, n_out + 1)
@@ -110,7 +110,7 @@ def test_step_maps_match_rk4_loop_complex_without_drift(rng, n_out, sub):
     mod = 0.2 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
 
     def matrix(t):
-        return -1j * ham - damp + np.cos(1.5 * t) * mod
+        return -1j * ham - damp + np.cos(1.5 * t)[..., None, None] * mod
 
     def drift(t):
         return np.zeros(4, dtype=complex)
@@ -296,24 +296,26 @@ def test_general_dimension_dual_representation(rng):
     mod = rng.normal(size=9)
     shape1 = rng.normal(size=8) + 1j * rng.normal(size=8)
     shape2 = rng.normal(size=8) + 1j * rng.normal(size=8)
-    channels = [LindbladChannel(shape1, rate=lambda t: 0.3 + 0.2 * np.sin(t)),
-                LindbladChannel(shape2, rate=0.15)]
 
-    def ham(t):
-        return HamiltonianSpec(coeffs + mod * np.cos(0.9 * t))
+    def generator(t):
+        # a stack along t: the first channel's rate is an array over the times
+        ham = HamiltonianSpec(coeffs + mod * np.cos(0.9 * t)[..., None])
+        channels = [LindbladChannel(shape1, rate=0.3 + 0.2 * np.sin(t)),
+                    LindbladChannel(shape2, rate=0.15)]
+        return ham, channels
 
     r0 = random_bloch_vector(3, rng, 0.4)
     times = np.linspace(0.0, 2.0, 41)
 
     def matrix(t):
-        return assemble_components(ham(t), channels, tensors, t).matrix
+        return assemble_components(*generator(t), tensors).matrix
 
     def drift(t):
-        return assemble_components(ham(t), channels, tensors, t).drift
+        return assemble_components(*generator(t), tensors).drift
 
     bloch_states = integrate_affine(matrix, drift, r0, times, min_steps=800)
-    rhos = integrate_density_general(ham, channels, bloch_to_density(r0, basis), times,
-                                     basis, min_steps=800)
+    rhos = integrate_density_general(generator, bloch_to_density(r0, basis), times, basis,
+                                     min_steps=800)
     density_states = np.array([density_to_bloch(r, basis) for r in rhos])
     assert np.max(np.abs(bloch_states - density_states)) < 1e-8
 
@@ -391,3 +393,103 @@ def test_lab_field_matches_rk4_loop(env):
     got_times, got = lab_field_from_effective(env, omega_r, 7.0, n=700)
     assert np.array_equal(got_times, times)
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_user_functions_are_called_once_per_run(qubit, tracking_env):
+    # each integrator calls its user functions once, on the 1-D array of the
+    # 201 fine-grid times (100 steps and their half steps), never per node
+    from blochsteer.simulator import integrate_density_general
+    basis, tensors = qubit
+    comp = decay_generator(0.7, tensors)
+    calls = []
+
+    def counted(fun):
+        def wrapper(t):
+            calls.append(np.shape(t))
+            return fun(t)
+        return wrapper
+
+    times = np.linspace(0.0, 1.0, 11)
+    r0 = np.array([0.3, 0.1, 0.2])
+    states = integrate_affine(counted(lambda t: comp.matrix), counted(lambda t: comp.drift),
+                              r0, times, min_steps=100)
+    assert calls == [(201,), (201,)]
+    calls.clear()
+    spec = HamiltonianSpec(np.zeros(4)), [LindbladChannel(SIGMA_MINUS_SHAPE, rate=0.7)]
+    rhos = integrate_density_general(counted(lambda t: spec), bloch_to_density(r0, basis),
+                                     times, basis, min_steps=100)
+    assert calls == [(201,)]
+    assert np.max(np.abs(rhos - bloch_to_density(states, basis))) < 1e-12
+    calls.clear()
+    renormalized_field(tracking_env, counted(lambda t: 0.5 + 0.1 * t), times)
+    lab_field_from_effective(tracking_env, counted(lambda t: 0.2 * t), 1.0, n=10)
+    assert calls == [(21,), (21,)]
+
+
+# The production generators, one row string per matrix row; "-0" is a
+# negative zero.  Order: unit c_x, c_y, c_z, unit sigma- rate, unit sigma+ rate.
+BLOCH_GENERATORS = (
+    (" 0  0  0  0", " 0  0 -2  0", " 0  2  0  0", " 0  0  0  0"),
+    (" 0  0  2  0", " 0  0  0  0", "-2  0  0  0", " 0  0  0  0"),
+    (" 0 -2  0  0", " 2  0  0  0", " 0  0  0  0", " 0  0  0  0"),
+    ("-1  0  0  0", " 0 -1  0  0", " 0  0 -2 -2", " 0  0  0  0"),
+    ("-1  0  0  0", " 0 -1  0  0", " 0  0 -2  2", " 0  0  0  0"),
+)
+DENSITY_GENERATORS = (
+    (" 0  0  0  0  0 -1  1  0",
+     " 0  0  0  0 -1  0  0  1",
+     " 0  0  0  0  1  0  0 -1",
+     " 0  0  0  0  0  1 -1  0",
+     "-0  1 -1 -0  0  0  0  0",
+     " 1 -0 -0 -1  0  0  0  0",
+     "-1 -0 -0  1  0  0  0  0",
+     "-0 -1  1 -0  0  0  0  0"),
+    (" 0 -1 -1  0  0 -0 -0  0",
+     " 1  0  0 -1  0  0  0 -0",
+     " 1  0  0 -1  0  0  0 -0",
+     " 0  1  1  0  0  0  0  0",
+     "-0  0  0 -0  0 -1 -1  0",
+     "-0 -0 -0  0  1  0  0 -1",
+     "-0 -0 -0  0  1  0  0 -1",
+     "-0 -0 -0 -0  0  1  1  0"),
+    (" 0  0  0  0  0  0  0  0",
+     " 0  0  0  0  0  2  0  0",
+     " 0  0  0  0  0  0 -2 -0",
+     " 0  0  0  0  0  0 -0  0",
+     "-0 -0 -0 -0  0  0  0  0",
+     "-0 -2 -0 -0  0  0  0  0",
+     "-0 -0  2  0  0  0  0  0",
+     "-0 -0  0 -0  0  0  0  0"),
+    ("-2  0  0  0 -0 -0 -0 -0",
+     " 0 -1  0  0 -0 -0 -0 -0",
+     " 0  0 -1  0 -0 -0 -0 -0",
+     " 2  0  0  0 -0 -0 -0 -0",
+     " 0  0  0  0 -2  0  0  0",
+     " 0  0  0  0  0 -1  0  0",
+     " 0  0  0  0  0  0 -1  0",
+     " 0  0  0  0  2  0  0  0"),
+    (" 0  0  0  2 -0 -0 -0 -0",
+     " 0 -1  0  0 -0 -0 -0 -0",
+     " 0  0 -1  0 -0 -0 -0 -0",
+     " 0  0  0 -2 -0 -0 -0 -0",
+     " 0  0  0  0  0  0  0  2",
+     " 0  0  0  0  0 -1  0  0",
+     " 0  0  0  0  0  0 -1  0",
+     " 0  0  0  0  0  0  0 -2"),
+)
+
+
+def _table(rows):
+    return np.array([[[float(x) for x in row.split()] for row in mat] for mat in rows])
+
+
+def test_production_generators_are_pinned_bit_for_bit():
+    # every bundled run multiplies these stacks; a refactor of the builders
+    # must not move one of their bits, the sign of a zero included
+    from blochsteer.simulator import _qubit_parts
+    basis, bloch, density = _qubit_parts()
+    assert basis.dimension == 2
+    assert bloch.shape == (5, 4, 4) and density.shape == (5, 8, 8)
+    assert bloch.dtype == density.dtype == np.float64
+    assert bloch.tobytes() == _table(BLOCH_GENERATORS).tobytes()
+    assert density.tobytes() == _table(DENSITY_GENERATORS).tobytes()
