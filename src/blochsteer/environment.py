@@ -124,6 +124,9 @@ def _log_derivative(env: LorentzianEnvironment, t):
     ------
     PropagatorZeroError
         If |u| < 1e-12 at some t; the message names the t of the smallest |u|.
+        On a 1-D increasing t, also if w = e^{i Delta t} u turns by more than
+        90 degrees between two samples (Re w_{k+1} conj(w_k) < 0): u has a
+        zero there, or one the samples cannot resolve; names both times.
     InvalidInputError
         If the decay rate, Lamb shift or |u| overflows; names the first such t.
     """
@@ -131,16 +134,28 @@ def _log_derivative(env: LorentzianEnvironment, t):
     # an overflowing closed form gives inf or nan; the checks below name it
     with np.errstate(over="ignore", invalid="ignore"):
         g = _cosh_g(env, t)
-        u_abs = np.abs(np.exp(-env._envelope_rate * t) * g)
+        # w = e^{i Delta t} u has |w| = |u| and none of the drive's phase, so a turn
+        # of w between samples marks a zero of u; its rate is written kappa - i Delta
+        # (= (lam - i delta) / 2) so that an overflowing kappa still makes |u| non-finite
+        w = np.exp(-(env._envelope_rate - 1j * env.drive_detuning) * t) * g
+        u_abs = np.abs(w)
         if (u_abs < _PROPAGATOR_ZERO_TOL).any():
             t_bad = np.atleast_1d(t)[np.nanargmin(u_abs)]
             raise PropagatorZeroError(
                 f"propagator magnitude < {_PROPAGATOR_ZERO_TOL} at t = {t_bad}")
+        # Re w_{k+1} conj(w_k) < 0: w turns by more than 90 degrees in one sample
+        turns = np.flatnonzero((w[1:] * w[:-1].conj()).real < 0) if t.ndim == 1 else ()
+        del w   # one complex value per sample: free it before v and q are built
         half = 0.5 * t
         v = env.gamma0 * env.lam * half * _sinhc(env._d * half) / g
         q = -1j * env.drive_detuning - v
     if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
         raise _not_finite(t, q, u_abs)
+    if len(turns) and (np.diff(t) > 0).all():
+        k = turns[0]
+        raise PropagatorZeroError(
+            f"propagator phase turns by more than 90 degrees between t = {t[k]:.6g} "
+            f"and t = {t[k + 1]:.6g} (a zero of u, or a turn the samples cannot resolve)")
     return q, v
 
 

@@ -200,8 +200,11 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
     ("invert-pure", "t_final=1e200", RATE_NOT_FINITE),
     # the steady-state path overflows: named with its t, without numpy warnings
     *[("track-steady", override, PATH_NOT_FINITE)
-      for override in ("gamma0=1e200", "drive_detuning=1e200", "omega_c=1e308",
+      for override in ("drive_detuning=1e200", "omega_c=1e308",
                        "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200")],
+    # u turns by ~1e99 radians between samples: its zeros are named, not the path
+    ("track-steady", "gamma0=1e200", "PropagatorZeroError: propagator phase turns by more "
+                                     "than 90 degrees between t = 0.1 and t = 0.2 "),
     ("track-steady", "drive_detuning=1e308", U_NOT_FINITE),
     ("track-steady", "drive_detuning=-1e308", U_NOT_FINITE),
     ("track-steady", "t_final=1e200", RATE_NOT_FINITE),
@@ -229,14 +232,28 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert cp.stdout == "[]\n"
 
 
-def test_selfcheck_imports_no_scipy_integrate():
-    # the propagator oracle is a matrix exponential, not an ODE solve
+def test_selfcheck_imports_no_scipy():
+    # the propagator oracle is a numpy Pade matrix exponential
     cp = run_python("-c", "import io, sys; from blochsteer.selfcheck import run_selfcheck; "
                           "code = run_selfcheck(stream=io.StringIO()); "
                           "print(code, sorted(m for m in sys.modules "
-                          "if m.startswith('scipy.integrate')))")
+                          "if m.split('.')[0] == 'scipy'))")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "0 []\n"
+
+
+def test_unresolved_propagator_zero_exits_3_with_one_line_and_no_files(tmp_path):
+    # at zero cavity detuning u has a real zero near t = 4.837 between samples
+    # (|u| >= 7.2e-6 on them): it is named, not left to the forward run's ball check
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "tracking.cfg"
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(config), "--out", str(out),
+                 "--override", "cavity_detuning=0")
+    assert cp.returncode == 3
+    assert cp.stderr == ("numerical failure in track-steady: PropagatorZeroError: propagator "
+                         "phase turns by more than 90 degrees between t = 4.835 and t = 4.84 "
+                         "(a zero of u, or a turn the samples cannot resolve)\n")
+    assert not out.exists()
 
 
 def test_unallocatable_step_count_exits_3_with_one_line_and_no_files(tmp_path):

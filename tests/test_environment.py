@@ -12,7 +12,7 @@ from blochsteer.environment import (LorentzianEnvironment, _bisect, correlation_
                                     find_gamma_negmax, find_gamma_zero, propagator_u,
                                     tune_detuning_for_lamb_zero)
 from blochsteer.errors import (InvalidInputError, PropagatorZeroError, RootNotFoundError)
-from blochsteer.selfcheck import _expm_propagator
+from blochsteer.selfcheck import _expm, _expm_propagator
 from blochsteer.simulator import lab_field_from_effective, renormalized_field
 
 
@@ -42,16 +42,15 @@ def test_kernel_flat_spectrum_area():
 
 def test_propagator_boundary_and_oracle(rng):
     # the memory equation as a constant-coefficient system: u(t) = [exp(A t)]_00
-    worst = 0.0
-    for _ in range(20):
-        env = LorentzianEnvironment(lam=float(rng.uniform(0.05, 5.0)),
-                                    cavity_detuning=float(rng.uniform(-1, 1)),
-                                    drive_detuning=float(rng.uniform(-1, 1)))
+    envs = [LorentzianEnvironment(lam=float(rng.uniform(0.05, 5.0)),
+                                  cavity_detuning=float(rng.uniform(-1, 1)),
+                                  drive_detuning=float(rng.uniform(-1, 1)))
+            for _ in range(20)]
+    for env in envs:
         assert propagator_u(env, 0.0) == 1.0 + 0.0j
-        grid = np.linspace(0.0, 10.0, 400)
-        dev = np.max(np.abs(propagator_u(env, grid) - _expm_propagator(env, grid)))
-        worst = max(worst, float(dev))
-    assert worst <= 1e-12
+    grid = np.linspace(0.0, 10.0, 400)
+    closed = np.array([propagator_u(env, grid) for env in envs])
+    assert np.max(np.abs(closed - _expm_propagator(envs, grid))) <= 1e-12
 
 
 def test_propagator_matches_expm_oracle_at_degenerate_reservoir():
@@ -59,7 +58,45 @@ def test_propagator_matches_expm_oracle_at_degenerate_reservoir():
     env = LorentzianEnvironment(lam=2.0)
     assert env._d == 0.0
     grid = np.linspace(0.0, 10.0, 400)
-    assert np.max(np.abs(propagator_u(env, grid) - _expm_propagator(env, grid))) <= 1e-12
+    assert np.max(np.abs(propagator_u(env, grid) - _expm_propagator([env], grid)[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("norm", [1e-8, 1e-2, 1.0, 5.0, 30.0, 200.0])
+def test_expm_matches_scipy(n, norm, rng):
+    # norms below theta_13 = 5.37 take the unscaled Pade path, the rest are squared
+    from scipy.linalg import expm
+    a = rng.normal(size=(200, n, n)) + 1j * rng.normal(size=(200, n, n))
+    a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+    ref = expm(a)
+    dev = np.max(np.abs(_expm(a) - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    assert dev.max() <= 1e-12
+
+
+def test_expm_of_zero_is_the_identity():
+    identity = np.broadcast_to(np.eye(3), (5, 3, 3))
+    assert np.array_equal(_expm(np.zeros((5, 3, 3), dtype=complex)), identity)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_expm_rejects_non_finite_input(bad):
+    a = np.zeros((4, 2, 2), dtype=complex)
+    a[2, 1, 0] = bad
+    with pytest.raises(InvalidInputError):
+        _expm(a)
+
+
+def test_unresolved_propagator_zero_is_named():
+    # at zero cavity detuning u is real up to the drive phase; it crosses zero
+    # near t = 4.837, between samples, where |u| samples only to 7e-6
+    env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.0, drive_detuning=0.1)
+    ts = np.linspace(0.0, 10.0, 2001)
+    assert np.abs(propagator_u(env, ts)).min() > 1e-6
+    with pytest.raises(PropagatorZeroError, match=r"between t = 4\.835 and t = 4\.84 "):
+        decay_and_shift(env, ts)
+    # only adjacent samples of an increasing grid bracket a turn
+    decay_and_shift(env, ts[::-1])
+    decay_and_shift(env, ts.reshape(-1, 1))
 
 
 def test_propagator_branch_insensitive():
@@ -247,10 +284,13 @@ def test_tune_detuning(inversion_setup):
     assert abs(env.drive_detuning - (-0.6792)) < 0.01
     t_break = find_gamma_zero(env)
     assert abs(decay_and_shift(env, t_break)[1]) < 1e-6
-    # symmetric reservoir: Lamb shift is identically the drive detuning
+    # symmetric reservoir: u is real up to the drive phase, so the Lamb shift is
+    # identically the drive detuning, and the first + to - sign change of the
+    # decay rate is a pole at a real zero of u (t = 8.242), which the scan names
     sym = LorentzianEnvironment(lam=0.1, cavity_detuning=0.0)
-    tuned = tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
-    assert abs(tuned) < 1e-6
+    assert np.all(decay_and_shift(sym, np.linspace(0.0, 8.0, 101))[1] == 0.0)
+    with pytest.raises(PropagatorZeroError, match=r"between t = 8\.235 and t = 8\.2425 "):
+        tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
     with pytest.raises(RootNotFoundError):
         tune_detuning_for_lamb_zero(LorentzianEnvironment(lam=0.1, cavity_detuning=0.1),
                                     bracket=(0.5, 1.0))
