@@ -124,9 +124,8 @@ def _log_derivative(env: LorentzianEnvironment, t):
     ------
     PropagatorZeroError
         If |u| < 1e-12 at some t; the message names the t of the smallest |u|.
-        On a 1-D increasing t, also if w = e^{i Delta t} u turns by more than
-        90 degrees between two samples (Re w_{k+1} conj(w_k) < 0): u has a
-        zero there, or one the samples cannot resolve; names both times.
+        A zero between samples is not seen here: ``_check_zero_between``
+        looks for one on a sampling grid.
     InvalidInputError
         If the decay rate, Lamb shift or |u| overflows; names the first such t.
     """
@@ -134,29 +133,60 @@ def _log_derivative(env: LorentzianEnvironment, t):
     # an overflowing closed form gives inf or nan; the checks below name it
     with np.errstate(over="ignore", invalid="ignore"):
         g = _cosh_g(env, t)
-        # w = e^{i Delta t} u has |w| = |u| and none of the drive's phase, so a turn
-        # of w between samples marks a zero of u; its rate is written kappa - i Delta
-        # (= (lam - i delta) / 2) so that an overflowing kappa still makes |u| non-finite
-        w = np.exp(-(env._envelope_rate - 1j * env.drive_detuning) * t) * g
-        u_abs = np.abs(w)
+        u_abs = np.abs(_phase_free(env, t, g))
         if (u_abs < _PROPAGATOR_ZERO_TOL).any():
             t_bad = np.atleast_1d(t)[np.nanargmin(u_abs)]
             raise PropagatorZeroError(
                 f"propagator magnitude < {_PROPAGATOR_ZERO_TOL} at t = {t_bad}")
-        # Re w_{k+1} conj(w_k) < 0: w turns by more than 90 degrees in one sample
-        turns = np.flatnonzero((w[1:] * w[:-1].conj()).real < 0) if t.ndim == 1 else ()
-        del w   # one complex value per sample: free it before v and q are built
         half = 0.5 * t
         v = env.gamma0 * env.lam * half * _sinhc(env._d * half) / g
         q = -1j * env.drive_detuning - v
     if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
         raise _not_finite(t, q, u_abs)
-    if len(turns) and (np.diff(t) > 0).all():
-        k = turns[0]
-        raise PropagatorZeroError(
-            f"propagator phase turns by more than 90 degrees between t = {t[k]:.6g} "
-            f"and t = {t[k + 1]:.6g} (a zero of u, or a turn the samples cannot resolve)")
     return q, v
+
+
+def _phase_free(env: LorentzianEnvironment, t, g):
+    """w = e^{i Delta t} u from g = _cosh_g(env, t): |w| = |u|, without the drive's phase.
+
+    The rate is written kappa - i Delta (= (lam - i delta) / 2) so that an
+    overflowing kappa still makes |w| non-finite.
+    """
+    return np.exp(-(env._envelope_rate - 1j * env.drive_detuning) * t) * g
+
+
+def _check_zero_between(env: LorentzianEnvironment, t: np.ndarray, gam: np.ndarray,
+                        shift: np.ndarray) -> None:
+    """Raise ``PropagatorZeroError`` if u has a zero between two samples of the grid t.
+
+    ``gam`` and ``shift`` are the rates on t.  Near a simple zero t0 of u,
+    |w'/w| = |Gamma0 + i (s0 - Delta)| is 1/|t - t0| for w = e^{i Delta t} u, so
+    an interval holding t0 has (|w'/w|_k + |w'/w|_{k+1}) (t_{k+1} - t_k) >= 4.
+    Each interval past 1 is halved on the closed form of w, keeping a half
+    across which w turns by more than 90 degrees (Re w_b conj(w_a) < 0, as it
+    does across a zero).  A zero is named where |w| < 1e-12 at a midpoint or
+    the turn survives down to adjacent floats; any other turn resolves, so the
+    verdict does not depend on the spacing of t.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = np.hypot(gam, shift - env.drive_detuning)
+        k = np.flatnonzero((rate[1:] + rate[:-1]) * np.diff(t) > 1.0)
+        live, a, b = np.arange(len(k)), t[k], t[k + 1]
+        zero_at = np.full(len(k), np.nan)
+        while len(live):
+            m = 0.5 * (a + b)
+            wa, wm, wb = (_phase_free(env, x, _cosh_g(env, x)) for x in (a, m, b))
+            left = (wm * wa.conj()).real < 0
+            turn = left | ((wb * wm.conj()).real < 0)
+            found = (np.abs(wm) < _PROPAGATOR_ZERO_TOL) | (turn & ((m == a) | (m == b)))
+            zero_at[live[found]] = m[found]
+            keep = turn & ~found
+            live, a, b = live[keep], np.where(left, a, m)[keep], np.where(left, m, b)[keep]
+    if not np.isnan(zero_at).all():
+        i = int(np.nanargmin(zero_at))
+        raise PropagatorZeroError(
+            f"propagator has a zero at t = {zero_at[i]:.10g}, between the grid samples "
+            f"t = {t[k[i]]:.6g} and t = {t[k[i] + 1]:.6g}")
 
 
 def _not_finite(t, q, u_abs) -> InvalidInputError:

@@ -47,7 +47,8 @@ import numpy as np
 from . import liouvillian as lv
 from ._cubic import require_uniform
 from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
-from .environment import LorentzianEnvironment, _log_derivative, decay_and_shift
+from .environment import (LorentzianEnvironment, _check_zero_between, _log_derivative,
+                          decay_and_shift)
 from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
 from .sun_algebra import build_basis, density_to_bloch, structure_constants
 from .trajectories import reference_ramp, steady_state_bloch
@@ -128,10 +129,15 @@ def _qubit_parts():
 
 def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
                         fine_times: np.ndarray):
-    """Hamiltonian coefficients (c_x, c_y, c_z) and channel rates on a fine grid."""
+    """Hamiltonian coefficients (c_x, c_y, c_z) and channel rates on a fine grid.
+
+    Raises ``PropagatorZeroError`` if u has a zero on the grid or between two
+    of its nodes: the rates have a pole there that no RK4 step can cross.
+    """
     omega_x = schedule.value("omega_x", fine_times)
     excitation = schedule.value("excitation", fine_times)
     gam, shift = decay_and_shift(env, fine_times)
+    _check_zero_between(env, fine_times, gam, shift)
     if schedule.protocol == "xy":
         omega_y = schedule.value("omega_y", fine_times)
         c_z = 0.5 * shift

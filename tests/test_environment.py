@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from blochsteer.environment import (LorentzianEnvironment, _bisect, correlation_kernel,
-                                    decay_and_shift, decay_shift_derivatives,
+from blochsteer.environment import (LorentzianEnvironment, _bisect, _check_zero_between,
+                                    correlation_kernel, decay_and_shift, decay_shift_derivatives,
                                     find_gamma_negmax, find_gamma_zero, propagator_u,
                                     tune_detuning_for_lamb_zero)
 from blochsteer.errors import (InvalidInputError, PropagatorZeroError, RootNotFoundError)
@@ -86,17 +86,26 @@ def test_expm_rejects_non_finite_input(bad):
         _expm(a)
 
 
-def test_unresolved_propagator_zero_is_named():
+@pytest.mark.parametrize("n", [17, 201, 2001, 20001])
+def test_zero_between_grid_samples_is_named_on_any_spacing(n):
     # at zero cavity detuning u is real up to the drive phase; it crosses zero
-    # near t = 4.837, between samples, where |u| samples only to 7e-6
+    # at t = 4.8368, between samples, where |u| samples only to 7e-6
     env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.0, drive_detuning=0.1)
-    ts = np.linspace(0.0, 10.0, 2001)
+    ts = np.linspace(0.0, 10.0, n)
+    gam, shift = decay_and_shift(env, ts)   # the samples alone show no zero
     assert np.abs(propagator_u(env, ts)).min() > 1e-6
-    with pytest.raises(PropagatorZeroError, match=r"between t = 4\.835 and t = 4\.84 "):
-        decay_and_shift(env, ts)
-    # only adjacent samples of an increasing grid bracket a turn
-    decay_and_shift(env, ts[::-1])
-    decay_and_shift(env, ts.reshape(-1, 1))
+    with pytest.raises(PropagatorZeroError, match=r"zero at t = 4\.836798305, between "):
+        _check_zero_between(env, ts, gam, shift)
+
+
+@pytest.mark.parametrize("ts", [np.array([1e-5, 4.8368]), np.linspace(0.0, 30.0, 17)])
+def test_turn_between_samples_without_a_zero_is_not_named(ts):
+    # w = e^{i Delta t} u turns by more than 90 degrees between two samples near
+    # a deep minimum of |u|, but u has no zero there: the halving resolves the turn
+    env = LorentzianEnvironment(lam=1.0, cavity_detuning=0.1, drive_detuning=-0.3)
+    w = propagator_u(env, ts) * np.exp(1j * env.drive_detuning * ts)
+    assert ((w[1:] * w[:-1].conj()).real < 0).any()
+    _check_zero_between(env, ts, *decay_and_shift(env, ts))
 
 
 def test_propagator_branch_insensitive():
@@ -284,13 +293,10 @@ def test_tune_detuning(inversion_setup):
     assert abs(env.drive_detuning - (-0.6792)) < 0.01
     t_break = find_gamma_zero(env)
     assert abs(decay_and_shift(env, t_break)[1]) < 1e-6
-    # symmetric reservoir: u is real up to the drive phase, so the Lamb shift is
-    # identically the drive detuning, and the first + to - sign change of the
-    # decay rate is a pole at a real zero of u (t = 8.242), which the scan names
+    # symmetric reservoir: Lamb shift is identically the drive detuning
     sym = LorentzianEnvironment(lam=0.1, cavity_detuning=0.0)
-    assert np.all(decay_and_shift(sym, np.linspace(0.0, 8.0, 101))[1] == 0.0)
-    with pytest.raises(PropagatorZeroError, match=r"between t = 8\.235 and t = 8\.2425 "):
-        tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
+    tuned = tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
+    assert abs(tuned) < 1e-6
     with pytest.raises(RootNotFoundError):
         tune_detuning_for_lamb_zero(LorentzianEnvironment(lam=0.1, cavity_detuning=0.1),
                                     bracket=(0.5, 1.0))
