@@ -2,8 +2,9 @@
 """Run every bundled experiment config and drop the CSV output under out/.
 
 Each config goes through ``blochsteer run --config CFG --out OUT/<stem>``
-in this process, so its summary, messages and exit code are the CLI's.
-Exits 1 if any config exits non-zero.
+in this process, so its summary, messages and exit code are the CLI's; then
+``blochsteer selfcheck`` prints its three suite lines.  Exits 1 if any
+config or the selfcheck exits non-zero.
 
 Usage: python scripts/run_all_experiments.py [--out DIR]
 """
@@ -26,6 +27,8 @@ def main(argv=None) -> int:
         target = Path(args.out) / cfg_path.stem
         print(f"== {cfg_path.name} -> {target}", flush=True)
         failures += cli.main(["run", "--config", str(cfg_path), "--out", str(target)]) != 0
+    print("== selfcheck", flush=True)
+    failures += cli.main(["selfcheck"]) != 0
     return 1 if failures else 0
 
 

@@ -5,8 +5,8 @@ Usage:
     blochsteer selfcheck [--perturb-f EPS]
 
 Configs are line-oriented ``key = value`` text with ``#`` comments; all
-frequencies are in units of gamma0 (gamma0 = 1 by convention).  Every run
-writes three CSV files into the output directory: ``states.csv``
+frequencies are in units of the coupling gamma0.  Every run writes three CSV
+files into the output directory (``--out``, default ``out``): ``states.csv``
 (t, r_x, r_y, r_z, fidelity), ``controls.csv`` (t, omega_x,
 omega_y | detuning_r, excitation) and ``env.csv`` (t, decay_rate,
 lamb_shift), all with 15-significant-digit values, so identical configs
@@ -32,7 +32,7 @@ from .trajectories import (mixed_inversion_trajectory, pure_inversion,
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
-EXPERIMENTS = ("track-steady", "invert-pure", "invert-mixed", "env-scan", "selfcheck")
+EXPERIMENTS = ("track-steady", "invert-pure", "invert-mixed", "env-scan")
 _SCANNABLE = ("spectral_width", "cavity_detuning", "drive_detuning")
 
 
@@ -40,7 +40,6 @@ _SCANNABLE = ("spectral_width", "cavity_detuning", "drive_detuning")
 class ExperimentConfig:
     experiment: str
     spectral_width: float = None
-    gamma0: float = 1.0
     cavity_detuning: float = 0.0
     drive_detuning: float = None      # None: auto-derived for inversion runs
     n0: float = 0.0
@@ -52,13 +51,10 @@ class ExperimentConfig:
     min_steps: int = DEFAULT_MIN_STEPS
     scan_parameter: str = None
     scan_values: tuple = None
-    out: str = "out"
 
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
-        if self.experiment == "selfcheck":
-            return self
         self._check_values()
         if self.grid < 16:
             raise ConfigError("grid must be at least 16")
@@ -89,8 +85,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite")
         if self.spectral_width is None or not self.spectral_width > 0:
             raise ConfigError("spectral_width must be set and positive")
-        if not self.gamma0 > 0:
-            raise ConfigError("gamma0 must be positive")
         if abs(self.theta_mid) > 2.0 * np.pi:
             # an azimuth: more than one turn is not a meaningful bump
             raise ConfigError("theta_mid must lie in [-2 pi, 2 pi]")
@@ -185,8 +179,7 @@ def _write_csv(path: Path, header: str, columns) -> None:
 def _environment(config: ExperimentConfig, drive_detuning: float) -> LorentzianEnvironment:
     return LorentzianEnvironment(lam=config.spectral_width,
                                  cavity_detuning=config.cavity_detuning,
-                                 drive_detuning=drive_detuning,
-                                 gamma0=config.gamma0)
+                                 drive_detuning=drive_detuning)
 
 
 def _derive_inversion_setup(config: ExperimentConfig):
@@ -232,21 +225,15 @@ def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
     return files
 
 
-def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Execute one experiment; returns the summary mapping that is printed.
+def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
+    """Execute one experiment, writing into ``out_dir``; returns the summary
+    mapping that is printed.
 
     All computation happens before any file is written, so a failing run
     leaves no partial output.
     """
-    out = Path(out_dir if out_dir is not None else config.out)
+    out = Path(out_dir)
     summary: dict[str, float | str] = {"experiment": config.experiment}
-
-    if config.experiment == "selfcheck":
-        code = run_selfcheck()
-        summary["selfcheck_exit"] = code
-        if code != 0:
-            raise BlochSteerError("selfcheck reported failures")
-        return summary
 
     if config.experiment == "env-scan":
         times = np.linspace(0.0, config.t_final, config.grid + 1)
@@ -321,7 +308,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="blochsteer",
                                      description="run a configured experiment")
     parser.add_argument("--config", required=True, help="path to key = value config file")
-    parser.add_argument("--out", default=None, help="output directory (default from config)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--override", action="append", default=[],
                         help="key=value config override (repeatable)")
     args = parser.parse_args(argv)

@@ -156,7 +156,7 @@ class ControlSystem:
 
     ``coherent`` has one column per selected Hamiltonian coefficient,
     ``incoherent`` one column per control group (channels sharing a
-    ``control_index`` are summed, each weighted by its bare rate).
+    ``control_index`` are summed, each weighted by its rate).
     Drift terms (fixed Hamiltonian part and channels with
     ``control_index=None``) are already subtracted from ``rhs``.
     """
@@ -206,7 +206,7 @@ def assemble_control_system(r: np.ndarray, rdot: np.ndarray,
         k_r = np.einsum("...ij,...j->...i", channel_matrix(ch.shape, tensors), r)
         contrib = ch.rate[..., None] * (k_r + channel_drift(ch.shape, tensors))
         if ch.control_index is None:
-            rhs = rhs - ch.control[..., None] * contrib
+            rhs = rhs - contrib
         else:
             j = groups.index(ch.control_index)
             incoherent[j] = incoherent[j] + contrib

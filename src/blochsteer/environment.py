@@ -8,15 +8,16 @@ closed forms follow numpy's shape rules: an array of times gives arrays of
 its shape, one time gives numpy scalars.  The drive renormalization and its
 inverse are ODEs and live with the RK4 core in ``simulator``.
 
-Conventions: gamma0 sets the frequency unit; delta = omega0 - omega_c is
-the cavity detuning, Delta = omega0 - omega_L the drive detuning.  The
-memory kernel is f(tau) = (gamma0 lam / 2) exp(-(lam + i Delta - i delta) tau),
+Conventions: the coupling gamma0 is the frequency unit (gamma0 = 1, so it
+appears in no formula); delta = omega0 - omega_c is the cavity detuning,
+Delta = omega0 - omega_L the drive detuning.  The memory kernel is
+f(tau) = (lam / 2) exp(-(lam + i Delta - i delta) tau),
 and u solves  udot + i Delta u + int_0^t f(t-s) u(s) ds = 0,  u(0) = 1.
 The closed form is
 
     u(t) = e^{-(lam + 2i Delta - i delta) t / 2}
            [cosh(d t / 2) + (lam - i delta) / d * sinh(d t / 2)],
-    d = sqrt((lam - i delta)^2 - 2 gamma0 lam),
+    d = sqrt((lam - i delta)^2 - 2 lam),
 
 which is branch-insensitive (cosh is even and sinh(x)/x is even in d).
 """
@@ -50,12 +51,10 @@ class LorentzianEnvironment:
     lam: float
     cavity_detuning: float = 0.0
     drive_detuning: float = 0.0
-    gamma0: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.gamma0 > 0):
-            raise InvalidInputError(
-                f"need lam > 0 and gamma0 > 0, got lam={self.lam}, gamma0={self.gamma0}")
+        if not self.lam > 0:
+            raise InvalidInputError(f"need lam > 0, got lam={self.lam}")
         self._d   # raises before any closed form runs on parameters it cannot represent
 
     # derived constants of the closed form
@@ -63,12 +62,11 @@ class LorentzianEnvironment:
     def _d(self) -> complex:
         """d of the closed form; raises ``InvalidInputError`` when it overflows."""
         z = self.lam - 1j * self.cavity_detuning
-        d2 = z * z - 2.0 * self.gamma0 * self.lam   # Python complex: inf, not an error
+        d2 = z * z - 2.0 * self.lam   # Python complex: inf, not an error
         if not cmath.isfinite(d2):
             raise InvalidInputError(
-                f"reservoir constant d = sqrt((lam - i delta)^2 - 2 gamma0 lam) is not finite "
-                f"for lam = {self.lam}, cavity_detuning = {self.cavity_detuning}, "
-                f"gamma0 = {self.gamma0}")
+                f"reservoir constant d = sqrt((lam - i delta)^2 - 2 lam) is not finite "
+                f"for lam = {self.lam}, cavity_detuning = {self.cavity_detuning}")
         return np.sqrt(d2)
 
     @property
@@ -95,7 +93,7 @@ def correlation_kernel(env: LorentzianEnvironment, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidInputError("correlation kernel defined for tau >= 0")
-    return 0.5 * env.lam * env.gamma0 * np.exp(-env._memory_rate * tau)
+    return 0.5 * env.lam * np.exp(-env._memory_rate * tau)
 
 
 def _cosh_g(env: LorentzianEnvironment, t):
@@ -115,7 +113,7 @@ def propagator_u(env: LorentzianEnvironment, t):
 
 
 def _log_derivative(env: LorentzianEnvironment, t):
-    """q(t) = udot/u = -i Delta - v(t), v = gamma0 lam (t/2) sinhc(dt/2) / g(t).
+    """q(t) = udot/u = -i Delta - v(t), v = lam (t/2) sinhc(dt/2) / g(t).
 
     Exact at t = 0 (q = -i Delta), so Gamma0(0) = 0 and s0(0) = Delta hold to
     machine precision.
@@ -139,7 +137,7 @@ def _log_derivative(env: LorentzianEnvironment, t):
             raise PropagatorZeroError(
                 f"propagator magnitude < {_PROPAGATOR_ZERO_TOL} at t = {t_bad}")
         half = 0.5 * t
-        v = env.gamma0 * env.lam * half * _sinhc(env._d * half) / g
+        v = env.lam * half * _sinhc(env._d * half) / g
         q = -1j * env.drive_detuning - v
     if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
         raise _not_finite(t, q, u_abs)
@@ -210,7 +208,7 @@ def decay_shift_derivatives(env: LorentzianEnvironment, t):
     v the memory-integral ratio, avoiding finite differences.
     """
     q, v = _log_derivative(env, t)
-    qdot = -0.5 * env.gamma0 * env.lam + v * (env._memory_rate + q)
+    qdot = -0.5 * env.lam + v * (env._memory_rate + q)
     return -q.real, -q.imag, -qdot.real, -qdot.imag
 
 
@@ -236,37 +234,39 @@ def _bisect(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_gamma_zero(env: LorentzianEnvironment, window: tuple[float, float] = None) -> float:
-    """First root of Gamma0 with a + to - sign change, to 1e-10 in time.
+def find_gamma_zero(env: LorentzianEnvironment) -> float:
+    """First root of Gamma0 in (1e-9, 30) with a + to - sign change, to 1e-10 in time.
 
     Raises
     ------
     RootNotFoundError
-        If Gamma0 does not change sign from + to - inside the window.
+        If Gamma0 does not change sign from + to - in that interval.
+    PropagatorZeroError
+        If the first crossing is a pole of Gamma0 at a zero of u, not a zero
+        of Gamma0 (at zero cavity detuning u is real up to the drive's phase);
+        the message names the t of the zero.
     """
-    if window is None:
-        window = (1e-9, 30.0 / env.gamma0)
-    lo, hi = window
+    lo, hi = 1e-9, 30.0
     ts = np.linspace(lo, hi, _SCAN_POINTS)
-    gam = decay_and_shift(env, ts)[0]
+    gam, shift = decay_and_shift(env, ts)
     crossings = np.nonzero((gam[:-1] > 0) & (gam[1:] <= 0))[0]
     if len(crossings) == 0:
         raise RootNotFoundError(
             f"decay rate has no + -> - zero crossing in ({lo}, {hi})")
     i = crossings[0]
+    _check_zero_between(env, ts[i:i + 2], gam[i:i + 2], shift[i:i + 2])
     return _bisect(lambda t: decay_and_shift(env, t)[0], ts[i], ts[i + 1])
 
 
-def find_gamma_negmax(env: LorentzianEnvironment, t_start: float,
-                      t_max: float = None) -> float:
+def find_gamma_negmax(env: LorentzianEnvironment, t_start: float) -> float:
     """First local minimizer of Gamma0 after t_start (the negative maximum).
 
     Located by the analytic derivative's - to + sign change, bisected to
-    1e-10; requires Gamma0 < 0 at the extremum.
+    1e-10; requires Gamma0 < 0 at the extremum.  The scan covers
+    (t_start, t_start + 4 pi / |Im d|], or 30 past t_start where d is real.
     """
-    if t_max is None:
-        im_d = abs(np.imag(env._d))
-        t_max = t_start + (4.0 * np.pi / im_d if im_d > 1e-9 else 30.0 / env.gamma0)
+    im_d = abs(np.imag(env._d))
+    t_max = t_start + (4.0 * np.pi / im_d if im_d > 1e-9 else 30.0)
     ts = np.linspace(t_start + 1e-9, t_max, _SCAN_POINTS)
     dgam = decay_shift_derivatives(env, ts)[2]
     crossings = np.nonzero((dgam[:-1] < 0) & (dgam[1:] >= 0))[0]

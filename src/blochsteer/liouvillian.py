@@ -65,33 +65,26 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """One dissipation channel L(t) = sqrt(control(t)) * sum_j shape_j T_j.
+    """One dissipation channel L = sum_j shape_j T_j at the rate ``rate``.
 
-    ``rate`` is the bare channel rate gamma(t); ``control`` the incoherent
-    control multiplier.  Only their product enters the dynamics, so
+    ``rate`` is the full channel rate gamma(t), incoherent control included;
     negative rates (non-Markovian intervals) are admitted verbatim.  The
     shape has length N^2 - 1, or N^2 with the identity coefficient first.
     ``control_index`` groups channels that share one unknown control
-    parameter when a control system is assembled; ``None`` marks a fixed
-    (drift) channel.
+    parameter when a control system is assembled (their rate is then the
+    bare rate the unknown multiplies); ``None`` marks a fixed (drift) channel.
     """
 
     shape: np.ndarray
     rate: float | np.ndarray = 1.0
-    control: float | np.ndarray = 1.0
     control_index: int | None = None
-    name: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.shape, dtype=complex)
         if not np.all(np.any(np.atleast_1d(s), axis=-1)):
-            raise DimensionError(f"channel {self.name!r} has an identically zero shape vector")
+            raise DimensionError("channel has an identically zero shape vector")
         object.__setattr__(self, "shape", s)
         object.__setattr__(self, "rate", np.asarray(self.rate, dtype=float))
-        object.__setattr__(self, "control", np.asarray(self.control, dtype=float))
-
-    def effective_rate(self):
-        return self.rate * self.control
 
     def operator(self, basis: GeneratorBasis) -> np.ndarray:
         """L over the full basis, identity slot included."""
@@ -152,21 +145,21 @@ def channel_drift(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
 
 
 def incoherent_part(channels: Sequence[LindbladChannel], tensors: StructureTensors) -> np.ndarray:
-    """Dissipative Bloch matrix sum_a gamma_a control_a K_a."""
+    """Dissipative Bloch matrix sum_a gamma_a K_a."""
     n = tensors.dimension ** 2 - 1
     out = np.zeros((n, n))
     for ch in channels:
-        out = out + ch.effective_rate()[..., None, None] * channel_matrix(ch.shape, tensors)
+        out = out + ch.rate[..., None, None] * channel_matrix(ch.shape, tensors)
     return out
 
 
 def inhomogeneous_part(channels: Sequence[LindbladChannel],
                        tensors: StructureTensors) -> np.ndarray:
-    """Constant Bloch drift sum_a gamma_a control_a b_a."""
+    """Constant Bloch drift sum_a gamma_a b_a."""
     n = tensors.dimension ** 2 - 1
     out = np.zeros(n)
     for ch in channels:
-        out = out + ch.effective_rate()[..., None] * channel_drift(ch.shape, tensors)
+        out = out + ch.rate[..., None] * channel_drift(ch.shape, tensors)
     return out
 
 
@@ -210,9 +203,9 @@ def kron_liouvillian(hamiltonian: HamiltonianSpec, channels: Sequence[LindbladCh
     for ch in channels:
         l = ch.operator(basis)
         ldl = l.conj().mT @ l
-        s = s + ch.effective_rate()[..., None, None] * (2.0 * _kron(l, l.conj())
-                                                        - _kron(ldl, eye)
-                                                        - _kron(eye, ldl.mT))
+        s = s + ch.rate[..., None, None] * (2.0 * _kron(l, l.conj())
+                                            - _kron(ldl, eye)
+                                            - _kron(eye, ldl.mT))
     return s
 
 

@@ -107,7 +107,7 @@ def _expm_propagator(envs, grid: np.ndarray) -> np.ndarray:
     and time.
     """
     a = np.array([[[-1j * env.drive_detuning, -1.0],
-                   [0.5 * env.gamma0 * env.lam, -env._memory_rate]] for env in envs])
+                   [0.5 * env.lam, -env._memory_rate]] for env in envs])
     return _expm(grid[:, None, None] * a[:, None])[..., 0, 0]
 
 

@@ -431,7 +431,7 @@ def _drive_ode(env: LorentzianEnvironment, h_row, drive: np.ndarray,
     """
     g = np.zeros((len(drive), 3, 3), dtype=complex)
     g[:, 0, :2] = h_row
-    g[:, 1, :2] = 0.5 * env.gamma0 * env.lam, -env._memory_rate
+    g[:, 1, :2] = 0.5 * env.lam, -env._memory_rate
     g[:, 0, 2] = -1j * drive
     y = _rk4_linear(lambda idx: g[idx], np.array([0.0, 0.0, 1.0], dtype=complex), tgrid, 1)
     return y[:, 0], y[:, 1]

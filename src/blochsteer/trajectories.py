@@ -49,7 +49,6 @@ class TrajectorySpec:
     (n, 3); ``sample`` is one call of it and ``evaluate`` its one-sample case.
     """
 
-    kind: str
     t_final: float
     _evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     knots: tuple = ()
@@ -165,7 +164,7 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
                 f"steady-state path is not finite at t = {t[np.argmin(finite)]:.6g}")
         return r, rdot
 
-    return TrajectorySpec(kind="track-steady", t_final=float(t_final), _evaluator=evaluator)
+    return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
 
 
 def pure_inversion(t_final: float, theta_mid: float = np.pi / 4) -> TrajectorySpec:
@@ -190,7 +189,7 @@ def pure_inversion(t_final: float, theta_mid: float = np.pi / 4) -> TrajectorySp
                          -phi_d * sin_p], axis=-1)
         return r, rdot
 
-    return TrajectorySpec(kind="invert-pure", t_final=float(t_final), _evaluator=evaluator)
+    return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
 
 
 BOUNDARY_TABLE = {
@@ -201,9 +200,8 @@ BOUNDARY_TABLE = {
 """Knot table of the mixed inversion path; r_x is identically zero."""
 
 
-def mixed_inversion_trajectory(t_break: float, t_final: float,
-                               boundary: dict = None) -> TrajectorySpec:
-    """Piecewise cubic Hermite path through the knot table, r_x == 0.
+def mixed_inversion_trajectory(t_break: float, t_final: float) -> TrajectorySpec:
+    """Piecewise cubic Hermite path through ``BOUNDARY_TABLE``, r_x == 0.
 
     The knots are matched exactly.  If the interpolant leaves the Bloch
     ball between knots, the offending original segment is subdivided at
@@ -219,11 +217,10 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
     """
     if not 0.0 < t_break < t_final:
         raise InvalidInputError(f"need 0 < t_break < t_final, got {t_break}, {t_final}")
-    boundary = BOUNDARY_TABLE if boundary is None else boundary
     comps = ("r_y", "r_z")
     # both components share the knot times; values and slopes have shape (2, knots)
     ts = np.array([0.0, t_break, t_final])
-    table = np.array([boundary[comp] for comp in comps], dtype=float)
+    table = np.array([BOUNDARY_TABLE[comp] for comp in comps], dtype=float)
     vs, ms = table[..., 0], table[..., 1]
 
     def build(ts, vs, ms):
@@ -287,8 +284,7 @@ def mixed_inversion_trajectory(t_break: float, t_final: float,
         return np.stack([zero, ry, rz], axis=-1), np.stack([zero, ry_d, rz_d], axis=-1)
 
     knot_tuple = tuple((comp, tuple(ts), tuple(v), tuple(m)) for comp, v, m in zip(comps, vs, ms))
-    return TrajectorySpec(kind="invert-mixed", t_final=float(t_final),
-                          _evaluator=evaluator, knots=knot_tuple)
+    return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator, knots=knot_tuple)
 
 
 @dataclass(frozen=True)

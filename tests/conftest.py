@@ -45,7 +45,7 @@ def hold():
 
         def evaluator(t):
             return np.tile(r_target, (len(t), 1)), np.zeros((len(t), 3))
-        return TrajectorySpec(kind="hold", t_final=float(t_final), _evaluator=evaluator)
+        return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
     return make
 
 

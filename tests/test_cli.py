@@ -1,7 +1,11 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -129,11 +133,10 @@ ENV_SCAN_LINES = ["experiment = env-scan", "spectral_width = 0.1", "cavity_detun
 
 @pytest.mark.parametrize("lines", [
     ["experiment = invert-pure", "spectral_width = inf"],
-    ["experiment = invert-pure", "spectral_width = 0.1", "gamma0 = inf"],
     ["experiment = invert-pure", "spectral_width = 0.1", "drive_detuning = nan"],
     ENV_SCAN_LINES + ["scan_parameter = spectral_width", "scan_values = -1.0, 0.5"],
     ENV_SCAN_LINES + ["scan_parameter = cavity_detuning", "scan_values = nan"],
-], ids=["spectral_width-inf", "gamma0-inf", "drive_detuning-nan",
+], ids=["spectral_width-inf", "drive_detuning-nan",
         "scan-spectral_width-negative", "scan-cavity_detuning-nan"])
 def test_nonfinite_values_and_bad_scan_values_exit_2_without_files(tmp_path, lines):
     from blochsteer.cli import main
@@ -182,7 +185,6 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
     *[(experiment, override, D_NOT_FINITE) for experiment in EXTREME_CONFIGS
       for override in ("spectral_width=1e308", "cavity_detuning=1e308",
                        "cavity_detuning=-1e308")],
-    ("env-scan", "gamma0=1e308", D_NOT_FINITE),
     ("env-scan", "t_final=1e308", "InvalidInputError: scan value drive_detuning = 0.0: "
                                   "decay_rate is not finite at t = "),
     ("invert-mixed", "t_break=1e-300", "InfeasibleTrajectoryError: r_y knot table: "
@@ -190,17 +192,17 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
     ("invert-mixed", "t_final=1e308", "InfeasibleTrajectoryError: trajectory norm is not "
                                       "finite at t = "),
     # the reservoir closed forms overflow: the decay rate or |u| is named with its t
-    *[(experiment, "gamma0=1e-300", RATE_NOT_FINITE)
-      for experiment in ("invert-pure", "invert-mixed")],
-    ("invert-mixed", "gamma0=1e200", "RootNotFoundError: decay rate has no interior "
-                                     "minimum in "),
+    # (several overrides are separated by spaces); at t_break = 1e19 the scan
+    # window 4 pi / |Im d| of the negative maximum vanishes against t_break
+    ("invert-mixed", "spectral_width=1e-20 drive_detuning=0 t_break=1e19",
+     "RootNotFoundError: decay rate has no interior minimum in "),
     ("invert-mixed", "t_break=1e200", RATE_NOT_FINITE),
     ("invert-mixed", "drive_detuning=1e308", U_NOT_FINITE),
     ("invert-mixed", "drive_detuning=-1e308", U_NOT_FINITE),
     ("invert-pure", "t_final=1e200", RATE_NOT_FINITE),
     # the steady-state path overflows: named with its t, without numpy warnings
     *[("track-steady", override, PATH_NOT_FINITE)
-      for override in ("gamma0=1e200", "drive_detuning=1e200", "omega_c=1e308",
+      for override in ("drive_detuning=1e200", "omega_c=1e308",
                        "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200")],
     ("track-steady", "drive_detuning=1e308", U_NOT_FINITE),
     ("track-steady", "drive_detuning=-1e308", U_NOT_FINITE),
@@ -211,7 +213,8 @@ def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, exper
                                                                  override, message):
     cfg = write_cfg(tmp_path, EXTREME_CONFIGS[experiment])
     out = tmp_path / "out"
-    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", override,
+    overrides = [arg for item in override.split() for arg in ("--override", item)]
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out), *overrides,
                  "--override", "grid=100", "--override", "min_steps=100")
     assert cp.returncode == 3
     assert cp.stderr.startswith(f"numerical failure in {experiment}: {message}")
@@ -239,17 +242,28 @@ def test_selfcheck_imports_no_scipy():
     assert cp.stdout == "0 []\n"
 
 
-def test_unresolved_propagator_zero_exits_3_with_one_line_and_no_files(tmp_path):
-    # at zero cavity detuning u has a real zero near t = 4.837 between samples
-    # (|u| >= 7.2e-6 on them): it is named, not left to the forward run's ball check
-    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "tracking.cfg"
+@pytest.mark.parametrize("stem, experiment, zero", [
+    # u has a real zero near t = 4.837 between the fine-grid samples (|u| >= 7.2e-6
+    # on them): it is named, not left to the forward run's ball check
+    ("tracking", "track-steady", "4.836798305, between the grid samples t = 4.83675 and "
+                                 "t = 4.837"),
+    # the first + -> - crossing of Gamma0 in the setup scan is a pole at a real zero
+    # of u, not a decay-rate zero to switch at
+    ("pure_inversion", "invert-pure", "8.242034312, between the grid samples t = 8.235 and "
+                                      "t = 8.2425"),
+    ("mixed_inversion", "invert-mixed", "8.242034312, between the grid samples t = 8.235 and "
+                                        "t = 8.2425"),
+])
+def test_unresolved_propagator_zero_exits_3_with_one_line_and_no_files(tmp_path, stem,
+                                                                       experiment, zero):
+    # at zero cavity detuning u is real up to the drive's phase and has real zeros
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{stem}.cfg"
     out = tmp_path / "out"
     cp = run_cli("run", "--config", str(config), "--out", str(out),
                  "--override", "cavity_detuning=0")
     assert cp.returncode == 3
-    assert cp.stderr == ("numerical failure in track-steady: PropagatorZeroError: propagator "
-                         "has a zero at t = 4.836798305, between the grid samples "
-                         "t = 4.83675 and t = 4.837\n")
+    assert cp.stderr == (f"numerical failure in {experiment}: PropagatorZeroError: propagator "
+                         f"has a zero at t = {zero}\n")
     assert not out.exists()
 
 
@@ -438,7 +452,7 @@ CONFIG_LINES = st.one_of(
     st.sampled_from(["no equals sign", "# comment only", "", "= 3", "experiment"]))
 # valid configs that the generated lines then override or break
 CONFIG_BASES = st.sampled_from([
-    [], ["experiment = selfcheck"], ["experiment = invert-pure", "spectral_width = 0.1"],
+    [], ["experiment = invert-pure", "spectral_width = 0.1"],
     TRACK_CFG.strip().splitlines(), EXTREME_CONFIGS["env-scan"].strip().splitlines()])
 
 
@@ -468,8 +482,9 @@ def test_run_all_experiments_writes_every_config(tmp_path):
     cp = run_python(str(script), "--out", str(tmp_path))
     assert cp.returncode == 0, cp.stderr
     stems = sorted(p.stem for p in script.parent.glob("configs/*.cfg"))
-    assert stems == ["env_scan", "mixed_inversion", "pure_inversion", "selfcheck", "tracking"]
-    assert cp.stdout.count("== ") == len(stems)
+    assert stems == ["env_scan", "mixed_inversion", "pure_inversion", "tracking"]
+    assert cp.stdout.count("== ") == len(stems) + 1   # the configs, then selfcheck
+    assert sorted(p.name for p in tmp_path.iterdir()) == stems
     assert sorted(p.name for p in (tmp_path / "env_scan").iterdir()) == [
         f"env_{i:03d}.csv" for i in range(4)]
     for stem in ("mixed_inversion", "pure_inversion", "tracking"):
@@ -478,7 +493,8 @@ def test_run_all_experiments_writes_every_config(tmp_path):
     assert cp.stdout.count("PASS") == 3   # the selfcheck suites; selfcheck writes no file
 
 
-def test_run_all_experiments_exits_1_when_a_config_fails(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failing", ["tracking.cfg", "selfcheck"])
+def test_run_all_experiments_exits_1_when_a_config_fails(tmp_path, monkeypatch, failing):
     import importlib.util
     from blochsteer import cli
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
@@ -487,9 +503,9 @@ def test_run_all_experiments_exits_1_when_a_config_fails(tmp_path, monkeypatch):
     spec.loader.exec_module(module)
     calls = []
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or
-                        (3 if argv[2].endswith("tracking.cfg") else 0))
+                        (3 if any(arg.endswith(failing) for arg in argv) else 0))
     assert module.main(["--out", str(tmp_path)]) == 1
-    assert len(calls) == 5 and all(argv[0] == "run" for argv in calls)
+    assert [argv[0] for argv in calls] == ["run"] * 4 + ["selfcheck"]
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -520,3 +536,71 @@ def test_readme_library_example_runs():
     (final_state, min_fidelity), = printed
     assert final_state[2] == pytest.approx(1.0, abs=1e-3)
     assert min_fidelity > 0.999
+
+
+def test_readme_key_table_lists_every_config_key():
+    text = (REPO / "README.md").read_text()
+    table = text.split("| key ", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    keys = [key for cell, _ in rows for key in re.findall(r"`(\w+)`", cell)]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+    experiments, = [meaning for cell, meaning in rows if cell.strip() == "`experiment`"]
+    assert re.findall(r"`([\w-]+)`", experiments) == list(EXPERIMENTS)
+
+
+CSV_FILES = ["controls.csv", "env.csv", "states.csv"]
+
+
+@st.composite
+def whole_runs(draw):
+    """A valid config of one of the experiments at a small grid, as key = value lines."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    grid = draw(st.integers(16, 100))
+    values = {"experiment": experiment, "grid": grid,
+              "min_steps": draw(st.integers(grid, 1000)),
+              "spectral_width": draw(st.floats(0.01, 20.0)),
+              "cavity_detuning": draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))}
+    optional = {"drive_detuning": st.floats(-1.0, 1.0), "t_final": st.floats(0.5, 30.0),
+                "t_break": st.floats(0.5, 15.0)}
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            values[key] = draw(strategy)
+    if experiment == "track-steady":
+        values.setdefault("drive_detuning", draw(optional["drive_detuning"]))
+        values.setdefault("t_final", draw(optional["t_final"]))
+        values.update(n0=1e-5, omega_c=draw(st.floats(0.0, 10.0)))
+    elif experiment == "env-scan":
+        values.setdefault("t_final", draw(optional["t_final"]))
+        values["scan_parameter"] = draw(st.sampled_from(_SCANNABLE))
+        scan = (st.floats(0.01, 20.0) if values["scan_parameter"] == "spectral_width"
+                else st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+        values["scan_values"] = ", ".join(map(repr, draw(st.lists(scan, min_size=1,
+                                                                  max_size=3))))
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(whole_runs())
+def test_whole_runs_exit_0_with_their_files_or_3_with_one_line_and_no_files(text):
+    # the exit-code contract for valid configs: 0 with the expected files and no
+    # Python warning, or 3 with one stderr line and no output directory
+    config = parse_config_text(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
+        path.write_text(text)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        if code == 3:
+            assert stderr.getvalue().startswith(f"numerical failure in {config.experiment}: ")
+            assert stderr.getvalue().count("\n") == 1
+            assert not out.exists()
+            return
+        assert code == 0, stderr.getvalue()
+        assert stderr.getvalue() == ""
+        expected = (CSV_FILES if config.experiment != "env-scan" else
+                    [f"env_{i:03d}.csv" for i in range(len(config.scan_values))])
+        assert sorted(p.name for p in out.iterdir()) == expected

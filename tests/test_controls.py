@@ -292,7 +292,7 @@ def tilted_orbit(t_final):
         rdot = np.stack([0.3 * w * np.cos(w * t), 0.0 * t,
                          0.4 * w * np.sin(w * t) * np.cos(w * t)], axis=-1)
         return r, rdot
-    return TrajectorySpec(kind="orbit", t_final=float(t_final), _evaluator=evaluator)
+    return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
 
 
 @pytest.mark.parametrize("protocol", ["xy", "x-detuning"])

@@ -19,8 +19,6 @@ from blochsteer.simulator import lab_field_from_effective, renormalized_field
 def test_environment_validation():
     with pytest.raises(InvalidInputError):
         LorentzianEnvironment(lam=0.0)
-    with pytest.raises(InvalidInputError):
-        LorentzianEnvironment(lam=1.0, gamma0=-1.0)
 
 
 def test_kernel_closed_form():
@@ -264,9 +262,20 @@ def test_find_gamma_zero(inversion_setup):
     # Markovian-like reservoir stays positive
     with pytest.raises(RootNotFoundError):
         find_gamma_zero(LorentzianEnvironment(lam=10.0))
-    # window that excludes the root
-    with pytest.raises(RootNotFoundError):
-        find_gamma_zero(env, window=(1e-6, 5.0))
+
+
+@pytest.mark.parametrize("lam, t_zero", [(0.1, "8.242034312"), (0.05, "11.07815594"),
+                                         (0.3, "5.512890766")])
+def test_find_gamma_zero_names_a_pole_at_a_zero_of_u(lam, t_zero):
+    # at zero cavity detuning u is real up to the drive's phase and has a real
+    # zero, where Gamma0 jumps from + to - through a pole: named, not returned
+    with pytest.raises(PropagatorZeroError, match=f"propagator has a zero at t = {t_zero},"):
+        find_gamma_zero(LorentzianEnvironment(lam=lam, cavity_detuning=0.0))
+    # a detuned reservoir's u has no real zero: the crossing is a zero of Gamma0
+    for delta in (0.1, 0.05, 0.3):
+        t_i = find_gamma_zero(LorentzianEnvironment(lam=lam, cavity_detuning=delta))
+        assert abs(decay_and_shift(LorentzianEnvironment(lam=lam, cavity_detuning=delta),
+                                   t_i)[0]) < 1e-9
 
 
 def test_find_gamma_zero_deterministic(inversion_setup):
@@ -284,8 +293,6 @@ def test_find_gamma_negmax(inversion_setup):
     assert g < 0 and abs(gd) < 1e-8
     with pytest.raises(RootNotFoundError):
         find_gamma_negmax(LorentzianEnvironment(lam=10.0), 0.5)
-    with pytest.raises(RootNotFoundError):
-        find_gamma_negmax(env, t_break, t_max=t_break + 1e-3)
 
 
 def test_tune_detuning(inversion_setup):
@@ -293,10 +300,13 @@ def test_tune_detuning(inversion_setup):
     assert abs(env.drive_detuning - (-0.6792)) < 0.01
     t_break = find_gamma_zero(env)
     assert abs(decay_and_shift(env, t_break)[1]) < 1e-6
-    # symmetric reservoir: Lamb shift is identically the drive detuning
-    sym = LorentzianEnvironment(lam=0.1, cavity_detuning=0.0)
-    tuned = tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
-    assert abs(tuned) < 1e-6
+    # symmetric reservoir: the Lamb shift is identically the drive detuning, but
+    # Gamma0 has no zero to tune at, only a pole at the first zero of u
+    sym = LorentzianEnvironment(lam=0.1, cavity_detuning=0.0, drive_detuning=0.3)
+    ts = np.linspace(0.0, 8.0, 81)
+    assert np.max(np.abs(decay_and_shift(sym, ts)[1] - 0.3)) < 1e-12
+    with pytest.raises(PropagatorZeroError, match="zero at t = 8.242034312,"):
+        tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
     with pytest.raises(RootNotFoundError):
         tune_detuning_for_lamb_zero(LorentzianEnvironment(lam=0.1, cavity_detuning=0.1),
                                     bracket=(0.5, 1.0))

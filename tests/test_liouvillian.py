@@ -18,15 +18,16 @@ def random_instance(dim, rng, n_channels=None):
     n = dim * dim - 1
     ham = HamiltonianSpec(rng.normal(size=dim * dim))
     k = n_channels or int(rng.integers(1, 4))
+    # the full rate: a bare rate times an incoherent control multiplier
     chans = [LindbladChannel(shape=rng.normal(size=n) + 1j * rng.normal(size=n),
-                             rate=float(rng.normal()), control=float(rng.uniform(0.1, 2)))
+                             rate=float(rng.normal()) * float(rng.uniform(0.1, 2)))
              for _ in range(k)]
     return ham, chans
 
 
 def thermal_channels(gamma, nbar):
-    return [LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma * (nbar + 1), name="emission"),
-            LindbladChannel(SIGMA_PLUS_SHAPE, rate=gamma * nbar, name="absorption")]
+    return [LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma * (nbar + 1)),
+            LindbladChannel(SIGMA_PLUS_SHAPE, rate=gamma * nbar)]
 
 
 def test_coherent_part_level_shift(qubit):
@@ -119,13 +120,13 @@ def test_oracle_equivalence_random(dim, rng):
         assert np.max(np.abs(comp.apply(r) - density_to_bloch(image, basis))) < 1e-10
 
 
-def test_incoherent_linearity_in_control(qubit, rng):
+def test_incoherent_linearity_in_rate(qubit, rng):
     _, tensors = qubit
     shape = rng.normal(size=3) + 1j * rng.normal(size=3)
     for c1, c2 in rng.uniform(0.1, 3.0, size=(10, 2)):
-        a = incoherent_part([LindbladChannel(shape, rate=1.0, control=c1)], tensors)
-        b = incoherent_part([LindbladChannel(shape, rate=1.0, control=c2)], tensors)
-        both = incoherent_part([LindbladChannel(shape, rate=1.0, control=c1 + c2)], tensors)
+        a = incoherent_part([LindbladChannel(shape, rate=c1)], tensors)
+        b = incoherent_part([LindbladChannel(shape, rate=c2)], tensors)
+        both = incoherent_part([LindbladChannel(shape, rate=c1 + c2)], tensors)
         assert np.max(np.abs(a + b - both)) < 1e-12
 
 
@@ -214,16 +215,14 @@ def test_stacked_builders_match_single_calls(dim, rng):
     coefficients = rng.normal(size=(k, dim * dim))
     shapes = rng.normal(size=(2, k, n)) + 1j * rng.normal(size=(2, k, n))
     full = rng.normal(size=(k, n + 1)) + 1j * rng.normal(size=(k, n + 1))
-    rates = rng.normal(size=(2, k))
-    controls = rng.uniform(0.1, 2.0, size=(2, k))
+    rates = rng.normal(size=(2, k)) * rng.uniform(0.1, 2.0, size=(2, k))
     r = np.array([random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim)) for _ in range(k)])
     ham = HamiltonianSpec(coefficients)
-    chans = [LindbladChannel(s, rate=g, control=c) for s, g, c in zip(shapes, rates, controls)]
+    chans = [LindbladChannel(s, rate=g) for s, g in zip(shapes, rates)]
 
     def instance(i):
         return (HamiltonianSpec(coefficients[i]),
-                [LindbladChannel(s[i], rate=g[i], control=c[i])
-                 for s, g, c in zip(shapes, rates, controls)])
+                [LindbladChannel(s[i], rate=g[i]) for s, g in zip(shapes, rates)])
 
     def same(stacked, single):
         assert stacked.shape == (k, *np.shape(single(0)))

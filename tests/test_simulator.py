@@ -370,7 +370,7 @@ TRANSFORM_ENVS = [LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detu
 @pytest.mark.parametrize("env", TRANSFORM_ENVS)
 def test_renormalized_field_matches_rk4_loop(env):
     omega = lambda t: 0.5 * np.sin(0.7 * t) + 0.2 + 0.1j * np.cos(t)
-    f0, mu = 0.5 * env.gamma0 * env.lam, env._memory_rate
+    f0, mu = 0.5 * env.lam, env._memory_rate
     times = np.linspace(0.0, 7.0, 701)
     matrix = np.array([[-1j * env.drive_detuning, -1.0], [f0, -mu]])
     h, w = rk4_loop(lambda t: matrix, lambda t: np.array([-1j * omega(t), 0.0]),
@@ -383,7 +383,7 @@ def test_renormalized_field_matches_rk4_loop(env):
 @pytest.mark.parametrize("env", TRANSFORM_ENVS)
 def test_lab_field_matches_rk4_loop(env):
     omega_r = lambda t: 0.8 * (t / 7.0) ** 2 * (3 - 2 * t / 7.0) + 0.05j * t
-    f0, mu = 0.5 * env.gamma0 * env.lam, env._memory_rate
+    f0, mu = 0.5 * env.lam, env._memory_rate
     times = np.linspace(0.0, 7.0, 701)
     h, w = rk4_loop(lambda t: np.array([[_log_derivative(env, t)[0], 0.0], [f0, -mu]]),
                     lambda t: np.array([-1j * omega_r(t), 0.0]),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blochsteer import trajectories
 from blochsteer.controls import schedule_from_trajectory
 from blochsteer.errors import (DegenerateSteadyStateError, InfeasibleTrajectoryError,
                                InvalidInputError)
@@ -192,17 +193,19 @@ def test_mixed_inversion_derivative_consistency(inversion_setup):
         assert np.max(np.abs(fd - rdot)) < 1e-6 * max(1.0, np.max(np.abs(rdot)))
 
 
-def test_mixed_inversion_invalid_and_infeasible():
+def test_mixed_inversion_invalid_and_infeasible(monkeypatch):
     with pytest.raises(InvalidInputError):
         mixed_inversion_trajectory(5.0, 4.0)
     steep = {"r_y": ((0.0, 0.0), (0.12, 0.0), (0.0, 0.0)),
              "r_z": ((-1.0, 0.0), (0.0, 60.0), (1.0, 1.0))}
+    monkeypatch.setattr(trajectories, "BOUNDARY_TABLE", steep)
     with pytest.raises(InfeasibleTrajectoryError):
-        mixed_inversion_trajectory(8.0, 9.2, boundary=steep)
+        mixed_inversion_trajectory(8.0, 9.2)
     not_finite = {"r_y": ((0.0, 0.0), (np.nan, 0.0), (0.0, 0.0)),
                   "r_z": ((-1.0, 0.0), (0.0, 0.4), (1.0, 1.0))}
+    monkeypatch.setattr(trajectories, "BOUNDARY_TABLE", not_finite)
     with pytest.raises(InfeasibleTrajectoryError, match="r_y knot table"):
-        mixed_inversion_trajectory(8.0, 9.2, boundary=not_finite)
+        mixed_inversion_trajectory(8.0, 9.2)
 
 
 def test_controllability_pure_inversion(inversion_setup):
@@ -250,14 +253,14 @@ def test_sample_matches_evaluate_loop(tracking_env, inversion_setup):
     designs = (tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0),
                pure_inversion(2.0 * t_break),
                mixed_inversion_trajectory(t_break, t_final))
-    for traj in designs:
+    for design, traj in enumerate(designs):
         times = np.linspace(0.0, traj.t_final, 401)
         r, rdot = traj.sample(times)
         assert r.shape == rdot.shape == (len(times), 3)
         for i, t in enumerate(times):
             r_i, rdot_i = traj.evaluate(t)
-            assert np.max(np.abs(r[i] - r_i)) <= 1e-15, (traj.kind, t)
-            assert np.max(np.abs(rdot[i] - rdot_i)) <= 1e-15, (traj.kind, t)
+            assert np.max(np.abs(r[i] - r_i)) <= 1e-15, (design, t)
+            assert np.max(np.abs(rdot[i] - rdot_i)) <= 1e-15, (design, t)
 
 
 def test_sample_names_first_time_outside_window():
