@@ -9,7 +9,7 @@ forward simulation in two independent representations.
 from .controls import (ControlSchedule, ControlSolution, ControlSystem,
                        assemble_control_system, markovian_reduction_check,
                        schedule_from_trajectory, solve_controls,
-                       two_level_controls, two_level_controls_detuning)
+                       two_level_controls)
 from .environment import (LorentzianEnvironment, correlation_kernel, decay_and_shift,
                           decay_shift_derivatives, find_gamma_negmax, find_gamma_zero,
                           propagator_u, tune_detuning_for_lamb_zero)

@@ -7,11 +7,10 @@ Usage:
 Configs are line-oriented ``key = value`` text with ``#`` comments; all
 frequencies are in units of the coupling gamma0.  Every run writes three CSV
 files into the output directory (``--out``, default ``out``): ``states.csv``
-(t, r_x, r_y, r_z, fidelity), ``controls.csv`` (t, omega_x,
-omega_y | detuning_r, excitation) and ``env.csv`` (t, decay_rate,
-lamb_shift), all with 15-significant-digit values, so identical configs
-produce byte-identical output.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+(t, r_x, r_y, r_z, fidelity), ``controls.csv`` (t, omega_x, omega_y,
+excitation) and ``env.csv`` (t, decay_rate, lamb_shift), all with
+15-significant-digit values, so identical configs produce byte-identical
+output.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controls import PROTOCOLS, schedule_from_trajectory
+from .controls import FIELDS, schedule_from_trajectory
 from .environment import (LorentzianEnvironment, decay_and_shift, find_gamma_negmax,
                           find_gamma_zero, tune_detuning_for_lamb_zero)
 from .errors import BlochSteerError, ConfigError, InvalidInputError
@@ -216,9 +215,8 @@ def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
                [times, run_fwd.states[:, 0], run_fwd.states[:, 1], run_fwd.states[:, 2],
                 run_fwd.fidelity])
     files.append("states.csv")
-    names = PROTOCOLS[schedule.protocol]
-    _write_csv(out / "controls.csv", ",".join(("t", *names)),
-               [times, *(getattr(schedule, name) for name in names)])
+    _write_csv(out / "controls.csv", ",".join(("t", *FIELDS)),
+               [times, *(getattr(schedule, name) for name in FIELDS)])
     files.append("controls.csv")
     _write_csv(out / "env.csv", "t,decay_rate,lamb_shift", [times, gam, shift])
     files.append("env.csv")

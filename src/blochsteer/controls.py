@@ -6,8 +6,7 @@ Given (r(t), rdot(t)) the two-level closed forms solve the Bloch equations
     ry' =  s0 rx - 2 Ox rz - (2N+1) G ry
     rz' =  2 Ox ry - 2 Oy rx - 2 G ((2N+1) rz + 1)
 
-for (Ox, Oy, N) given the reservoir rate G = Gamma0(t) and Lamb shift s0(t),
-or for (Ox, Delta^R, N) in the detuning protocol (Oy = 0, s0 -> s0 + Delta^R).
+for (Ox, Oy, N) given the reservoir rate G = Gamma0(t) and Lamb shift s0(t).
 The generic path assembles the same linear system for any SU(N) setup from
 the structure tensors and solves it densely; closed forms and generic solve
 cross-check each other; it takes stacks like the Liouvillian builders.
@@ -42,13 +41,12 @@ __all__ = [
     "SIGMA_MINUS_SHAPE",
     "SIGMA_PLUS_SHAPE",
     "SINGULARITY_TOL",
-    "PROTOCOLS",
+    "FIELDS",
     "ControlSystem",
     "ControlSolution",
     "ControlSchedule",
     "MarkovianReductionReport",
     "two_level_controls",
-    "two_level_controls_detuning",
     "assemble_control_system",
     "solve_controls",
     "markovian_reduction_check",
@@ -60,49 +58,27 @@ SIGMA_PLUS_SHAPE = np.array([0.5, 0.5j, 0.0])
 
 SINGULARITY_TOL = 1e-8
 
-PROTOCOLS = {"xy": ("omega_x", "omega_y", "excitation"),
-             "x-detuning": ("omega_x", "detuning_r", "excitation")}
-"""The fields of a schedule under each control protocol, in column order."""
+FIELDS = ("omega_x", "omega_y", "excitation")
+"""The fields of a schedule, in column order."""
 
 
-def _singular_mask(r: np.ndarray, decay_rate, k: int) -> np.ndarray:
-    """Samples on the singular locus of a closed form: |r_k| < SINGULARITY_TOL
-    (fields, k = 2 in the two-field protocol, k = 1 in the detuning protocol)
-    or |G| < SINGULARITY_TOL (excitation number)."""
-    return (np.abs(r.T[k]) < SINGULARITY_TOL) | (np.abs(decay_rate) < SINGULARITY_TOL)
+def _singular_mask(r: np.ndarray, decay_rate) -> np.ndarray:
+    """Samples on the singular locus of the closed forms: |r_z| < SINGULARITY_TOL
+    (fields) or |G| < SINGULARITY_TOL (excitation number)."""
+    return (np.abs(r.T[2]) < SINGULARITY_TOL) | (np.abs(decay_rate) < SINGULARITY_TOL)
 
 
 def _singular_error(r: np.ndarray, rdot: np.ndarray, decay_rate: float,
-                    k: int, where: str = "") -> SingularControlError:
+                    where: str = "") -> SingularControlError:
     """The error for one sample (r of shape (3,)) on the singular locus."""
-    if abs(r[k]) < SINGULARITY_TOL:
-        label = "coherent controls" if k == 2 else "detuning protocol"
+    if abs(r[2]) < SINGULARITY_TOL:
         return SingularControlError(
-            f"{label} singular: |r_{'xyz'[k]}| = {abs(r[k]):.3e} < {SINGULARITY_TOL}{where}")
+            f"coherent controls singular: |r_z| = {abs(r[2]):.3e} < {SINGULARITY_TOL}{where}")
     g = decay_rate
     back = float(np.dot(r, rdot)) + 2 * g * r[2]
     return SingularControlError(
         f"excitation number singular: decay rate {g:.3e} vanishes "
         f"(r.rdot + 2 G r_z = {back:.3e}){where}")
-
-
-def _closed_form_inputs(r, rdot, decay_rate, lamb_shift, k: int):
-    """The inputs as float arrays; raises on the first singular sample."""
-    r, rdot, g, s0 = (np.asarray(x, dtype=float) for x in (r, rdot, decay_rate, lamb_shift))
-    singular = _singular_mask(r, g, k)
-    if singular.any():
-        i = np.unravel_index(np.argmax(singular), singular.shape)
-        raise _singular_error(r[i], rdot[i], np.broadcast_to(g, singular.shape)[i], k)
-    return r, rdot, g, s0
-
-
-def _excitation(r, rdot, g):
-    """N from the r_z equation; shared by both protocols.  Also returns
-    r.rdot and |r|^2 + r_z^2, which the field expressions reuse."""
-    rz = r.T[2]
-    rr = np.vecdot(r, rdot)
-    dd = np.vecdot(r, r) + rz * rz
-    return -(2.0 * g * rz + rr + g * dd) / (2.0 * g * dd), rr, dd
 
 
 def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
@@ -119,31 +95,19 @@ def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
         finite value because the decay rate vanishes while r.rdot + 2 G r_z
         does not; for a stack, at the first such sample.
     """
-    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, 2)
+    r, rdot, g, s0 = (np.asarray(x, dtype=float) for x in (r, rdot, decay_rate, lamb_shift))
+    singular = _singular_mask(r, g)
+    if singular.any():
+        i = np.unravel_index(np.argmax(singular), singular.shape)
+        raise _singular_error(r[i], rdot[i], np.broadcast_to(g, singular.shape)[i])
     (rx, ry, rz), (rdx, rdy, _) = r.T, rdot.T
-    excitation, rr, dd = _excitation(r, rdot, g)
+    rr = np.vecdot(r, rdot)
+    dd = np.vecdot(r, r) + rz * rz
+    excitation = -(2.0 * g * rz + rr + g * dd) / (2.0 * g * dd)
     back = rr + 2.0 * g * rz
     omega_x = (dd * (rx * s0 - rdy) + back * ry) / (2.0 * rz * dd)
     omega_y = (dd * (ry * s0 + rdx) - back * rx) / (2.0 * rz * dd)
     return omega_x, omega_y, excitation
-
-
-def two_level_controls_detuning(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
-    """Closed-form (Omega_x^R, Delta^R, N) for the protocol without Omega_y^R.
-
-    Singular where r_y vanishes; the excitation-number expression is the
-    same rational function as in the two-field protocol.  Takes one sample
-    or a stack, like ``two_level_controls``.
-    """
-    r, rdot, g, s0 = _closed_form_inputs(r, rdot, decay_rate, lamb_shift, 1)
-    (rx, ry, rz), (rdx, rdy, rdz) = r.T, rdot.T
-    excitation, _, dd = _excitation(r, rdot, g)
-    perp = rx * rx + ry * ry
-    perp_dot = 2.0 * (rx * rdx + ry * rdy)
-    omega_x = ((2.0 * g + rdz) * perp - perp_dot * rz) / (2.0 * ry * dd)
-    detuning_r = -s0 + (rx * (ry * rdy + rz * rdz) + 2.0 * g * rx * rz
-                        - rdx * (ry * ry + 2.0 * rz * rz)) / (ry * dd)
-    return omega_x, detuning_r, excitation
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +263,27 @@ def markovian_reduction_check(r: np.ndarray, rdot: np.ndarray,
 # sampled schedules
 
 
-def _protocol_fields(protocol: str) -> tuple[str, str, str]:
-    """The fields of ``protocol``; raises ``InvalidInputError`` for an unknown one."""
-    if protocol not in PROTOCOLS:
-        raise InvalidInputError(f"unknown protocol {protocol!r}; pick one of {tuple(PROTOCOLS)}")
-    return PROTOCOLS[protocol]
-
-
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Time-sampled control parameters, interpolated between samples by the
-    not-a-knot cubic spline of each field.
+    """Time-sampled controls, interpolated between samples by the not-a-knot
+    cubic spline of each field.
 
-    ``protocol`` names the fields the schedule holds (``PROTOCOLS``): "xy"
-    (omega_x, omega_y, excitation) or "x-detuning" (omega_x, detuning_r,
-    excitation); any other field must be None.  Times must be uniformly
-    spaced, so ``value`` finds a sample's piece by index arithmetic.
+    The fields are ``FIELDS``, each sampled on the time grid.  Times must be
+    uniformly spaced, so ``value`` finds a sample's piece by index arithmetic.
     """
 
     times: np.ndarray
     omega_x: np.ndarray
+    omega_y: np.ndarray
     excitation: np.ndarray
-    omega_y: np.ndarray | None = None
-    detuning_r: np.ndarray | None = None
-    protocol: str = "xy"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
             raise InvalidInputError("schedule times must be strictly increasing")
         require_uniform(t, "schedule times")
-        names = _protocol_fields(self.protocol)
-        for name in ("omega_y", "detuning_r"):
-            if name not in names and getattr(self, name) is not None:
-                raise InvalidInputError(f"protocol {self.protocol!r} takes no field {name}")
-        for name in names:
-            arr = getattr(self, name)
-            if arr is None:
-                raise InvalidInputError(f"protocol {self.protocol!r} needs field {name}")
-            arr = np.asarray(arr, dtype=float)
+        for name in FIELDS:
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != t.shape:
                 raise InvalidInputError(f"schedule field {name} must match the time grid")
             if not np.all(np.isfinite(arr)):
@@ -349,11 +295,10 @@ class ControlSchedule:
     def _coefficients(self) -> dict[str, np.ndarray]:
         """Power coefficients (4, n - 1) of each field; the fields share one
         slope solve."""
-        names = PROTOCOLS[self.protocol]
-        values = np.array([getattr(self, name) for name in names])
+        values = np.array([getattr(self, name) for name in FIELDS])
         coefficients = hermite_coefficients(self.times, values,
                                             not_a_knot_slopes(self.times, values))
-        return dict(zip(names, coefficients))
+        return dict(zip(FIELDS, coefficients))
 
     def value(self, name: str, t):
         """Field ``name`` at times t, clamped to the sampled span; shaped like t."""
@@ -367,8 +312,8 @@ class ControlSchedule:
         return float(self.times[-1])
 
 
-def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.ndarray,
-                             protocol: str = "xy") -> ControlSchedule:
+def schedule_from_trajectory(trajectory, env: LorentzianEnvironment,
+                             times: np.ndarray) -> ControlSchedule:
     """Solve the closed-form controls along a designed trajectory.
 
     The trajectory is sampled and the reservoir evaluated once over the whole
@@ -379,8 +324,6 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.n
     genuinely singular sample (a singular probe, or no probe inside the
     window) raises ``SingularControlError`` naming its time.
     """
-    names = _protocol_fields(protocol)
-    solver, k = (two_level_controls, 2) if protocol == "xy" else (two_level_controls_detuning, 1)
     times = np.asarray(times, dtype=float)
     t_final = float(trajectory.t_final)
     eps = 1e-6 * t_final
@@ -391,16 +334,17 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment, times: np.n
         return r, rdot, g, s0
 
     r, rdot, g, s0 = inputs(times)
-    singular = _singular_mask(r, g, k)
+    singular = _singular_mask(r, g)
     regular = ~singular
     rows = np.empty((len(times), 3))
-    rows[regular] = np.column_stack(solver(r[regular], rdot[regular], g[regular], s0[regular]))
+    rows[regular] = np.column_stack(two_level_controls(r[regular], rdot[regular],
+                                                       g[regular], s0[regular]))
     if np.any(singular):
-        rows[singular] = _one_sided_limits(inputs, solver, k, times[singular], eps, t_final)
-    return ControlSchedule(times=times, protocol=protocol, **dict(zip(names, rows.T)))
+        rows[singular] = _one_sided_limits(inputs, times[singular], eps, t_final)
+    return ControlSchedule(times, *rows.T)
 
 
-def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):
+def _one_sided_limits(inputs, t_sing, eps, t_final):
     """Controls at singular samples: the mean of the probes t -+ eps that lie
     in [0, t_final], all evaluated in one call.  Raises at the first sample
     with no probe or with a singular probe."""
@@ -408,7 +352,7 @@ def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):
     valid = (probes >= 0.0) & (probes <= t_final) & (probes != t_sing[:, None])
     r, rdot, g, s0 = inputs(probes[valid])
     probe_singular = np.zeros_like(valid)
-    probe_singular[valid] = _singular_mask(r, g, k)
+    probe_singular[valid] = _singular_mask(r, g)
     failed = ~valid.any(axis=1) | probe_singular.any(axis=1)
     if np.any(failed):
         j = int(np.argmax(failed))
@@ -418,11 +362,11 @@ def _one_sided_limits(inputs, solver, k, t_sing, eps, t_final):
                 f"no probe inside [0, {t_final}]")
         m = int(np.argmax(probe_singular[j]))
         i = np.cumsum(valid.ravel())[2 * j + m] - 1   # position of probe (j, m) in r
-        raise _singular_error(r[i], rdot[i], float(g[i]), k,
+        raise _singular_error(r[i], rdot[i], float(g[i]),
                               f" at t = {probes[j, m]:.6g} (probe of the singular sample "
                               f"at t = {t_sing[j]:.6g})")
     values = np.full(valid.shape + (3,), np.nan)
-    values[valid] = np.column_stack(solver(r, rdot, g, s0))
+    values[valid] = np.column_stack(two_level_controls(r, rdot, g, s0))
     both = valid.all(axis=1)[:, None]
     one = np.where(valid[:, :1], values[:, 0], values[:, 1])
     return np.where(both, 0.5 * (values[:, 0] + values[:, 1]), one)

@@ -263,12 +263,18 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float) -> float:
 
     Located by the analytic derivative's - to + sign change, bisected to
     1e-10; requires Gamma0 < 0 at the extremum.  The scan covers
-    (t_start, t_start + 4 pi / |Im d|], or 30 past t_start where d is real.
+    (t_start, t_start + 4 pi / |Im d|], or 30 past t_start where d is real;
+    a window too narrow to resolve next to t_start raises ``RootNotFoundError``.
     """
     im_d = abs(np.imag(env._d))
-    t_max = t_start + (4.0 * np.pi / im_d if im_d > 1e-9 else 30.0)
+    width = 4.0 * np.pi / im_d if im_d > 1e-9 else 30.0
+    t_max = t_start + width
     ts = np.linspace(t_start + 1e-9, t_max, _SCAN_POINTS)
     dgam = decay_shift_derivatives(env, ts)[2]
+    if not np.all(np.diff(ts) > 0):
+        raise RootNotFoundError(
+            f"scan window for the decay-rate minimum vanished in floating point: "
+            f"t_start = {t_start} + width {width:.6g} rounds to {t_max}")
     crossings = np.nonzero((dgam[:-1] < 0) & (dgam[1:] >= 0))[0]
     if len(crossings) == 0:
         raise RootNotFoundError(

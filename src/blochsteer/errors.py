@@ -10,7 +10,6 @@ __all__ = [
     "InvalidInputError",
     "PropagatorZeroError",
     "RootNotFoundError",
-    "DegenerateSteadyStateError",
     "IntegrationDivergedError",
     "InfeasibleTrajectoryError",
     "ConfigError",
@@ -51,10 +50,6 @@ class PropagatorZeroError(BlochSteerError, ArithmeticError):
 
 class RootNotFoundError(BlochSteerError, RuntimeError):
     """A requested sign change or extremum does not exist in the search window."""
-
-
-class DegenerateSteadyStateError(BlochSteerError, ArithmeticError):
-    """The steady-state normalizer vanishes (all rates and drives zero)."""
 
 
 class IntegrationDivergedError(BlochSteerError, RuntimeError):

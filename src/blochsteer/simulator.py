@@ -135,18 +135,13 @@ def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
     of its nodes: the rates have a pole there that no RK4 step can cross.
     """
     omega_x = schedule.value("omega_x", fine_times)
+    omega_y = schedule.value("omega_y", fine_times)
     excitation = schedule.value("excitation", fine_times)
     gam, shift = decay_and_shift(env, fine_times)
     _check_zero_between(env, fine_times, gam, shift)
-    if schedule.protocol == "xy":
-        omega_y = schedule.value("omega_y", fine_times)
-        c_z = 0.5 * shift
-    else:
-        omega_y = np.zeros_like(omega_x)
-        c_z = 0.5 * (shift + schedule.value("detuning_r", fine_times))
     rate_minus = gam * (excitation + 1.0)
     rate_plus = gam * excitation
-    return omega_x, omega_y, c_z, rate_minus, rate_plus
+    return omega_x, omega_y, 0.5 * shift, rate_minus, rate_plus
 
 
 def _fine_grid(times: np.ndarray, min_steps: int) -> tuple[np.ndarray, int]:
@@ -333,7 +328,7 @@ def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: floa
     times = np.asarray(times, dtype=float)
     ramp = reference_ramp(omega_c, t_final, times)
     schedule = ControlSchedule(times=times, omega_x=ramp, omega_y=np.zeros_like(ramp),
-                               excitation=np.full_like(ramp, n0), protocol="xy")
+                               excitation=np.full_like(ramp, n0))
 
     def steady(ts):
         return steady_state_bloch(env, n0, reference_ramp(omega_c, t_final, ts), ts)

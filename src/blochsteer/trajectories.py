@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from ._cubic import cubic_derivative, cubic_value, hermite_coefficients, pieces
-from .controls import PROTOCOLS, ControlSchedule
+from .controls import ControlSchedule
 from .environment import LorentzianEnvironment, decay_and_shift, decay_shift_derivatives
-from .errors import DegenerateSteadyStateError, InfeasibleTrajectoryError, InvalidInputError
+from .errors import InfeasibleTrajectoryError, InvalidInputError
 
 __all__ = [
     "TrajectorySpec",
@@ -89,31 +89,25 @@ def reference_ramp_rate(omega_c: float, t_final: float, t):
     return 6.0 * omega_c * s * (1.0 - s) / t_final
 
 
-def _degenerate(z, t):
-    """Raise naming the first time at which the steady-state normalizer z vanishes."""
-    zero = np.atleast_1d(z == 0.0)
-    if zero.any():
-        t_bad = float(np.atleast_1d(t)[np.argmax(zero)])
-        raise DegenerateSteadyStateError(
-            f"steady state undefined at t = {t_bad:g}: decay rate, Lamb shift and drive "
-            "all vanish")
-
-
 def _thermal_factor(n0: float) -> np.float64:
     """2 n0 + 1 as a numpy float, so that its square overflows to inf (caught
     downstream as a non-finite field) instead of raising OverflowError."""
     return np.float64(2.0 * n0 + 1.0)
 
 
-def _steady_state(g, s0, npr, w, t):
-    """(r, ss, z) of the instantaneous steady state under the drive w, with
-    ss = s0^2 + (2 n0 + 1)^2 G^2 and the normalizer z = (2 n0 + 1)(ss + 2 w^2);
-    ``npr`` is 2 n0 + 1.  Raises where z vanishes."""
+def _steady_state(g, s0, npr, w):
+    """(r, ss, z, zero) of the instantaneous steady state under the drive w,
+    with ss = s0^2 + (2 n0 + 1)^2 G^2 and the normalizer
+    z = (2 n0 + 1)(ss + 2 w^2); ``npr`` is 2 n0 + 1.  z vanishes only where the
+    drive and both rates do (``zero``): the state there is the thermal state
+    (0, 0, -1 / (2 n0 + 1)), its zero-drive limit, and z is returned as 1."""
     ss = s0 * s0 + npr ** 2 * g * g
     z = npr * (ss + 2.0 * w * w)
-    _degenerate(z, t)
-    r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z, -ss / z], axis=-1)
-    return r, ss, z
+    zero = z == 0.0
+    z = np.where(zero, 1.0, z)
+    r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z,
+                  np.where(zero, -1.0 / npr, -ss / z)], axis=-1)
+    return r, ss, z, zero
 
 
 def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.ndarray:
@@ -125,7 +119,7 @@ def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.n
     ``t`` may be arrays of n samples; the result then has shape (n, 3).
     """
     g, s0 = decay_and_shift(env, t)
-    return _steady_state(g, s0, _thermal_factor(n0), omega0, t)[0]
+    return _steady_state(g, s0, _thermal_factor(n0), omega0)[0]
 
 
 def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
@@ -146,11 +140,12 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
     def evaluator(t: np.ndarray):
         _check_window(t, t_final)
         g, s0, gd, sd = decay_shift_derivatives(env, t)
-        # an overflowing path gives inf or nan; the check below names it
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing path, or one with 2 n0 + 1 = 0, gives inf or nan; the
+        # check below names it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w = reference_ramp(omega_c, t_final, t)
             wd = reference_ramp_rate(omega_c, t_final, t)
-            r, ss, z = _steady_state(g, s0, npr, w, t)
+            r, ss, z, zero = _steady_state(g, s0, npr, w)
             ss_d = 2.0 * s0 * sd + 2.0 * npr ** 2 * g * gd
             zd = npr * (ss_d + 4.0 * w * wd)
             rdot = np.stack([
@@ -158,6 +153,10 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
                 2.0 * npr * (wd * g + w * gd) / z - 2.0 * npr * w * g * zd / z ** 2,
                 -ss_d / z + ss * zd / z ** 2,
             ], axis=-1)
+            if zero.any():
+                # t = 0 at zero drive detuning: the limit t -> 0+, where
+                # w ~ 3 Oc t^2 / t_f^2 and G ~ G'(0) t give r_y ~ 2 w / (npr^2 G)
+                rdot[zero, 1] = 6.0 * omega_c / (t_final ** 2 * npr ** 2 * gd[zero])
         finite = np.isfinite(r).all(axis=-1) & np.isfinite(rdot).all(axis=-1)
         if not finite.all():
             raise InvalidInputError(
@@ -295,7 +294,7 @@ class ControllabilityReport:
     t_min_excitation: float
     excitation_sign_changes: tuple[float, ...]
     max_omega_x: float
-    max_second_field: float
+    max_omega_y: float
     excitation_nonnegative: bool
 
     @property
@@ -314,12 +313,11 @@ def controllability_check(schedule: ControlSchedule) -> ControllabilityReport:
     i_min = int(np.argmin(n))
     signs = np.sign(n)
     flips = np.nonzero(np.diff(signs) != 0)[0]
-    second = getattr(schedule, PROTOCOLS[schedule.protocol][1])
     return ControllabilityReport(
         min_excitation=float(n[i_min]),
         t_min_excitation=float(ts[i_min]),
         excitation_sign_changes=tuple(float(ts[j]) for j in flips),
         max_omega_x=float(np.max(np.abs(schedule.omega_x))),
-        max_second_field=float(np.max(np.abs(second))),
+        max_omega_y=float(np.max(np.abs(schedule.omega_y))),
         excitation_nonnegative=bool(n[i_min] >= -1e-9),
     )

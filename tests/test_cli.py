@@ -195,7 +195,8 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
     # (several overrides are separated by spaces); at t_break = 1e19 the scan
     # window 4 pi / |Im d| of the negative maximum vanishes against t_break
     ("invert-mixed", "spectral_width=1e-20 drive_detuning=0 t_break=1e19",
-     "RootNotFoundError: decay rate has no interior minimum in "),
+     "RootNotFoundError: scan window for the decay-rate minimum vanished in floating "
+     "point: t_start = 1e+19 + width 125.664 rounds to 1e+19\n"),
     ("invert-mixed", "t_break=1e200", RATE_NOT_FINITE),
     ("invert-mixed", "drive_detuning=1e308", U_NOT_FINITE),
     ("invert-mixed", "drive_detuning=-1e308", U_NOT_FINITE),
@@ -203,7 +204,8 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
     # the steady-state path overflows: named with its t, without numpy warnings
     *[("track-steady", override, PATH_NOT_FINITE)
       for override in ("drive_detuning=1e200", "omega_c=1e308",
-                       "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200")],
+                       "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200",
+                       "n0=-0.5")],
     ("track-steady", "drive_detuning=1e308", U_NOT_FINITE),
     ("track-steady", "drive_detuning=-1e308", U_NOT_FINITE),
     ("track-steady", "t_final=1e200", RATE_NOT_FINITE),
@@ -277,6 +279,21 @@ def test_far_apart_singular_samples_run(tmp_path):
                  "--override", "spectral_width=1.0")
     assert cp.returncode == 0, cp.stderr
     assert "t_break = 4.83680902716762\n" in cp.stdout
+
+
+def test_tracking_exits_0_at_zero_drive_detuning(tmp_path):
+    # at t = 0 the ramp, the decay rate and the Lamb shift all vanish: the path
+    # starts in the thermal state with its t -> 0+ slope
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "tracking.cfg"
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(config), "--out", str(out),
+                 "--override", "drive_detuning=0")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    summary = dict(line.split(" = ") for line in cp.stdout.splitlines())
+    assert float(summary["min_fidelity"]) >= 0.999
+    _, controls = read_csv(out / "controls.csv")
+    assert np.all(np.isfinite(controls))
 
 
 def test_unallocatable_step_count_exits_3_with_one_line_and_no_files(tmp_path):
@@ -355,26 +372,6 @@ def test_selfcheck_fault_injection():
     cp = run_cli("selfcheck", "--perturb-f", "0.01")
     assert cp.returncode == 1
     assert "FAIL" in cp.stdout
-
-
-def test_detuning_protocol_csv_columns(tmp_path, tracking_env, hold):
-    # the controls writer emits the detuning column when that protocol is used
-    import numpy as np
-    from blochsteer.cli import _write_run_files
-    from blochsteer.controls import schedule_from_trajectory
-    from blochsteer.simulator import integrate_bloch
-
-    r_target = np.array([0.0, 0.45, -0.5])
-    path = hold(r_target, 3.0)
-    times = np.linspace(0.0, 3.0, 61)
-    sched = schedule_from_trajectory(path, tracking_env, times, protocol="x-detuning")
-    run = integrate_bloch(sched, tracking_env, r_target, times, min_steps=600,
-                          reference=path.sample(times)[0])
-    files = _write_run_files(tmp_path, times, sched, run, tracking_env)
-    assert files == ["states.csv", "controls.csv", "env.csv"]
-    header, data = read_csv(tmp_path / "controls.csv")
-    assert header == ["t", "omega_x", "detuning_r", "excitation"]
-    assert np.all(np.isfinite(data))
 
 
 def test_inversion_setup_respects_overrides():

@@ -4,7 +4,7 @@ import pytest
 from blochsteer.controls import (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule,
                                  assemble_control_system, markovian_reduction_check,
                                  schedule_from_trajectory, solve_controls,
-                                 two_level_controls, two_level_controls_detuning)
+                                 two_level_controls)
 from blochsteer.errors import (InvalidInputError, NoUniqueSolutionError,
                                SingularControlError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
@@ -32,9 +32,9 @@ def controlled_system(r, rdot, gamma, shift, tensors):
     return assemble_control_system(r, rdot, (1, 2), channels, tensors, drift=drift)
 
 
-def random_state(rng, component=2, floor=0.1):
+def random_state(rng, floor=0.1):
     r = random_bloch_vector(2, rng, 0.95)
-    while abs(r[component]) < floor:
+    while abs(r[2]) < floor:
         r = random_bloch_vector(2, rng, 0.95)
     return r
 
@@ -127,35 +127,6 @@ def test_singularity_errors():
         two_level_controls(np.array([0.3, 0.2, 1e-10]), np.ones(3), 0.5, 0.0)
     with pytest.raises(SingularControlError):
         two_level_controls(np.array([0.3, 0.2, -0.5]), np.ones(3), 0.0, 0.0)
-    with pytest.raises(SingularControlError):
-        two_level_controls_detuning(np.array([0.3, 1e-10, -0.5]), np.ones(3), 0.5, 0.0)
-
-
-def test_detuning_protocol(qubit, rng):
-    _, tensors = qubit
-    for _ in range(100):
-        r = random_state(rng, component=1)
-        rdot = rng.normal(size=3)
-        gamma = float(rng.uniform(0.1, 2.0))
-        shift = float(rng.normal())
-        ox, det, n = two_level_controls_detuning(r, rdot, gamma, shift)
-        # forward model: omega_y = 0 and the level splitting shifted by det
-        ham = HamiltonianSpec([(shift + det) / 2, ox, 0.0, (shift + det) / 2])
-        chans = [LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma * (n + 1)),
-                 LindbladChannel(SIGMA_PLUS_SHAPE, rate=gamma * n)]
-        back = assemble_components(ham, chans, tensors).apply(r)
-        assert np.max(np.abs(back - rdot)) < 1e-10
-        if abs(r[2]) > 0.1:
-            n_ref = two_level_controls(r, rdot, gamma, shift)[2]
-            assert abs(n - n_ref) < 1e-12
-
-
-def test_detuning_cancels_precession():
-    r = np.array([0.0, 0.4, -0.6])
-    rdot = np.array([0.0, 0.05, 0.1])
-    shift = 0.7
-    _, det, _ = two_level_controls_detuning(r, rdot, 0.5, shift)
-    assert abs(det + shift) < 1e-14
 
 
 def test_markovian_reduction(rng):
@@ -192,19 +163,15 @@ def test_schedule_validation():
                         omega_y=np.zeros(2), excitation=np.zeros(2))
 
 
-@pytest.mark.parametrize("fields, message", [
-    ({"omega_y": np.zeros(3), "protocol": "xz"}, "unknown protocol 'xz'"),
-    ({"protocol": "xy"}, "protocol 'xy' needs field omega_y"),
-    ({"omega_y": np.zeros(3), "detuning_r": np.zeros(3), "protocol": "xy"},
-     "protocol 'xy' takes no field detuning_r"),
-    ({"omega_y": np.zeros(3), "protocol": "x-detuning"},
-     "protocol 'x-detuning' takes no field omega_y"),
-], ids=["unknown", "missing", "foreign-xy", "foreign-x-detuning"])
-def test_schedule_fields_follow_the_protocol_table(fields, message):
+@pytest.mark.parametrize("name", ["omega_x", "omega_y", "excitation"])
+def test_schedule_needs_every_field(name):
     # an unfit schedule fails where it is built, not later in a run
-    with pytest.raises(InvalidInputError, match=message):
-        ControlSchedule(times=np.linspace(0.0, 1.0, 3), omega_x=np.zeros(3),
-                        excitation=np.zeros(3), **fields)
+    fields = {"omega_x": np.zeros(3), "omega_y": np.zeros(3), "excitation": np.zeros(3)}
+    with pytest.raises(TypeError, match=name):
+        ControlSchedule(times=np.linspace(0.0, 1.0, 3),
+                        **{key: value for key, value in fields.items() if key != name})
+    with pytest.raises(InvalidInputError, match=f"schedule field {name} must match"):
+        ControlSchedule(times=np.linspace(0.0, 1.0, 3), **{**fields, name: None})
 
 
 def test_schedule_from_trajectory_regularizes_endpoints(inversion_setup):
@@ -260,16 +227,15 @@ def test_schedule_from_trajectory_pure_midpoint(inversion_setup):
     assert abs(sched.excitation[mid] + 0.5) < 1e-3
 
 
-def scalar_schedule(traj, env, times, protocol):
+def scalar_schedule(traj, env, times):
     """Reference: the scalar solver sample by sample, singular samples replaced
     by the mean of their one-sided probes t -+ 1e-6 t_final."""
     from blochsteer.environment import decay_and_shift
-    solver = two_level_controls if protocol == "xy" else two_level_controls_detuning
     eps = 1e-6 * traj.t_final
 
     def at(t):
         r, rdot = traj.evaluate(t)
-        return np.array(solver(r, rdot, *decay_and_shift(env, t)))
+        return np.array(two_level_controls(r, rdot, *decay_and_shift(env, t)))
     rows, patched = [], []
     for t in times:
         try:
@@ -281,54 +247,33 @@ def scalar_schedule(traj, env, times, protocol):
     return np.array(rows), patched
 
 
-def tilted_orbit(t_final):
-    """A smooth path with r_y bounded away from zero (regular in both protocols)."""
-    from blochsteer.trajectories import TrajectorySpec
-    w = 2.0 * np.pi / t_final
-
-    def evaluator(t):
-        r = np.stack([0.3 * np.sin(w * t), 0.45 + 0.0 * t, -0.5 + 0.2 * np.sin(w * t) ** 2],
-                     axis=-1)
-        rdot = np.stack([0.3 * w * np.cos(w * t), 0.0 * t,
-                         0.4 * w * np.sin(w * t) * np.cos(w * t)], axis=-1)
-        return r, rdot
-    return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
-
-
-@pytest.mark.parametrize("protocol", ["xy", "x-detuning"])
-def test_schedule_matches_scalar_solver_loop(inversion_setup, protocol):
-    if protocol == "xy":
-        # r_z = 0 at t_final / 2 and G = 0 at t = 0 both take the -+ eps path
-        env, t_break, _ = inversion_setup
-        traj = pure_inversion(2.0 * t_break)
-    else:
-        env = inversion_setup[0]
-        traj = tilted_orbit(6.0)
+def test_schedule_matches_scalar_solver_loop(inversion_setup):
+    # r_z = 0 at t_final / 2 and G = 0 at t = 0 both take the -+ eps path
+    env, t_break, _ = inversion_setup
+    traj = pure_inversion(2.0 * t_break)
     times = np.linspace(0.0, traj.t_final, 201)
-    sched = schedule_from_trajectory(traj, env, times, protocol=protocol)
-    second = sched.omega_y if protocol == "xy" else sched.detuning_r
-    batched = np.column_stack([sched.omega_x, second, sched.excitation])
-    expected, patched = scalar_schedule(traj, env, times, protocol)
+    sched = schedule_from_trajectory(traj, env, times)
+    batched = np.column_stack([sched.omega_x, sched.omega_y, sched.excitation])
+    expected, patched = scalar_schedule(traj, env, times)
     assert times[0] in patched
-    if protocol == "xy":
-        assert times[100] in patched and abs(times[100] - traj.t_final / 2) < 1e-12
+    assert times[100] in patched and abs(times[100] - traj.t_final / 2) < 1e-12
     scale = np.maximum(1.0, np.abs(expected))
     assert np.max(np.abs(batched - expected) / scale) <= 1e-12
 
 
 def test_stacked_solver_matches_scalar_calls(rng):
-    r = np.array([random_state(rng, component=1) for _ in range(40)])
+    r = np.array([random_state(rng) for _ in range(40)])
     rdot = rng.normal(size=(40, 3))
     gamma = rng.uniform(0.1, 2.0, size=40)
     shift = rng.normal(size=40)
-    for solver in (two_level_controls, two_level_controls_detuning):
-        stacked = np.column_stack(solver(r, rdot, gamma, shift))
-        single = np.array([solver(r[i], rdot[i], gamma[i], shift[i]) for i in range(40)])
-        assert np.array_equal(stacked, single)
-        # one sample gives numpy scalars, with the bits of its row of the stack
-        one = solver(r[5], rdot[5], gamma[5], shift[5])
-        assert all(type(v) is np.float64 for v in one)
-        assert np.array_equal(one, stacked[5])
+    stacked = np.column_stack(two_level_controls(r, rdot, gamma, shift))
+    single = np.array([two_level_controls(r[i], rdot[i], gamma[i], shift[i])
+                       for i in range(40)])
+    assert np.array_equal(stacked, single)
+    # one sample gives numpy scalars, with the bits of its row of the stack
+    one = two_level_controls(r[5], rdot[5], gamma[5], shift[5])
+    assert all(type(v) is np.float64 for v in one)
+    assert np.array_equal(one, stacked[5])
     r[7, 2] = 0.0
     with pytest.raises(SingularControlError, match="r_z"):
         two_level_controls(r, rdot, gamma, shift)

@@ -18,12 +18,13 @@ def test_every_exported_name_resolves(name):
 
 
 def test_removed_symbols_are_not_exported():
-    from blochsteer import environment, simulator, trajectories
+    from blochsteer import controls, environment, errors, simulator, trajectories
     for symbol in ("density_run_from_bloch", "snapshot", "EnvSnapshot", "_rk4_complex",
-                   "pure_inversion_trajectory"):
+                   "pure_inversion_trajectory", "two_level_controls_detuning", "PROTOCOLS",
+                   "DegenerateSteadyStateError"):
         assert not hasattr(blochsteer, symbol)
         assert not any(hasattr(module, symbol)
-                       for module in (environment, simulator, trajectories))
+                       for module in (controls, environment, errors, simulator, trajectories))
     # the drive transforms moved to the module that owns the RK4 core
     assert not hasattr(environment, "renormalized_field")
     assert blochsteer.renormalized_field is simulator.renormalized_field

@@ -183,7 +183,7 @@ def test_integration_divergence_raises(tracking_env):
     times = np.linspace(0.0, 10.0, 101)
     huge = np.full_like(times, 1e155)
     sched = ControlSchedule(times=times, omega_x=huge, omega_y=huge,
-                            excitation=np.ones_like(times), protocol="xy")
+                            excitation=np.ones_like(times))
     # the run overflows on its way to inf; that must raise, not print warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -260,17 +260,6 @@ def test_adiabatic_gap_and_limits(tracking_env):
     slow = adiabatic_reference_run(tracking_env, 1e-5, 10.0, 50.0, slow_times,
                                    min_steps=10000)
     assert slow.min_fidelity > adiabatic.min_fidelity
-
-
-def test_detuning_protocol_stationary_hold(tracking_env, hold):
-    # the x-detuning protocol drives with a real field plus level shift only
-    r_target = np.array([0.0, 0.45, -0.5])
-    times = np.linspace(0.0, 8.0, 801)
-    sched = schedule_from_trajectory(hold(r_target, 8.0), tracking_env, times,
-                                     protocol="x-detuning")
-    assert sched.omega_y is None and sched.detuning_r is not None
-    run = integrate_bloch(sched, tracking_env, r_target, times)
-    assert np.max(np.abs(run.states - r_target)) < 1e-8
 
 
 def test_fidelity_symmetry_property(rng):

@@ -3,8 +3,7 @@ import pytest
 
 from blochsteer import trajectories
 from blochsteer.controls import schedule_from_trajectory
-from blochsteer.errors import (DegenerateSteadyStateError, InfeasibleTrajectoryError,
-                               InvalidInputError)
+from blochsteer.errors import InfeasibleTrajectoryError, InvalidInputError
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, kron_liouvillian,
                                     vec)
 from blochsteer.controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE
@@ -63,9 +62,11 @@ def test_steady_state_is_nullvector(qubit, tracking_env, rng):
 
 
 def test_steady_state_degenerate():
+    # drive, decay rate and Lamb shift all vanish at t = 0: the thermal state
     env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.0, drive_detuning=0.0)
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state_bloch(env, 0.1, 0.0, 0.0)
+    thermal = np.array([0.0, 0.0, -1.0 / 1.2])
+    assert np.array_equal(steady_state_bloch(env, 0.1, 0.0, 0.0), thermal)
+    assert np.array_equal(steady_state_bloch(env, 0.1, 0.0, np.zeros(2)), [thermal, thermal])
 
 
 def test_tracking_trajectory_endpoints(tracking_env):
@@ -242,7 +243,7 @@ def test_controllability_ground_state_hold(tracking_env, hold):
     ground = hold([0.0, 0.0, -1.0], 5.0)
     sched = schedule_from_trajectory(ground, tracking_env, times)
     report = controllability_check(sched)
-    assert report.max_omega_x < 1e-12 and report.max_second_field < 1e-12
+    assert report.max_omega_x < 1e-12 and report.max_omega_y < 1e-12
     assert abs(report.min_excitation) < 1e-12
     assert report.dynamically_controllable
 
