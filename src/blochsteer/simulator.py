@@ -135,10 +135,11 @@ def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
     of its nodes: the rates have a pole there that no RK4 step can cross.
     """
     omega_x = schedule.value("omega_x", fine_times)
-    omega_y = schedule.value("omega_y", fine_times)
     excitation = schedule.value("excitation", fine_times)
     gam, shift = decay_and_shift(env, fine_times)
     _check_zero_between(env, fine_times, gam, shift)
+    # omega_y after the reservoir: one fine-grid array fewer at its peak
+    omega_y = schedule.value("omega_y", fine_times)
     rate_minus = gam * (excitation + 1.0)
     rate_plus = gam * excitation
     return omega_x, omega_y, 0.5 * shift, rate_minus, rate_plus
