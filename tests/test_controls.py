@@ -32,9 +32,10 @@ def controlled_system(r, rdot, gamma, shift, tensors):
     return assemble_control_system(r, rdot, (1, 2), channels, tensors, drift=drift)
 
 
-def random_state(rng, floor=0.1):
+def random_state(rng):
+    """A Bloch vector with |r_z| >= 0.1, off the closed forms' field singularity."""
     r = random_bloch_vector(2, rng, 0.95)
-    while abs(r[2]) < floor:
+    while abs(r[2]) < 0.1:
         r = random_bloch_vector(2, rng, 0.95)
     return r
 
