@@ -273,8 +273,8 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float) -> float:
     dgam = decay_shift_derivatives(env, ts)[2]
     if not np.all(np.diff(ts) > 0):
         raise RootNotFoundError(
-            f"scan window for the decay-rate minimum vanished in floating point: "
-            f"t_start = {t_start} + width {width:.6g} rounds to {t_max}")
+            f"decay rate has no interior minimum in ({t_start}, {t_max}): the scan "
+            f"window {width:.6g} past t_start vanishes in floating point")
     crossings = np.nonzero((dgam[:-1] < 0) & (dgam[1:] >= 0))[0]
     if len(crossings) == 0:
         raise RootNotFoundError(

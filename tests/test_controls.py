@@ -164,6 +164,22 @@ def test_schedule_validation():
                         omega_y=np.zeros(2), excitation=np.zeros(2))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"omega_y": np.zeros(3), "protocol": "xz"}, "unexpected keyword argument 'protocol'"),
+    ({}, "missing 1 required positional argument: 'omega_y'"),
+    ({"omega_y": np.zeros(3), "detuning_r": np.zeros(3)},
+     "unexpected keyword argument 'detuning_r'"),
+    ({"detuning_r": np.zeros(3), "protocol": "x-detuning"},
+     "unexpected keyword argument 'detuning_r'"),
+], ids=["unknown", "missing", "foreign-xy", "foreign-x-detuning"])
+def test_schedule_fields_follow_the_protocol_table(fields, message):
+    # the table has one row, FIELDS: a schedule takes no protocol knob and no
+    # x-detuning layout, and a missing or foreign field fails where it is built
+    with pytest.raises(TypeError, match=message):
+        ControlSchedule(times=np.linspace(0.0, 1.0, 3), omega_x=np.zeros(3),
+                        excitation=np.zeros(3), **fields)
+
+
 @pytest.mark.parametrize("name", ["omega_x", "omega_y", "excitation"])
 def test_schedule_needs_every_field(name):
     # an unfit schedule fails where it is built, not later in a run

@@ -295,6 +295,17 @@ def test_find_gamma_negmax(inversion_setup):
         find_gamma_negmax(LorentzianEnvironment(lam=10.0), 0.5)
 
 
+def test_find_gamma_negmax_names_a_vanished_scan_window():
+    # 4 pi / |Im d| = 125.66 rounds away against t_start = 1e19: the scan grid
+    # has no interval left, and the error says so instead of scanning nothing
+    env = LorentzianEnvironment(lam=1e-20, cavity_detuning=0.1, drive_detuning=0.0)
+    with pytest.raises(RootNotFoundError) as err:
+        find_gamma_negmax(env, 1e19)
+    assert str(err.value) == ("decay rate has no interior minimum in (1e+19, 1e+19): "
+                              "the scan window 125.664 past t_start vanishes in "
+                              "floating point")
+
+
 def test_tune_detuning(inversion_setup):
     env, _, _ = inversion_setup
     assert abs(env.drive_detuning - (-0.6792)) < 0.01
