@@ -51,10 +51,14 @@ class ExperimentConfig:
     scan_parameter: str = None
     scan_values: tuple = None
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        """Check every rule, so parsing, construction and ``dataclasses.replace``
+        all give a valid config or raise ``ConfigError``."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
-        self._check_values()
+        for name, kind in _KEY_TYPES.items():
+            if kind is float:
+                _check_value(name, getattr(self, name))
         if self.grid < 16:
             raise ConfigError("grid must be at least 16")
         if self.min_steps < self.grid:
@@ -69,32 +73,35 @@ class ExperimentConfig:
                 raise ConfigError("scan_values must list at least one value")
             for value in self.scan_values:
                 try:
-                    replace(self, **{self.scan_parameter: value})._check_values()
+                    _check_value(self.scan_parameter, value)
                 except ConfigError as exc:
                     raise ConfigError(f"scan value {value}: {exc}") from None
             if self.t_final is None:
                 raise ConfigError("env-scan requires t_final")
-        return self
-
-    def _check_values(self) -> None:
-        """The rules for each float key, which every scan value obeys as well."""
-        for name, kind in _KEY_TYPES.items():
-            value = getattr(self, name)
-            if kind is float and value is not None and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
-        if self.spectral_width is None or not self.spectral_width > 0:
-            raise ConfigError("spectral_width must be set and positive")
-        if abs(self.theta_mid) > 2.0 * np.pi:
-            # an azimuth: more than one turn is not a meaningful bump
-            raise ConfigError("theta_mid must lie in [-2 pi, 2 pi]")
-        for name in ("t_final", "t_break"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be finite and positive when set")
 
 
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 """Each configuration key with the type its value is parsed to (the annotation)."""
+
+_VALUE_RULES = {
+    "spectral_width": (lambda v: v is not None and v > 0, "must be set and positive"),
+    "n0": (lambda v: v >= 0, "must be nonnegative (a thermal occupation number)"),
+    # an azimuth: more than one turn is not a meaningful bump
+    "theta_mid": (lambda v: abs(v) <= 2.0 * np.pi, "must lie in [-2 pi, 2 pi]"),
+    "t_final": (lambda v: v is None or v > 0, "must be finite and positive when set"),
+    "t_break": (lambda v: v is None or v > 0, "must be finite and positive when set"),
+}
+"""Each float key's rule beyond being finite, with the error text that names it."""
+
+
+def _check_value(name: str, value) -> None:
+    """The rules of one float key, which every scan value obeys as well."""
+    if value is not None and not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    if name in _VALUE_RULES:
+        holds, rule = _VALUE_RULES[name]
+        if not holds(value):
+            raise ConfigError(f"{name} {rule}")
 
 
 def _parse_value(key: str, raw: str):
@@ -117,6 +124,7 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
+    """The config of ``key = value`` lines; a later line of a key wins."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -129,26 +137,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
         values[key] = _parse_value(key, raw)
     if "experiment" not in values:
         raise ConfigError("config must set 'experiment'")
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_config(path: str | Path) -> str:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    return path.read_text()
 
 
-def apply_overrides(config: ExperimentConfig, overrides) -> ExperimentConfig:
-    updates = {}
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        updates[key.strip()] = _parse_value(key.strip(), raw)
-    if not updates:
-        return config
-    return replace(config, **updates).validate()
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config_text(_read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +182,18 @@ def _environment(config: ExperimentConfig, drive_detuning: float) -> LorentzianE
 
 
 def _derive_inversion_setup(config: ExperimentConfig):
-    """(env, t_break, t_final) with detuning and times auto-derived unless set."""
-    if config.drive_detuning is None:
+    """(env, t_break, t_final) with detuning and times auto-derived unless set.
+
+    The decay rate does not depend on the drive detuning, so its zero t_i is
+    found once, at Delta = 0, and only if the detuning or t_break needs it.
+    """
+    drive, t_break = config.drive_detuning, config.t_break
+    if drive is None or t_break is None:
         template = _environment(config, 0.0)
-        drive = tune_detuning_for_lamb_zero(template)
-    else:
-        drive = config.drive_detuning
+        t_i = find_gamma_zero(template)
+        drive = tune_detuning_for_lamb_zero(template, t_i) if drive is None else drive
+        t_break = t_i if t_break is None else t_break
     env = _environment(config, drive)
-    t_break = config.t_break if config.t_break is not None else find_gamma_zero(env)
     if config.t_final is not None:
         t_final = config.t_final
     elif config.experiment == "invert-mixed":
@@ -311,8 +315,9 @@ def main(argv=None) -> int:
                         help="key=value config override (repeatable)")
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = apply_overrides(config, args.override)
+        # each override is one more config line after the file's
+        lines = _read_config(args.config).splitlines() + args.override
+        config = parse_config_text("\n".join(lines))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

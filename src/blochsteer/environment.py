@@ -287,27 +287,22 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float) -> float:
     return t_min
 
 
-def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
-                                bracket: tuple[float, float] = (-2.0, 2.0)) -> float:
-    """Drive detuning Delta such that s0 vanishes at the decay-rate zero t_i.
+def tune_detuning_for_lamb_zero(env: LorentzianEnvironment, t_i: float) -> float:
+    """Drive detuning Delta in [-2, 2] such that s0 vanishes at the decay-rate zero t_i.
 
     Bisection over Delta of F(Delta) = s0(t_i; Delta), to 1e-8.  The decay rate
-    Gamma0 = Re v does not depend on Delta, even in floating point, so t_i
-    is found once, before the bisection, and is the same for every trial
-    Delta.
+    Gamma0 = Re v does not depend on Delta, even in floating point, so the
+    caller finds t_i once (``find_gamma_zero``) for every trial Delta.
 
     Raises
     ------
     RootNotFoundError
-        If the decay rate has no zero crossing, or F does not change sign
-        over the bracket (widen the bracket).
+        If F does not change sign over [-2, 2].
     """
-    t_i = find_gamma_zero(env)
-
     def f_of(delta_drive: float) -> float:
         return decay_and_shift(replace(env, drive_detuning=delta_drive), t_i)[1]
 
-    lo, hi = bracket
+    lo, hi = -2.0, 2.0
     flo, fhi = f_of(lo), f_of(hi)
     if flo == 0.0:
         return lo
@@ -315,6 +310,6 @@ def tune_detuning_for_lamb_zero(env: LorentzianEnvironment,
         return hi
     if flo * fhi > 0:
         raise RootNotFoundError(
-            f"Lamb shift at the decay zero has no sign change for Delta in "
-            f"[{lo}, {hi}]; widen the bracket")
+            f"Lamb shift at the decay zero t = {t_i} has no sign change for Delta "
+            f"in [{lo}, {hi}]")
     return _bisect(f_of, lo, hi, tol=1e-8)

@@ -297,10 +297,6 @@ class ControllabilityReport:
     max_omega_y: float
     excitation_nonnegative: bool
 
-    @property
-    def dynamically_controllable(self) -> bool:
-        return self.excitation_nonnegative
-
 
 def controllability_check(schedule: ControlSchedule) -> ControllabilityReport:
     """Report min excitation number, its sign changes and the largest fields.

@@ -30,9 +30,8 @@ def tracking_env():
 def inversion_setup():
     """Narrow-reservoir configuration with derived detuning and switch times."""
     template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
-    drive = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
-    env = replace(template, drive_detuning=drive)
-    t_break = find_gamma_zero(env)
+    t_break = find_gamma_zero(template)
+    env = replace(template, drive_detuning=tune_detuning_for_lamb_zero(template, t_break))
     t_final = find_gamma_negmax(env, t_break)
     return env, t_break, t_final
 

@@ -28,8 +28,8 @@ import pytest
 from blochsteer import (LorentzianEnvironment, bloch_to_density, find_gamma_negmax,
                         find_gamma_zero, tune_detuning_for_lamb_zero)
 from blochsteer.cli import ExperimentConfig, run
-from blochsteer.controls import (SIGMA_MINUS_SHAPE, schedule_from_trajectory,
-                                 two_level_controls)
+from blochsteer.controls import (SIGMA_MINUS_SHAPE, markovian_reduction_check,
+                                 schedule_from_trajectory)
 from blochsteer.environment import decay_and_shift
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel,
                                     assemble_components)
@@ -67,9 +67,8 @@ def tracking_bundle():
 def mixed_bundle():
     template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
     start = time.perf_counter()
-    drive = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
-    env = replace(template, drive_detuning=drive)
-    t_break = find_gamma_zero(env)
+    t_break = find_gamma_zero(template)
+    env = replace(template, drive_detuning=tune_detuning_for_lamb_zero(template, t_break))
     t_final = find_gamma_negmax(env, t_break)
     trajectory = mixed_inversion_trajectory(t_break, t_final)
     times = np.linspace(0.0, t_final, GRID + 1)
@@ -165,10 +164,8 @@ def test_criterion_8_markovian_reduction():
         while abs(r[2]) < 0.1:
             r = random_bloch_vector(2, rng, 0.95)
         rdot = rng.normal(size=3)
-        n = two_level_controls(r, rdot, 1.0, 0.0)[2]
-        dd = float(r @ r) + r[2] ** 2
         worst_identity = max(worst_identity,
-                             abs(2.0 * r[2] + float(r @ rdot) + (2 * n + 1) * dd))
+                             markovian_reduction_check(r, rdot, 1.0).identity_residual)
     identity_ok = worst_identity < 1e-12
     ok = limit_ok and identity_ok
     report(8, ok, f"|Gamma0 - gamma0| max {rate_dev:.3f} for t >= 3/lam at lam=20 "
@@ -199,7 +196,7 @@ def test_criterion_9_numerics_hygiene(tracking_bundle, mixed_bundle, tmp_path, q
     ratio = errs[0] / errs[1]
     # byte-identical reruns of a full experiment
     cfg = ExperimentConfig(experiment="invert-mixed", spectral_width=0.1,
-                           cavity_detuning=0.1).validate()
+                           cavity_detuning=0.1)
     run(cfg, out_dir=tmp_path / "a")
     run(cfg, out_dir=tmp_path / "b")
     identical = all((tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()

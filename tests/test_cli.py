@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +203,7 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
     # the steady-state path overflows: named with its t, without numpy warnings
     *[("track-steady", override, PATH_NOT_FINITE)
       for override in ("drive_detuning=1e200", "omega_c=1e308",
-                       "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200",
-                       "n0=-0.5")],
+                       "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200")],
     ("track-steady", "drive_detuning=1e308", U_NOT_FINITE),
     ("track-steady", "drive_detuning=-1e308", U_NOT_FINITE),
     ("track-steady", "t_final=1e200", RATE_NOT_FINITE),
@@ -220,6 +219,18 @@ def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, exper
     assert cp.returncode == 3
     assert cp.stderr.startswith(f"numerical failure in {experiment}: {message}")
     assert cp.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.3", "-0.5", "-2"])
+def test_negative_thermal_occupation_exits_2_with_one_line_and_no_files(tmp_path, value):
+    # a configuration error, not a numerical failure of the tracking path
+    cfg = write_cfg(tmp_path, TRACK_CFG)
+    out = tmp_path / "out"
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", f"n0={value}")
+    assert cp.returncode == 2
+    assert cp.stderr == ("configuration error: n0 must be nonnegative "
+                         "(a thermal occupation number)\n")
     assert not out.exists()
 
 
@@ -322,8 +333,11 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_grid_and_override_flags(tmp_path):
     cfg = write_cfg(tmp_path, TRACK_CFG)
     out = tmp_path / "out"
-    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", "grid=64",
-                 "--override", "omega_c=5.0", "--override", "min_steps=1000")
+    # each override is one more config line: the last line of a key wins and a
+    # '#' starts a comment
+    cp = run_cli("run", "--config", str(cfg), "--out", str(out), "--override", "grid=32",
+                 "--override", "grid=64 # the later line wins", "--override", "omega_c=5.0",
+                 "--override", "min_steps=1000")
     assert cp.returncode == 0, cp.stderr
     _, data = read_csv(out / "states.csv")
     assert data.shape[0] == 65
@@ -398,10 +412,36 @@ def test_inversion_setup_respects_overrides():
     from blochsteer.cli import ExperimentConfig, _derive_inversion_setup
     cfg = ExperimentConfig(experiment="invert-mixed", spectral_width=0.1,
                            cavity_detuning=0.1, drive_detuning=-0.7,
-                           t_break=8.0, t_final=9.2).validate()
+                           t_break=8.0, t_final=9.2)
     env, t_break, t_final = _derive_inversion_setup(cfg)
     assert env.drive_detuning == -0.7
     assert t_break == 8.0 and t_final == 9.2
+
+
+@pytest.mark.parametrize("experiment", ["invert-mixed", "invert-pure"])
+def test_derived_inversion_finds_the_decay_zero_once(tmp_path, monkeypatch, experiment):
+    # the decay rate does not depend on the drive detuning: one t_i serves the
+    # detuning tuning and t_break
+    from blochsteer import cli, environment
+    calls = []
+    find_gamma_zero = environment.find_gamma_zero
+    for module in (cli, environment):
+        monkeypatch.setattr(module, "find_gamma_zero",
+                            lambda env: calls.append(env) or find_gamma_zero(env))
+    config = ExperimentConfig(experiment=experiment, spectral_width=0.1,
+                              cavity_detuning=0.1, grid=400, min_steps=400)
+    summary = cli.run(config, tmp_path)
+    assert len(calls) == 1 and calls[0].drive_detuning == 0.0
+    assert summary["t_break"] == find_gamma_zero(calls[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: replace(parse_config_text(TRACK_CFG), grid=8),
+    lambda: ExperimentConfig(experiment="env-scan", spectral_width=0.1),
+], ids=["replace-grid", "env-scan-without-scan"])
+def test_every_construction_is_validated(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 @pytest.mark.parametrize("value", ["1e308", "7.0"])
@@ -450,8 +490,7 @@ def test_reservoir_and_trajectory_calls_do_not_grow_with_the_grid(tmp_path, monk
     # (MalformedStateError), the grid-dependent verdict the ROADMAP records
     for grid in (400, 800):
         calls.update(evaluate=0, decay_and_shift=0)
-        cli.run(cli.apply_overrides(config, [f"grid={grid}", f"min_steps={grid}"]),
-                out_dir=tmp_path / str(grid))
+        cli.run(replace(config, grid=grid, min_steps=grid), out_dir=tmp_path / str(grid))
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["evaluate"] > 0 and counts[0]["decay_and_shift"] > 0
@@ -488,7 +527,7 @@ def test_config_text_parses_to_a_valid_config_or_exits_2_without_files(base, lin
             assert main(["run", "--config", str(path), "--out", str(out)]) == 2
             assert not out.exists()
         return
-    assert config.validate() is config
+    assert replace(config) == config   # constructing it again passes the same checks
     for f in fields(config):
         value = getattr(config, f.name)
         assert value is None or type(value) is f.type

@@ -317,24 +317,23 @@ def test_tune_detuning(inversion_setup):
     ts = np.linspace(0.0, 8.0, 81)
     assert np.max(np.abs(decay_and_shift(sym, ts)[1] - 0.3)) < 1e-12
     with pytest.raises(PropagatorZeroError, match="zero at t = 8.242034312,"):
-        tune_detuning_for_lamb_zero(sym, bracket=(-1.0, 1.0))
-    with pytest.raises(RootNotFoundError):
-        tune_detuning_for_lamb_zero(LorentzianEnvironment(lam=0.1, cavity_detuning=0.1),
-                                    bracket=(0.5, 1.0))
+        find_gamma_zero(sym)
+    # s0(t_i) = Delta + Im v(t_i) with Im v(t_i) = 6.73 for this reservoir, so
+    # its tuned detuning -6.73 lies outside the bracket [-2, 2]
+    narrow = LorentzianEnvironment(lam=0.1, cavity_detuning=0.01)
+    t_i = find_gamma_zero(narrow)
+    assert abs(decay_and_shift(narrow, t_i)[1] - 6.73) < 0.01
+    with pytest.raises(RootNotFoundError, match=r"for Delta in \[-2.0, 2.0\]"):
+        tune_detuning_for_lamb_zero(narrow, t_i)
 
 
-def test_decay_zero_is_bit_identical_for_every_drive_detuning(monkeypatch):
-    # Gamma0 = Re v carries no drive detuning, so the tuning finds t_i once
+def test_decay_zero_is_bit_identical_for_every_drive_detuning():
+    # Gamma0 = Re v carries no drive detuning, so t_i is found once, at Delta = 0
     template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
     t_i = find_gamma_zero(template)
     for delta in np.linspace(-2.0, 2.0, 9):
         assert find_gamma_zero(replace(template, drive_detuning=delta)) == t_i
-    import blochsteer.environment as environment
-    calls = []
-    monkeypatch.setattr(environment, "find_gamma_zero",
-                        lambda env: calls.append(env) or find_gamma_zero(env))
-    tuned = tune_detuning_for_lamb_zero(template, bracket=(-2.0, 0.0))
-    assert len(calls) == 1
+    tuned = tune_detuning_for_lamb_zero(template, t_i)
     assert abs(decay_and_shift(replace(template, drive_detuning=tuned), t_i)[1]) < 1e-8
 
 

@@ -217,7 +217,7 @@ def test_controllability_pure_inversion(inversion_setup):
     sched = schedule_from_trajectory(traj, env, times)
     report = controllability_check(sched)
     assert report.min_excitation < 0
-    assert not report.dynamically_controllable
+    assert not report.excitation_nonnegative
 
 
 def test_controllability_mixed_inversion(inversion_setup):
@@ -245,7 +245,7 @@ def test_controllability_ground_state_hold(tracking_env, hold):
     report = controllability_check(sched)
     assert report.max_omega_x < 1e-12 and report.max_omega_y < 1e-12
     assert abs(report.min_excitation) < 1e-12
-    assert report.dynamically_controllable
+    assert report.excitation_nonnegative
 
 
 def test_sample_matches_evaluate_loop(tracking_env, inversion_setup):
