@@ -18,7 +18,7 @@ from .liouvillian import (HamiltonianSpec, LindbladChannel, LiouvillianComponent
                           incoherent_part, inhomogeneous_part, kron_liouvillian)
 from .simulator import (SimulationRun, adiabatic_reference_run, fidelity,
                         fidelity_bloch, integrate_bloch, integrate_density,
-                        lab_field_from_effective, renormalized_field)
+                        lab_field_from_effective, renormalized_field, reservoir_table)
 from .sun_algebra import (GeneratorBasis, StructureTensors, bloch_to_density,
                           build_basis, density_to_bloch, structure_constants)
 from .trajectories import (BOUNDARY_TABLE, ControllabilityReport, TrajectorySpec,

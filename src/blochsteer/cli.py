@@ -25,7 +25,8 @@ from .environment import (LorentzianEnvironment, decay_and_shift, find_gamma_neg
                           find_gamma_zero, tune_detuning_for_lamb_zero)
 from .errors import BlochSteerError, ConfigError, InvalidInputError
 from .selfcheck import run_selfcheck
-from .simulator import DEFAULT_MIN_STEPS, adiabatic_reference_run, integrate_bloch
+from .simulator import (DEFAULT_MIN_STEPS, adiabatic_reference_run, integrate_bloch,
+                        reservoir_table)
 from .trajectories import (mixed_inversion_trajectory, pure_inversion,
                            tracking_trajectory)
 
@@ -203,13 +204,16 @@ def _derive_inversion_setup(config: ExperimentConfig):
     return env, t_break, t_final
 
 
-def _run_controlled(env, trajectory, config: ExperimentConfig):
+def _schedule(env, trajectory, config: ExperimentConfig):
+    """The output times and the control schedule along ``trajectory``."""
     times = np.linspace(0.0, trajectory.t_final, config.grid + 1)
-    schedule = schedule_from_trajectory(trajectory, env, times)
+    return times, schedule_from_trajectory(trajectory, env, times)
+
+
+def _run_controlled(env, trajectory, times, schedule, config: ExperimentConfig, reservoir):
     r0, _ = trajectory.evaluate(0.0)
-    run_fwd = integrate_bloch(schedule, env, r0, times, min_steps=config.min_steps,
-                              reference=trajectory.sample(times)[0])
-    return times, schedule, run_fwd
+    return integrate_bloch(schedule, env, r0, times, min_steps=config.min_steps,
+                           reference=trajectory.sample(times)[0], reservoir=reservoir)
 
 
 def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
@@ -262,10 +266,14 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
     if config.experiment == "track-steady":
         env = _environment(config, config.drive_detuning)
         trajectory = tracking_trajectory(env, config.n0, config.omega_c, config.t_final)
-        times, schedule, run_fwd = _run_controlled(env, trajectory, config)
+        times, schedule = _schedule(env, trajectory, config)
+        # one fine-grid table for the controlled and the reference run
+        reservoir = reservoir_table(env, times, config.min_steps)
+        run_fwd = _run_controlled(env, trajectory, times, schedule, config, reservoir)
         reference = adiabatic_reference_run(env, config.n0, config.omega_c,
                                             config.t_final, times,
-                                            min_steps=config.min_steps)
+                                            min_steps=config.min_steps,
+                                            reservoir=reservoir)
         summary["min_fidelity"] = run_fwd.min_fidelity
         summary["adiabatic_min_fidelity"] = reference.min_fidelity
     else:
@@ -277,7 +285,8 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
             trajectory = pure_inversion(t_final, config.theta_mid)
         else:
             trajectory = mixed_inversion_trajectory(t_break, t_final)
-        times, schedule, run_fwd = _run_controlled(env, trajectory, config)
+        times, schedule = _schedule(env, trajectory, config)
+        run_fwd = _run_controlled(env, trajectory, times, schedule, config, None)
         summary["min_fidelity"] = run_fwd.min_fidelity
         summary["final_fidelity"] = float(run_fwd.fidelity[-1])
         summary["final_r_z"] = float(run_fwd.states[-1, 2])

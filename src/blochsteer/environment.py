@@ -5,8 +5,10 @@ Gamma0(t) = -Re[udot/u] and the Lamb shift s0(t) = -Im[udot/u], plus the
 root-finding utilities the inversion protocols need (decay-rate zero,
 first negative maximum, detuning tuning), which share one bisection.  The
 closed forms follow numpy's shape rules: an array of times gives arrays of
-its shape, one time gives numpy scalars.  The drive renormalization and its
-inverse are ODEs and live with the RK4 core in ``simulator``.
+its shape, one time gives numpy scalars.  Each closed-form value is
+evaluated once per point: Gamma0 and s0 share one sinhc(d t / 2), whose
+series runs only on the entries that need it.  The drive renormalization
+and its inverse are ODEs and live with the RK4 core in ``simulator``.
 
 Conventions: the coupling gamma0 is the frequency unit (gamma0 = 1, so it
 appears in no formula); delta = omega0 - omega_c is the cavity detuning,
@@ -81,11 +83,15 @@ class LorentzianEnvironment:
 
 
 def _sinhc(z):
-    """sinh(z)/z, stable near z = 0 (even in z)."""
+    """sinh(z)/z, stable near z = 0 (even in z): the series 1 + z^2/6 + z^4/120
+    replaces the quotient on the entries with |z| < 1e-4 only."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z * z / 6.0 + z ** 4 / 120.0, np.sinh(safe) / safe)
+    out = np.asarray(np.sinh(safe) / safe)
+    zs = z[small]
+    out[small] = 1.0 + zs * zs / 6.0 + zs ** 4 / 120.0
+    return out[()]
 
 
 def correlation_kernel(env: LorentzianEnvironment, tau):
@@ -97,11 +103,13 @@ def correlation_kernel(env: LorentzianEnvironment, tau):
 
 
 def _cosh_g(env: LorentzianEnvironment, t):
-    """g(t) = cosh(dt/2) + (lam - i delta) (t/2) sinhc(dt/2); u = e^{-kappa t} g."""
+    """(g, s): g(t) = cosh(dt/2) + (lam - i delta) (t/2) s with s = sinhc(dt/2);
+    u = e^{-kappa t} g.  ``_log_derivative`` reuses s."""
     t = np.asarray(t, dtype=float)
     half = 0.5 * t
     z = env._d * half
-    return np.cosh(z) + (env.lam - 1j * env.cavity_detuning) * half * _sinhc(z)
+    s = _sinhc(z)
+    return np.cosh(z) + (env.lam - 1j * env.cavity_detuning) * half * s, s
 
 
 def propagator_u(env: LorentzianEnvironment, t):
@@ -109,7 +117,7 @@ def propagator_u(env: LorentzianEnvironment, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidInputError("propagator defined for t >= 0")
-    return np.exp(-env._envelope_rate * t) * _cosh_g(env, t)
+    return np.exp(-env._envelope_rate * t) * _cosh_g(env, t)[0]
 
 
 def _log_derivative(env: LorentzianEnvironment, t):
@@ -130,14 +138,13 @@ def _log_derivative(env: LorentzianEnvironment, t):
     t = np.asarray(t, dtype=float)
     # an overflowing closed form gives inf or nan; the checks below name it
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _cosh_g(env, t)
+        g, s = _cosh_g(env, t)
         u_abs = np.abs(_phase_free(env, t, g))
         if (u_abs < _PROPAGATOR_ZERO_TOL).any():
             t_bad = np.atleast_1d(t)[np.nanargmin(u_abs)]
             raise PropagatorZeroError(
                 f"propagator magnitude < {_PROPAGATOR_ZERO_TOL} at t = {t_bad}")
-        half = 0.5 * t
-        v = env.lam * half * _sinhc(env._d * half) / g
+        v = env.lam * (0.5 * t) * s / g
         q = -1j * env.drive_detuning - v
     if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
         raise _not_finite(t, q, u_abs)
@@ -145,7 +152,7 @@ def _log_derivative(env: LorentzianEnvironment, t):
 
 
 def _phase_free(env: LorentzianEnvironment, t, g):
-    """w = e^{i Delta t} u from g = _cosh_g(env, t): |w| = |u|, without the drive's phase.
+    """w = e^{i Delta t} u from g = _cosh_g(env, t)[0]: |w| = |u|, without the drive's phase.
 
     The rate is written kappa - i Delta (= (lam - i delta) / 2) so that an
     overflowing kappa still makes |w| non-finite.
@@ -160,7 +167,8 @@ def _check_zero_between(env: LorentzianEnvironment, t: np.ndarray, gam: np.ndarr
     ``gam`` and ``shift`` are the rates on t.  Near a simple zero t0 of u,
     |w'/w| = |Gamma0 + i (s0 - Delta)| is 1/|t - t0| for w = e^{i Delta t} u, so
     an interval holding t0 has (|w'/w|_k + |w'/w|_{k+1}) (t_{k+1} - t_k) >= 4.
-    Each interval past 1 is halved on the closed form of w, keeping a half
+    Each interval past 1 is halved on the closed form of w, evaluated at the
+    ends once and then at the midpoints only, keeping a half
     across which w turns by more than 90 degrees (Re w_b conj(w_a) < 0, as it
     does across a zero).  A zero is named where |w| < 1e-12 at a midpoint or
     the turn survives down to adjacent floats; any other turn resolves, so the
@@ -170,16 +178,18 @@ def _check_zero_between(env: LorentzianEnvironment, t: np.ndarray, gam: np.ndarr
         rate = np.hypot(gam, shift - env.drive_detuning)
         k = np.flatnonzero((rate[1:] + rate[:-1]) * np.diff(t) > 1.0)
         live, a, b = np.arange(len(k)), t[k], t[k + 1]
+        wa, wb = (_phase_free(env, x, _cosh_g(env, x)[0]) for x in (a, b))
         zero_at = np.full(len(k), np.nan)
         while len(live):
             m = 0.5 * (a + b)
-            wa, wm, wb = (_phase_free(env, x, _cosh_g(env, x)) for x in (a, m, b))
+            wm = _phase_free(env, m, _cosh_g(env, m)[0])
             left = (wm * wa.conj()).real < 0
             turn = left | ((wb * wm.conj()).real < 0)
             found = (np.abs(wm) < _PROPAGATOR_ZERO_TOL) | (turn & ((m == a) | (m == b)))
             zero_at[live[found]] = m[found]
             keep = turn & ~found
             live, a, b = live[keep], np.where(left, a, m)[keep], np.where(left, m, b)[keep]
+            wa, wb = np.where(left, wa, wm)[keep], np.where(left, wm, wb)[keep]
     if not np.isnan(zero_at).all():
         i = int(np.nanargmin(zero_at))
         raise PropagatorZeroError(

@@ -20,8 +20,12 @@ under the Kronecker supermatrices S in the real block form
 far less than the complex 4 x 4 one.
 
 Controls are sampled schedules, interpolated cubically at the half steps;
-reservoir coefficients are evaluated from their closed forms exactly.
-Output grids must be uniform.
+reservoir coefficients are evaluated from their closed forms exactly, once
+per fine-grid point, into a table checked for a zero of u between nodes.
+Runs on the same reservoir, output times and ``min_steps`` can share one
+table (``reservoir_table``, passed as ``reservoir``): tracking's controlled
+and adiabatic reference runs do.  A run given no table evaluates its own
+and drops it before the RK4 loop.  Output grids must be uniform.
 
 The reservoir's drive renormalization Omega -> Omega^R and its inverse are
 linear ODEs in (h, w), the local form of the memory convolution, and run
@@ -61,6 +65,7 @@ __all__ = [
     "integrate_density",
     "integrate_density_general",
     "adiabatic_reference_run",
+    "reservoir_table",
     "fidelity",
     "fidelity_bloch",
     "renormalized_field",
@@ -127,17 +132,38 @@ def _qubit_parts():
     return basis, bloch, density
 
 
-def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
-                        fine_times: np.ndarray):
-    """Hamiltonian coefficients (c_x, c_y, c_z) and channel rates on a fine grid.
+def _reservoir_table(env: LorentzianEnvironment, fine_times: np.ndarray):
+    """(Gamma0, s0) on a fine grid, evaluated once per point.
 
     Raises ``PropagatorZeroError`` if u has a zero on the grid or between two
     of its nodes: the rates have a pole there that no RK4 step can cross.
     """
-    omega_x = schedule.value("omega_x", fine_times)
-    excitation = schedule.value("excitation", fine_times)
     gam, shift = decay_and_shift(env, fine_times)
     _check_zero_between(env, fine_times, gam, shift)
+    return gam, shift
+
+
+def reservoir_table(env: LorentzianEnvironment, times: np.ndarray,
+                    min_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma0, s0) on the fine grid of a run over ``times`` with ``min_steps``.
+
+    Runs on the same ``env``, ``times`` and ``min_steps`` take it as
+    ``reservoir`` in place of evaluating it again.  Raises
+    ``PropagatorZeroError`` as a run would.
+    """
+    return _reservoir_table(env, _fine_grid(np.asarray(times, dtype=float), min_steps)[0])
+
+
+def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
+                        fine_times: np.ndarray, reservoir=None):
+    """Hamiltonian coefficients (c_x, c_y, c_z) and channel rates on a fine grid.
+
+    The rates come from ``reservoir``, the table on that grid, or when it is
+    None from a table evaluated here, which is dropped on return.
+    """
+    omega_x = schedule.value("omega_x", fine_times)
+    excitation = schedule.value("excitation", fine_times)
+    gam, shift = _reservoir_table(env, fine_times) if reservoir is None else reservoir
     # omega_y after the reservoir: one fine-grid array fewer at its peak
     omega_y = schedule.value("omega_y", fine_times)
     rate_minus = gam * (excitation + 1.0)
@@ -221,8 +247,10 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_out, per_chunk):
             last = min(n_out, first + per_chunk)
-            for j, a in enumerate(_interval_maps(stages, first, last, sub, h), start=first + 1):
-                y = out[j] = a @ y
+            maps = _interval_maps(stages, first, last, sub, h)
+            # indexed ndarray.dot: the same bits as @ without the matmul ufunc dispatch
+            for j in range(last - first):
+                y = out[first + 1 + j] = maps[j].dot(y)
             finite = np.all(np.isfinite(out[first + 1:last + 1]), axis=1)
             if not finite.all():
                 bad = first + 1 + int(np.argmin(finite))
@@ -249,12 +277,13 @@ def integrate_affine(matrix_fun, drift_fun, y0: np.ndarray, times: np.ndarray,
 
 
 def _qubit_run(schedule: ControlSchedule, env: LorentzianEnvironment, y0: np.ndarray,
-               times: np.ndarray, min_steps: int, gens: np.ndarray) -> np.ndarray:
+               times: np.ndarray, min_steps: int, gens: np.ndarray,
+               reservoir) -> np.ndarray:
     """RK4 run of a two-level form: the stage generators are the stage
     coefficients times the form's five fixed generators ``gens`` (5, d, d),
     stacked by one matrix product."""
     fine, sub = _fine_grid(times, min_steps)
-    coeffs = np.array(_stage_coefficients(schedule, env, fine))
+    coeffs = np.array(_stage_coefficients(schedule, env, fine, reservoir))
     flat = gens.reshape(len(gens), -1)
 
     def stages(idx):
@@ -264,15 +293,19 @@ def _qubit_run(schedule: ControlSchedule, env: LorentzianEnvironment, y0: np.nda
 
 def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
                     r0: np.ndarray, times: np.ndarray, min_steps: int = DEFAULT_MIN_STEPS,
-                    reference: np.ndarray | None = None) -> SimulationRun:
+                    reference: np.ndarray | None = None,
+                    reservoir: tuple[np.ndarray, np.ndarray] | None = None) -> SimulationRun:
     """Integrate the component-form Bloch equations under a control schedule.
 
     ``reference`` holds reference states of shape (n, 3) at ``times``; when
     given, the per-sample Uhlmann fidelity against it is recorded.
+    ``reservoir`` is ``reservoir_table(env, times, min_steps)``, passed to
+    share one table between runs; None evaluates it here.
     """
     times = np.asarray(times, dtype=float)
     y0 = np.append(np.asarray(r0, dtype=float), 1.0)
-    states = _qubit_run(schedule, env, y0, times, min_steps, _qubit_parts()[1])[:, :-1]
+    states = _qubit_run(schedule, env, y0, times, min_steps, _qubit_parts()[1],
+                        reservoir)[:, :-1]
     fid = _reference_fidelity(states, times, reference)
     return SimulationRun(times=times, states=states, fidelity=fid)
 
@@ -292,7 +325,7 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     basis, _, gens = _qubit_parts()
     vec0 = lv.vec(np.asarray(rho0, dtype=complex))
     y = _qubit_run(schedule, env, np.concatenate([vec0.real, vec0.imag]), times, min_steps,
-                   gens)
+                   gens, None)
     raw = (y[:, :4] + 1j * y[:, 4:]).reshape(-1, 2, 2)
     states = density_to_bloch(raw, basis)
     fid = _reference_fidelity(states, times, reference)
@@ -320,11 +353,14 @@ def _reference_fidelity(states, times, reference):
 
 def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: float,
                             t_final: float, times: np.ndarray,
-                            min_steps: int = DEFAULT_MIN_STEPS) -> SimulationRun:
+                            min_steps: int = DEFAULT_MIN_STEPS,
+                            reservoir: tuple[np.ndarray, np.ndarray] | None = None
+                            ) -> SimulationRun:
     """Reference protocol: omega_x follows the bare ramp, omega_y = 0, N = n0.
 
     The run starts in the instantaneous steady state at t = 0, and the
     fidelity column compares against the instantaneous steady state.
+    ``reservoir`` is as in ``integrate_bloch``.
     """
     times = np.asarray(times, dtype=float)
     ramp = reference_ramp(omega_c, t_final, times)
@@ -334,7 +370,7 @@ def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: floa
     def steady(ts):
         return steady_state_bloch(env, n0, reference_ramp(omega_c, t_final, ts), ts)
     return integrate_bloch(schedule, env, steady(0.0), times, min_steps=min_steps,
-                           reference=steady(times))
+                           reference=steady(times), reservoir=reservoir)
 
 
 # ---------------------------------------------------------------------------

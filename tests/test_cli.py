@@ -496,6 +496,52 @@ def test_reservoir_and_trajectory_calls_do_not_grow_with_the_grid(tmp_path, monk
     assert counts[0]["evaluate"] > 0 and counts[0]["decay_and_shift"] > 0
 
 
+@pytest.mark.parametrize("min_steps", [2000, 20000])
+@pytest.mark.parametrize("stem", ["tracking", "pure_inversion", "mixed_inversion"])
+def test_one_fine_grid_reservoir_table_per_run(tmp_path, monkeypatch, stem, min_steps):
+    # the 2 min_steps + 1 step nodes and half steps are evaluated once per run:
+    # tracking's controlled and adiabatic reference runs share one table
+    from blochsteer import cli, environment
+    decay_and_shift = environment.decay_and_shift
+    fine_calls = []
+
+    def counted(env, t):
+        if np.size(t) == 2 * min_steps + 1 and np.ravel(t)[0] == 0.0:
+            fine_calls.append(env)
+        return decay_and_shift(env, t)
+    for module in list(vars(blochsteer).values()) + [blochsteer]:
+        if getattr(module, "decay_and_shift", None) is decay_and_shift:
+            monkeypatch.setattr(module, "decay_and_shift", counted)
+    config = cli.load_config(Path(__file__).resolve().parents[1]
+                             / "scripts" / "configs" / f"{stem}.cfg")
+    cli.run(replace(config, min_steps=min_steps), out_dir=tmp_path)
+    assert len(fine_calls) == 1
+
+
+def test_sinhc_runs_once_per_log_derivative(tmp_path, monkeypatch):
+    from blochsteer import cli, environment
+    log_derivative, sinhc = environment._log_derivative, environment._sinhc
+    calls = {"log_derivative": 0, "sinhc_inside": 0}
+    inside = []
+
+    def counted_log_derivative(env, t):
+        calls["log_derivative"] += 1
+        inside.append(True)
+        try:
+            return log_derivative(env, t)
+        finally:
+            inside.pop()
+
+    def counted_sinhc(z):
+        calls["sinhc_inside"] += bool(inside)
+        return sinhc(z)
+    monkeypatch.setattr(environment, "_log_derivative", counted_log_derivative)
+    monkeypatch.setattr(environment, "_sinhc", counted_sinhc)
+    cli.run(parse_config_text(TRACK_CFG), out_dir=tmp_path)
+    assert calls["log_derivative"] > 0
+    assert calls["sinhc_inside"] == calls["log_derivative"]
+
+
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 RAW_VALUES = st.one_of(
     st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-1e400", "abc", "0", "-1", "16",

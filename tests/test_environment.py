@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from blochsteer.environment import (LorentzianEnvironment, _bisect, _check_zero_between,
+from blochsteer import environment
+from blochsteer.environment import (LorentzianEnvironment, _bisect, _check_zero_between, _sinhc,
                                     correlation_kernel, decay_and_shift, decay_shift_derivatives,
                                     find_gamma_negmax, find_gamma_zero, propagator_u,
                                     tune_detuning_for_lamb_zero)
@@ -94,6 +96,52 @@ def test_zero_between_grid_samples_is_named_on_any_spacing(n):
     assert np.abs(propagator_u(env, ts)).min() > 1e-6
     with pytest.raises(PropagatorZeroError, match=r"zero at t = 4\.836798305, between "):
         _check_zero_between(env, ts, gam, shift)
+
+
+@pytest.mark.parametrize("n, between", [(17, "4.375 and t = 5"), (2001, "4.835 and t = 4.84"),
+                                        (40001, "4.83675 and t = 4.837")])
+def test_zero_search_evaluates_each_time_once(monkeypatch, n, between):
+    # the interval ends are evaluated once and carried along; each halving
+    # round evaluates the closed form at its midpoints only
+    env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.0, drive_detuning=0.1)
+    ts = np.linspace(0.0, 10.0, n)
+    gam, shift = decay_and_shift(env, ts)
+    seen = []
+    cosh_g = environment._cosh_g
+    monkeypatch.setattr(environment, "_cosh_g",
+                        lambda env, t: seen.append(np.copy(t)) or cosh_g(env, t))
+    message = f"propagator has a zero at t = 4.836798305, between the grid samples t = {between}"
+    with pytest.raises(PropagatorZeroError, match=f"^{re.escape(message)}$"):
+        _check_zero_between(env, ts, gam, shift)
+    # 2 + rounds arrays: the ends on the grid, then the midpoints, none evaluated twice
+    ends, mids = np.concatenate(seen[:2]), np.concatenate(seen[2:])
+    assert len(seen) > 2 and np.isin(ends, ts).all()
+    assert len(np.unique(mids)) == len(mids) and not np.isin(mids, ends).any()
+
+
+def _sinhc_on_every_entry(z):
+    """sinhc with the series and the quotient on every entry, picked by np.where."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + z * z / 6.0 + z ** 4 / 120.0, np.sinh(safe) / safe)
+
+
+def test_sinhc_takes_the_series_on_the_small_entries_only(rng):
+    z = np.concatenate([
+        [0.0, -0.0, 1e-300, 5e-5j, -9.99e-5, 7e-5 - 7e-5j, 1e-4, -1e-4j, 1.0001e-4, 2.0 + 3.0j],
+        rng.uniform(-2e-4, 2e-4, 50) + 1j * rng.uniform(-2e-4, 2e-4, 50),
+        rng.uniform(-30.0, 30.0, 50) + 1j * rng.uniform(-30.0, 30.0, 50)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sinhc(z)
+        scalars = [_sinhc(x) for x in (0.0, 3e-5, 0.7 - 0.2j)]
+    assert got.tobytes() == _sinhc_on_every_entry(z).tobytes()
+    assert got[0] == 1.0 and got.shape == z.shape
+    for x, value in zip((0.0, 3e-5, 0.7 - 0.2j), scalars):
+        assert type(value) is np.complex128
+        assert value == _sinhc_on_every_entry(x)
+    assert _sinhc(z.reshape(10, 11)).shape == (10, 11)
 
 
 @pytest.mark.parametrize("ts", [np.array([1e-5, 4.8368]), np.linspace(0.0, 30.0, 17)])
