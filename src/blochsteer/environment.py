@@ -7,8 +7,11 @@ first negative maximum, detuning tuning), which share one bisection.  The
 closed forms follow numpy's shape rules: an array of times gives arrays of
 its shape, one time gives numpy scalars.  Each closed-form value is
 evaluated once per point: Gamma0 and s0 share one sinhc(d t / 2), whose
-series runs only on the entries that need it.  The drive renormalization
-and its inverse are ODEs and live with the RK4 core in ``simulator``.
+series runs only on the entries that need it.  A run's fine-grid table of
+Gamma0 and s0 is evaluated once and checked for a zero of u between nodes,
+and tracking's controlled and adiabatic reference runs share that table
+(``simulator.reservoir_table``).  The drive renormalization and its
+inverse are ODEs and live with the RK4 core in ``simulator``.
 
 Conventions: the coupling gamma0 is the frequency unit (gamma0 = 1, so it
 appears in no formula); delta = omega0 - omega_c is the cavity detuning,
