@@ -10,15 +10,15 @@ from .controls import (ControlSchedule, ControlSolution, ControlSystem,
                        assemble_control_system, markovian_reduction_check,
                        schedule_from_trajectory, solve_controls,
                        two_level_controls)
-from .environment import (LorentzianEnvironment, correlation_kernel, decay_and_shift,
-                          decay_shift_derivatives, find_gamma_negmax, find_gamma_zero,
-                          propagator_u, tune_detuning_for_lamb_zero)
+from .environment import (LorentzianEnvironment, decay_and_shift, decay_shift_derivatives,
+                          find_gamma_negmax, find_gamma_zero, propagator_u,
+                          tune_detuning_for_lamb_zero)
 from .liouvillian import (HamiltonianSpec, LindbladChannel, LiouvillianComponents,
                           assemble_components, coherent_part, components_from_kron,
                           incoherent_part, inhomogeneous_part, kron_liouvillian)
-from .simulator import (SimulationRun, adiabatic_reference_run, fidelity,
-                        fidelity_bloch, integrate_bloch, integrate_density,
-                        lab_field_from_effective, renormalized_field, reservoir_table)
+from .simulator import (SimulationRun, adiabatic_reference_run, fidelity_bloch,
+                        integrate_bloch, integrate_density, lab_field_from_effective,
+                        renormalized_field, reservoir_table)
 from .sun_algebra import (GeneratorBasis, StructureTensors, bloch_to_density,
                           build_basis, density_to_bloch, structure_constants)
 from .trajectories import (BOUNDARY_TABLE, ControllabilityReport, TrajectorySpec,

@@ -41,11 +41,10 @@ class ExperimentConfig:
     experiment: str
     spectral_width: float = None
     cavity_detuning: float = 0.0
-    drive_detuning: float = None      # None: auto-derived for inversion runs
+    drive_detuning: float = None      # derived for inversion runs, never set there
     n0: float = 0.0
     omega_c: float = 0.0
-    t_final: float = None             # None: auto-derived for inversion runs
-    t_break: float = None
+    t_final: float = None             # derived for inversion runs, never set there
     theta_mid: float = float(np.pi / 4)
     grid: int = 2000
     min_steps: int = DEFAULT_MIN_STEPS
@@ -62,8 +61,12 @@ class ExperimentConfig:
                 _check_value(name, getattr(self, name))
         if self.grid < 16:
             raise ConfigError("grid must be at least 16")
-        if self.min_steps < self.grid:
+        if self.experiment != "env-scan" and self.min_steps < self.grid:
             raise ConfigError("min_steps must be at least the grid size")
+        overridden = [key for key in ("drive_detuning", "t_final") if getattr(self, key) is not None]
+        if self.experiment.startswith("invert-") and overridden:
+            raise ConfigError(f"{' and '.join(overridden)} cannot be set for {self.experiment}, "
+                              "which derives drive_detuning and t_final from the reservoir")
         if self.experiment == "track-steady":
             if self.drive_detuning is None or self.t_final is None:
                 raise ConfigError("track-steady requires drive_detuning and t_final")
@@ -90,7 +93,6 @@ _VALUE_RULES = {
     # an azimuth: more than one turn is not a meaningful bump
     "theta_mid": (lambda v: abs(v) <= 2.0 * np.pi, "must lie in [-2 pi, 2 pi]"),
     "t_final": (lambda v: v is None or v > 0, "must be finite and positive when set"),
-    "t_break": (lambda v: v is None or v > 0, "must be finite and positive when set"),
 }
 """Each float key's rule beyond being finite, with the error text that names it."""
 
@@ -142,10 +144,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _read_config(path: str | Path) -> str:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return path.read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -183,25 +185,20 @@ def _environment(config: ExperimentConfig, drive_detuning: float) -> LorentzianE
 
 
 def _derive_inversion_setup(config: ExperimentConfig):
-    """(env, t_break, t_final) with detuning and times auto-derived unless set.
+    """(env, t_i, t_final) of an inversion, all derived from the reservoir.
 
-    The decay rate does not depend on the drive detuning, so its zero t_i is
-    found once, at Delta = 0, and only if the detuning or t_break needs it.
+    The path crosses r_z = 0 at the decay-rate zero t_i, and the drive
+    detuning is tuned so that the Lamb shift vanishes there too.  The decay
+    rate does not depend on the drive detuning, so t_i is found once, at
+    Delta = 0.  The mixed inversion ends at the first negative maximum of the
+    decay rate past t_i, the pure one at 2 t_i.
     """
-    drive, t_break = config.drive_detuning, config.t_break
-    if drive is None or t_break is None:
-        template = _environment(config, 0.0)
-        t_i = find_gamma_zero(template)
-        drive = tune_detuning_for_lamb_zero(template, t_i) if drive is None else drive
-        t_break = t_i if t_break is None else t_break
-    env = _environment(config, drive)
-    if config.t_final is not None:
-        t_final = config.t_final
-    elif config.experiment == "invert-mixed":
-        t_final = find_gamma_negmax(env, t_break)
-    else:
-        t_final = 2.0 * t_break
-    return env, t_break, t_final
+    template = _environment(config, 0.0)
+    t_i = find_gamma_zero(template)
+    env = _environment(config, tune_detuning_for_lamb_zero(template, t_i))
+    if config.experiment == "invert-mixed":
+        return env, t_i, find_gamma_negmax(env, t_i)
+    return env, t_i, 2.0 * t_i
 
 
 def _schedule(env, trajectory, config: ExperimentConfig):
@@ -277,14 +274,14 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
         summary["min_fidelity"] = run_fwd.min_fidelity
         summary["adiabatic_min_fidelity"] = reference.min_fidelity
     else:
-        env, t_break, t_final = _derive_inversion_setup(config)
+        env, t_i, t_final = _derive_inversion_setup(config)
         summary["drive_detuning"] = env.drive_detuning
-        summary["t_break"] = t_break
+        summary["t_break"] = t_i
         summary["t_final"] = t_final
         if config.experiment == "invert-pure":
             trajectory = pure_inversion(t_final, config.theta_mid)
         else:
-            trajectory = mixed_inversion_trajectory(t_break, t_final)
+            trajectory = mixed_inversion_trajectory(t_i, t_final)
         times, schedule = _schedule(env, trajectory, config)
         run_fwd = _run_controlled(env, trajectory, times, schedule, config, None)
         summary["min_fidelity"] = run_fwd.min_fidelity

@@ -307,10 +307,6 @@ class ControlSchedule:
         return cubic_value(self._coefficients[name], self.times, t,
                            uniform_pieces(self.times, t)).reshape(shape)
 
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
 
 def schedule_from_trajectory(trajectory, env: LorentzianEnvironment,
                              times: np.ndarray) -> ControlSchedule:

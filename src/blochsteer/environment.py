@@ -36,7 +36,6 @@ from .errors import InvalidInputError, PropagatorZeroError, RootNotFoundError
 
 __all__ = [
     "LorentzianEnvironment",
-    "correlation_kernel",
     "propagator_u",
     "decay_and_shift",
     "decay_shift_derivatives",
@@ -95,14 +94,6 @@ def _sinhc(z):
     zs = z[small]
     out[small] = 1.0 + zs * zs / 6.0 + zs ** 4 / 120.0
     return out[()]
-
-
-def correlation_kernel(env: LorentzianEnvironment, tau):
-    """Two-time reservoir correlation f(tau) for tau >= 0."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise InvalidInputError("correlation kernel defined for tau >= 0")
-    return 0.5 * env.lam * np.exp(-env._memory_rate * tau)
 
 
 def _cosh_g(env: LorentzianEnvironment, t):

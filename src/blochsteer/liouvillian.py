@@ -31,6 +31,7 @@ __all__ = [
     "coherent_part",
     "incoherent_part",
     "inhomogeneous_part",
+    "assemble_components",
     "channel_matrix",
     "channel_drift",
     "kron_liouvillian",

@@ -66,7 +66,6 @@ __all__ = [
     "integrate_density_general",
     "adiabatic_reference_run",
     "reservoir_table",
-    "fidelity",
     "fidelity_bloch",
     "renormalized_field",
     "lab_field_from_effective",
@@ -404,31 +403,6 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
         slack.append(np.maximum(0.0, 1.0 - n2))
     val = 0.5 * (1.0 + np.vecdot(r1, r2) + np.sqrt(slack[0] * slack[1]))
     return np.minimum(np.maximum(val, 0.0), 1.0 + 1e-12)
-
-
-def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
-
-    Two-level inputs use the closed Bloch-vector formula; larger dimensions
-    go through Hermitian eigendecompositions.
-
-    Raises
-    ------
-    MalformedStateError
-        If either state has an eigenvalue below -1e-8.
-    """
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape == (2, 2):
-        basis = _qubit_parts()[0]
-        return fidelity_bloch(density_to_bloch(rho1, basis), density_to_bloch(rho2, basis))
-    w1, v1 = np.linalg.eigh(rho1)
-    if np.min(w1) < -1e-8 or np.min(np.linalg.eigvalsh(rho2)) < -1e-8:
-        raise MalformedStateError("negative eigenvalue beyond tolerance; state unphysical")
-    sqrt1 = (v1 * np.sqrt(np.clip(w1, 0.0, None))) @ v1.conj().T
-    inner = sqrt1 @ rho2 @ sqrt1
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
 def integrate_density_general(generator_fun, rho0: np.ndarray, times: np.ndarray, basis,

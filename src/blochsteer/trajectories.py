@@ -60,12 +60,6 @@ class TrajectorySpec:
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._evaluator(np.asarray(times, dtype=float))
 
-    def max_norm(self) -> float:
-        """Largest |r| over 1000 equally spaced times."""
-        ts = np.linspace(0.0, self.t_final, 1000)
-        r, _ = self.sample(ts)
-        return float(np.max(np.linalg.norm(r, axis=1)))
-
 
 def _check_window(t, t_final: float):
     """Raise naming the first time outside [0, t_final] (NaN included)."""

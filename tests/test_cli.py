@@ -115,16 +115,29 @@ def test_malformed_config_exits_2_without_files(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("t_final", "-1"), ("t_final", "nan"),
-                                        ("t_final", "inf"), ("t_break", "0"),
-                                        ("t_break", "nan")])
-def test_nonpositive_or_nonfinite_times_exit_2_without_files(tmp_path, key, value):
+                                        ("t_final", "inf")])
+def test_nonpositive_or_nonfinite_times_exit_2_without_files(tmp_path, capsys, key, value):
     from blochsteer.cli import main
-    cfg = write_cfg(tmp_path, f"experiment = invert-pure\nspectral_width = 0.1\n"
-                              f"cavity_detuning = 0.1\n{key} = {value}\n")
+    cfg = write_cfg(tmp_path, TRACK_CFG + f"{key} = {value}\n")
     out = tmp_path / "out"
     out.mkdir()
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key} must be finite")
     assert list(out.iterdir()) == []
+
+
+def test_config_file_that_is_not_utf8_exits_2_without_files(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(TRACK_CFG.encode() + b"# \xff\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {cfg}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+    assert not out.exists()
+    # a directory is no config file either
+    assert main(["run", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 ENV_SCAN_LINES = ["experiment = env-scan", "spectral_width = 0.1", "cavity_detuning = 0.1",
@@ -187,23 +200,11 @@ PATH_NOT_FINITE = "InvalidInputError: steady-state path is not finite at t = "
                        "cavity_detuning=-1e308")],
     ("env-scan", "t_final=1e308", "InvalidInputError: scan value drive_detuning = 0.0: "
                                   "decay_rate is not finite at t = "),
-    ("invert-mixed", "t_break=1e-300", "InfeasibleTrajectoryError: r_y knot table: "
-                                       "cubic coefficients overflow"),
-    ("invert-mixed", "t_final=1e308", "InfeasibleTrajectoryError: trajectory norm is not "
-                                      "finite at t = "),
-    # the reservoir closed forms overflow: the decay rate or |u| is named with its t
-    # (several overrides are separated by spaces); at t_break = 1e19 the scan
-    # window 4 pi / |Im d| of the negative maximum vanishes against t_break
-    ("invert-mixed", "spectral_width=1e-20 drive_detuning=0 t_break=1e19",
-     "RootNotFoundError: decay rate has no interior minimum in "),
-    ("invert-mixed", "t_break=1e200", RATE_NOT_FINITE),
-    ("invert-mixed", "drive_detuning=1e308", U_NOT_FINITE),
-    ("invert-mixed", "drive_detuning=-1e308", U_NOT_FINITE),
-    ("invert-pure", "t_final=1e200", RATE_NOT_FINITE),
     # the steady-state path overflows: named with its t, without numpy warnings
     *[("track-steady", override, PATH_NOT_FINITE)
       for override in ("drive_detuning=1e200", "omega_c=1e308",
                        "omega_c=-1e308", "omega_c=1e200", "n0=1e308", "n0=1e200")],
+    # the reservoir closed forms overflow: the decay rate or |u| is named with its t
     ("track-steady", "drive_detuning=1e308", U_NOT_FINITE),
     ("track-steady", "drive_detuning=-1e308", U_NOT_FINITE),
     ("track-steady", "t_final=1e200", RATE_NOT_FINITE),
@@ -219,6 +220,37 @@ def test_extreme_finite_values_exit_3_with_one_line_and_no_files(tmp_path, exper
     assert cp.returncode == 3
     assert cp.stderr.startswith(f"numerical failure in {experiment}: {message}")
     assert cp.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, override, named", [
+    *[(experiment, override, named) for experiment in ("invert-pure", "invert-mixed")
+      for override, named in (("t_final=10", "t_final"),
+                              ("drive_detuning=0", "drive_detuning"),
+                              ("t_break=6", "t_break"),
+                              ("drive_detuning=0 t_final=10", "drive_detuning and t_final"))],
+    # settings that once reached numerical guards of the trajectory and the
+    # reservoir; the library tests of those guards call them directly
+    ("invert-mixed", "t_break=1e-300", "t_break"),
+    ("invert-mixed", "t_final=1e308", "t_final"),
+    ("invert-mixed", "spectral_width=1e-20 drive_detuning=0 t_break=1e19", "t_break"),
+    ("invert-mixed", "t_break=1e200", "t_break"),
+    ("invert-mixed", "drive_detuning=1e308", "drive_detuning"),
+    ("invert-mixed", "drive_detuning=-1e308", "drive_detuning"),
+    ("invert-pure", "t_final=1e200", "t_final"),
+])
+def test_inversion_setup_overrides_exit_2_with_one_line_and_no_files(tmp_path, capsys,
+                                                                     experiment, override,
+                                                                     named):
+    # an inversion derives its drive detuning, t_i and t_final from the reservoir
+    cfg = write_cfg(tmp_path, EXTREME_CONFIGS[experiment])
+    out = tmp_path / "out"
+    overrides = [arg for item in override.split() for arg in ("--override", item)]
+    assert main(["run", "--config", str(cfg), "--out", str(out), *overrides]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown configuration key 't_break'\n" if named == "t_break"
+        else f"configuration error: {named} cannot be set for {experiment}, which derives "
+             "drive_detuning and t_final from the reservoir\n")
     assert not out.exists()
 
 
@@ -346,6 +378,18 @@ def test_grid_and_override_flags(tmp_path):
     assert abs(ctrl[-1, 1]) < 6.0
 
 
+def test_env_scan_takes_a_grid_above_min_steps(tmp_path):
+    # env-scan integrates nothing, so the min_steps >= grid rule is not its own
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "env_scan.cfg"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--override", "grid=30000"]) == 0
+    header, data = read_csv(out / "env_003.csv")
+    assert header == ["t", "decay_rate", "lamb_shift"] and data.shape == (30001, 3)
+    with pytest.raises(ConfigError, match="min_steps must be at least the grid size"):
+        parse_config_text(TRACK_CFG + "grid = 30000\n")
+
+
 def test_env_scan(tmp_path):
     cfg = write_cfg(tmp_path, """
 experiment = env-scan
@@ -408,16 +452,6 @@ def test_detuning_protocol_csv_columns(tmp_path, tracking_env, hold):
     assert np.allclose(data, expected, rtol=1e-14, atol=1e-300)
 
 
-def test_inversion_setup_respects_overrides():
-    from blochsteer.cli import ExperimentConfig, _derive_inversion_setup
-    cfg = ExperimentConfig(experiment="invert-mixed", spectral_width=0.1,
-                           cavity_detuning=0.1, drive_detuning=-0.7,
-                           t_break=8.0, t_final=9.2)
-    env, t_break, t_final = _derive_inversion_setup(cfg)
-    assert env.drive_detuning == -0.7
-    assert t_break == 8.0 and t_final == 9.2
-
-
 @pytest.mark.parametrize("experiment", ["invert-mixed", "invert-pure"])
 def test_derived_inversion_finds_the_decay_zero_once(tmp_path, monkeypatch, experiment):
     # the decay rate does not depend on the drive detuning: one t_i serves the
@@ -438,7 +472,10 @@ def test_derived_inversion_finds_the_decay_zero_once(tmp_path, monkeypatch, expe
 @pytest.mark.parametrize("make", [
     lambda: replace(parse_config_text(TRACK_CFG), grid=8),
     lambda: ExperimentConfig(experiment="env-scan", spectral_width=0.1),
-], ids=["replace-grid", "env-scan-without-scan"])
+    lambda: ExperimentConfig(experiment="invert-mixed", spectral_width=0.1, t_final=9.2),
+    lambda: replace(parse_config_text(MIXED_CFG), drive_detuning=-0.7),
+], ids=["replace-grid", "env-scan-without-scan", "inversion-t_final",
+        "replace-inversion-drive_detuning"])
 def test_every_construction_is_validated(make):
     with pytest.raises(ConfigError):
         make()
@@ -662,10 +699,10 @@ def whole_runs(draw):
               "min_steps": draw(st.integers(grid, 1000)),
               "spectral_width": draw(st.floats(0.01, 20.0)),
               "cavity_detuning": draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))}
-    optional = {"drive_detuning": st.floats(-1.0, 1.0), "t_final": st.floats(0.5, 30.0),
-                "t_break": st.floats(0.5, 15.0)}
+    # the inversions derive drive_detuning and t_final; the other two take them
+    optional = {"drive_detuning": st.floats(-1.0, 1.0), "t_final": st.floats(0.5, 30.0)}
     for key, strategy in optional.items():
-        if draw(st.booleans()):
+        if not experiment.startswith("invert-") and draw(st.booleans()):
             values[key] = draw(strategy)
     if experiment == "track-steady":
         values.setdefault("drive_detuning", draw(optional["drive_detuning"]))

@@ -10,9 +10,8 @@ from scipy.integrate import simpson
 
 from blochsteer import environment
 from blochsteer.environment import (LorentzianEnvironment, _bisect, _check_zero_between, _sinhc,
-                                    correlation_kernel, decay_and_shift, decay_shift_derivatives,
-                                    find_gamma_negmax, find_gamma_zero, propagator_u,
-                                    tune_detuning_for_lamb_zero)
+                                    decay_and_shift, decay_shift_derivatives, find_gamma_negmax,
+                                    find_gamma_zero, propagator_u, tune_detuning_for_lamb_zero)
 from blochsteer.errors import (InvalidInputError, PropagatorZeroError, RootNotFoundError)
 from blochsteer.selfcheck import _expm, _expm_propagator
 from blochsteer.simulator import lab_field_from_effective, renormalized_field
@@ -21,23 +20,6 @@ from blochsteer.simulator import lab_field_from_effective, renormalized_field
 def test_environment_validation():
     with pytest.raises(InvalidInputError):
         LorentzianEnvironment(lam=0.0)
-
-
-def test_kernel_closed_form():
-    env = LorentzianEnvironment(lam=0.8, cavity_detuning=0.3, drive_detuning=-0.2)
-    assert abs(correlation_kernel(env, 0.0) - 0.5 * 0.8) < 1e-15
-    tau = 1.0 / env.lam
-    assert abs(abs(correlation_kernel(env, tau)) - 0.5 * 0.8 * np.exp(-1.0)) < 1e-14
-    with pytest.raises(InvalidInputError):
-        correlation_kernel(env, -0.1)
-
-
-def test_kernel_flat_spectrum_area():
-    # quadrature of the kernel approaches gamma0/2 for a wide reservoir
-    env = LorentzianEnvironment(lam=200.0, cavity_detuning=0.2, drive_detuning=0.1)
-    tau = np.linspace(0.0, 0.5, 20001)
-    area = simpson(correlation_kernel(env, tau), x=tau)
-    assert abs(area - 0.5) < 5e-3
 
 
 def test_propagator_boundary_and_oracle(rng):

@@ -10,10 +10,9 @@ from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
                                MalformedStateError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
-from blochsteer.simulator import (_stage_coefficients, adiabatic_reference_run, fidelity,
-                                  fidelity_bloch, integrate_affine, integrate_bloch,
-                                  integrate_density, lab_field_from_effective,
-                                  renormalized_field)
+from blochsteer.simulator import (_stage_coefficients, adiabatic_reference_run, fidelity_bloch,
+                                  integrate_affine, integrate_bloch, integrate_density,
+                                  lab_field_from_effective, renormalized_field)
 from blochsteer.sun_algebra import bloch_to_density
 from blochsteer.trajectories import tracking_trajectory
 
@@ -209,37 +208,20 @@ def test_non_uniform_output_grid_is_rejected():
     assert abs(states[1, 0] - np.exp(-1.0)) < 1e-9
 
 
-def test_fidelity_trivials(qubit):
-    basis, _ = qubit
-    excited = np.diag([1.0, 0.0]).astype(complex)
-    ground = np.diag([0.0, 1.0]).astype(complex)
-    mixed = np.eye(2, dtype=complex) / 2
-    assert fidelity(excited, excited) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(excited, ground) == pytest.approx(0.0, abs=1e-12)
-    assert fidelity(mixed, excited) == pytest.approx(0.5, abs=1e-12)
-    rho = bloch_to_density(np.array([0.3, -0.2, 0.4]), basis)
-    sig = bloch_to_density(np.array([-0.1, 0.5, 0.2]), basis)
-    assert abs(fidelity(rho, sig) - fidelity(sig, rho)) < 1e-12
-    assert 0.0 <= fidelity(rho, sig) <= 1.0 + 1e-12
-
-
-def test_fidelity_general_dimension():
-    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-    pure1 = np.zeros((3, 3), dtype=complex)
-    pure1[0, 0] = 1.0
-    pure2 = np.zeros((3, 3), dtype=complex)
-    pure2[1, 1] = 1.0
-    assert fidelity(pure1, pure2) == pytest.approx(0.0, abs=1e-12)
-    assert fidelity(np.eye(3) / 3, pure1) == pytest.approx(1.0 / 3.0, abs=1e-12)
+def test_fidelity_trivials():
+    # Bloch vectors of the excited, ground and maximally mixed states
+    excited, ground, mixed = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), np.zeros(3)
+    assert fidelity_bloch(excited, excited) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_bloch(excited, ground) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity_bloch(mixed, excited) == pytest.approx(0.5, abs=1e-12)
+    rho, sig = np.array([0.3, -0.2, 0.4]), np.array([-0.1, 0.5, 0.2])
+    assert abs(fidelity_bloch(rho, sig) - fidelity_bloch(sig, rho)) < 1e-12
+    assert 0.0 <= fidelity_bloch(rho, sig) <= 1.0 + 1e-12
 
 
 def test_fidelity_rejects_unphysical():
     with pytest.raises(MalformedStateError):
         fidelity_bloch(np.array([0.0, 0.0, 1.1]), np.zeros(3))
-    bad = np.diag([1.2, -0.2, 0.0]).astype(complex)
-    with pytest.raises(MalformedStateError):
-        fidelity(bad, np.eye(3) / 3)
 
 
 def test_adiabatic_gap_and_limits(tracking_env):

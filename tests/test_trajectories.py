@@ -16,6 +16,12 @@ from blochsteer.trajectories import (BOUNDARY_TABLE, controllability_check,
                                      tracking_trajectory)
 
 
+def max_norm(path) -> float:
+    """Largest |r| over 1000 equally spaced times."""
+    r, _ = path.sample(np.linspace(0.0, path.t_final, 1000))
+    return float(np.max(np.linalg.norm(r, axis=1)))
+
+
 def reference_generator(env, n0, omega0, t, basis):
     """Frozen reference Liouvillian supermatrix at time t."""
     gam, shift = decay_and_shift(env, t)
@@ -75,7 +81,7 @@ def test_tracking_trajectory_endpoints(tracking_env):
     rf, _ = traj.evaluate(10.0)
     assert np.allclose(r0, steady_state_bloch(tracking_env, 1e-5, 0.0, 0.0), atol=1e-14)
     assert np.allclose(rf, steady_state_bloch(tracking_env, 1e-5, 10.0, 10.0), atol=1e-14)
-    assert traj.max_norm() < 1.0
+    assert max_norm(traj) < 1.0
 
 
 def test_tracking_derivative_matches_finite_differences(tracking_env):
@@ -106,7 +112,7 @@ def test_pure_inversion_boundary_conditions():
     theta_p = np.arctan2(r_p[0], r_p[1])
     theta_m = np.arctan2(r_m[0], r_m[1])
     assert abs(theta_p - theta_m) / (2 * h) < 1e-6
-    assert abs(path.max_norm() - 1.0) < 1e-12
+    assert abs(max_norm(path) - 1.0) < 1e-12
 
 
 def test_pure_inversion_unit_speed_consistency():
@@ -168,7 +174,7 @@ def test_remediated_knot_table_matches_the_scipy_construction(times, expected):
 def test_mixed_inversion_stays_in_ball(inversion_setup):
     _, t_break, t_final = inversion_setup
     traj = mixed_inversion_trajectory(t_break, t_final)
-    assert traj.max_norm() <= 1.0 + 1e-9
+    assert max_norm(traj) <= 1.0 + 1e-9
 
 
 def test_mixed_inversion_sign_structure(inversion_setup):
@@ -207,6 +213,18 @@ def test_mixed_inversion_invalid_and_infeasible(monkeypatch):
     monkeypatch.setattr(trajectories, "BOUNDARY_TABLE", not_finite)
     with pytest.raises(InfeasibleTrajectoryError, match="r_y knot table"):
         mixed_inversion_trajectory(8.0, 9.2)
+
+
+@pytest.mark.parametrize("t_break, t_final, message", [
+    # the knots crowd against t = 0: the Hermite coefficients overflow
+    (1e-300, 9.2526, "r_y knot table: cubic coefficients overflow"),
+    # the path is stretched so far that its norm overflows on the check grid
+    (8.0256, 1e308, "trajectory norm is not finite at t = "),
+])
+def test_mixed_inversion_names_extreme_knot_times(t_break, t_final, message):
+    with pytest.raises(InfeasibleTrajectoryError) as err:
+        mixed_inversion_trajectory(t_break, t_final)
+    assert str(err.value).startswith(message)
 
 
 def test_controllability_pure_inversion(inversion_setup):
