@@ -184,10 +184,12 @@ def _offsets(x: np.ndarray, t: np.ndarray, i: np.ndarray):
     return s, np.empty_like(s)
 
 
-def cubic_value(c: np.ndarray, x: np.ndarray, t: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """Value at t on pieces i of the coefficients c (4, n - 1), by Horner's rule."""
+def cubic_value(c: np.ndarray, x: np.ndarray, t: np.ndarray, i: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Value at t on pieces i of the coefficients c (4, n - 1), by Horner's
+    rule; written into ``out``, a contiguous float array of t's shape, when given."""
     s, row = _offsets(x, t, i)
-    v = c[0].take(i)
+    v = c[0].take(i, out=out, mode="clip")
     for k in (1, 2, 3):
         v *= s
         v += c[k].take(i, out=row, mode="clip")

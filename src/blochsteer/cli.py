@@ -162,20 +162,29 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-# Rows turned into Python floats at a time: converting a whole table at once
-# leaves its many short-lived float objects in the peak resident memory.
+# Rows turned into Python floats and text, and written, at a time: converting
+# a whole table at once leaves its many short-lived objects in the peak
+# resident memory.
 _CSV_CHUNK_ROWS = 256
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    """One row per sample, every value as ``%.15g`` (the same text as ``_fmt``)."""
-    row = ",".join(["%.15g"] * len(columns))
+def _time_column(times) -> list[str]:
+    """Each t as ``%.15g`` with its separator: the first field of every row of
+    the CSVs written on these times, formatted once for all of them."""
+    return ["%.15g," % t for t in times.tolist()]
+
+
+def _write_csv(path: Path, header: str, t_text: list[str], columns) -> None:
+    """One line per sample: its ``_time_column`` text, then every value of
+    ``columns`` as ``%.15g`` (the same text as ``_fmt``)."""
+    row = ",".join(["%.15g"] * len(columns)) + "\n"
     table = np.column_stack(columns)
-    lines = [header]
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        lines += [row % tuple(values)
-                  for values in table[start:start + _CSV_CHUNK_ROWS].tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            f.writelines([t + row % tuple(values)
+                          for t, values in zip(t_text[start:stop], table[start:stop].tolist())])
 
 
 def _environment(config: ExperimentConfig, drive_detuning: float) -> LorentzianEnvironment:
@@ -215,15 +224,16 @@ def _run_controlled(env, trajectory, times, schedule, config: ExperimentConfig, 
 
 def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
     gam, shift = decay_and_shift(env, times)
+    t_text = _time_column(times)
     files = []
-    _write_csv(out / "states.csv", "t,r_x,r_y,r_z,fidelity",
-               [times, run_fwd.states[:, 0], run_fwd.states[:, 1], run_fwd.states[:, 2],
+    _write_csv(out / "states.csv", "t,r_x,r_y,r_z,fidelity", t_text,
+               [run_fwd.states[:, 0], run_fwd.states[:, 1], run_fwd.states[:, 2],
                 run_fwd.fidelity])
     files.append("states.csv")
-    _write_csv(out / "controls.csv", ",".join(("t", *FIELDS)),
-               [times, *(getattr(schedule, name) for name in FIELDS)])
+    _write_csv(out / "controls.csv", ",".join(("t", *FIELDS)), t_text,
+               [getattr(schedule, name) for name in FIELDS])
     files.append("controls.csv")
-    _write_csv(out / "env.csv", "t,decay_rate,lamb_shift", [times, gam, shift])
+    _write_csv(out / "env.csv", "t,decay_rate,lamb_shift", t_text, [gam, shift])
     files.append("env.csv")
     return files
 
@@ -253,9 +263,10 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
         results = [compute(value) for value in config.scan_values]
         out.mkdir(parents=True, exist_ok=True)
-        for i, (value, (gam, shift)) in enumerate(zip(config.scan_values, results)):
-            _write_csv(out / f"env_{i:03d}.csv", "t,decay_rate,lamb_shift",
-                       [times, gam, shift])
+        t_text = _time_column(times)
+        for i, (gam, shift) in enumerate(results):
+            _write_csv(out / f"env_{i:03d}.csv", "t,decay_rate,lamb_shift", t_text,
+                       [gam, shift])
         summary["files"] = ",".join(f"env_{i:03d}.csv" for i in range(len(config.scan_values)))
         summary["scan_parameter"] = config.scan_parameter
         return summary

@@ -292,20 +292,26 @@ class ControlSchedule:
         object.__setattr__(self, "times", t)
 
     @cached_property
-    def _coefficients(self) -> dict[str, np.ndarray]:
-        """Power coefficients (4, n - 1) of each field; the fields share one
-        slope solve."""
+    def _coefficients(self) -> np.ndarray:
+        """Power coefficients (3, 4, n - 1), one block per field in ``FIELDS``
+        order; the fields share one slope solve."""
         values = np.array([getattr(self, name) for name in FIELDS])
-        coefficients = hermite_coefficients(self.times, values,
-                                            not_a_knot_slopes(self.times, values))
-        return dict(zip(FIELDS, coefficients))
+        return hermite_coefficients(self.times, values, not_a_knot_slopes(self.times, values))
 
-    def value(self, name: str, t):
-        """Field ``name`` at times t, clamped to the sampled span; shaped like t."""
-        shape = np.shape(t)
-        t = np.clip(np.ravel(t), self.times[0], self.times[-1])
-        return cubic_value(self._coefficients[name], self.times, t,
-                           uniform_pieces(self.times, t)).reshape(shape)
+    def value(self, t: np.ndarray, out=None) -> np.ndarray:
+        """All of ``FIELDS`` at the 1-D array of times t, clamped to the
+        sampled span: one row per field, in ``FIELDS`` order.
+
+        One clip and one piece lookup serve the three fields.  The rows are
+        written into ``out``, three contiguous float arrays of t's length,
+        when it is given, and into a new (3, len(t)) array otherwise.
+        """
+        t = np.clip(t, self.times[0], self.times[-1])
+        i = uniform_pieces(self.times, t)
+        out = np.empty((len(FIELDS), len(t))) if out is None else out
+        for c, row in zip(self._coefficients, out):
+            cubic_value(c, self.times, t, i, out=row)
+        return out
 
 
 def schedule_from_trajectory(trajectory, env: LorentzianEnvironment,

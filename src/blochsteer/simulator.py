@@ -10,22 +10,31 @@ The RK4 core is batched and drift-free.  For ydot = M(t) y one RK4 step is
 an exact linear map y -> A y, so the core builds the step maps of a chunk of
 a few hundred steps with batched matrix products, composes the maps of each
 output interval, and advances with one matrix-vector product per output
-node; no Python code runs per step.  An affine ODE ydot = M y + b runs in
-homogeneous form: the state (y, 1) under the generator [[M, b], [0, 0]].
-The Bloch run, ``integrate_affine`` and the drive transforms do so, the
-Bloch run on homogeneous generators built once per process.  The density
-run has no drift; it propagates the real vector [Re vec rho; Im vec rho]
-under the Kronecker supermatrices S in the real block form
-[[Re S, -Im S], [Im S, Re S]], because a stacked real 8 x 8 product costs
-far less than the complex 4 x 4 one.
+node, written straight into the output row; no Python code runs per step.
+The step maps are formed in place: three matmul results are scaled and
+summed in their own buffers, operation for operation in the order of the
+textbook expression, so the in-place form gives its bits with few
+temporaries.  The stage stack itself is never scaled in place, because a
+caller's stack may share nodes across chunks or be a read-only broadcast.
+
+An affine ODE ydot = M y + b runs in homogeneous form: the state (y, 1)
+under the generator [[M, b], [0, 0]].  The Bloch run, ``integrate_affine``
+and the drive transforms do so, the Bloch run on homogeneous generators
+built once per process.  The density run has no drift; it propagates the
+real vector [Re vec rho; Im vec rho] under the Kronecker supermatrices S in
+the real block form [[Re S, -Im S], [Im S, Re S]], because a stacked real
+8 x 8 product costs far less than the complex 4 x 4 one.
 
 Controls are sampled schedules, interpolated cubically at the half steps;
 reservoir coefficients are evaluated from their closed forms exactly, once
 per fine-grid point, into a table checked for a zero of u between nodes.
 Runs on the same reservoir, output times and ``min_steps`` can share one
 table (``reservoir_table``, passed as ``reservoir``): tracking's controlled
-and adiabatic reference runs do.  A run given no table evaluates its own
-and drops it before the RK4 loop.  Output grids must be uniform.
+and adiabatic reference runs do.  The two-level runs fill their five stage
+coefficients into one array in one pass: the table's rows first, then the
+three control splines written straight into their rows.  A run given no
+table evaluates its own and drops it before the splines run, so the two are
+never alive together.  Output grids must be uniform.
 
 The reservoir's drive renormalization Omega -> Omega^R and its inverse are
 linear ODEs in (h, w), the local form of the memory convolution, and run
@@ -154,20 +163,27 @@ def reservoir_table(env: LorentzianEnvironment, times: np.ndarray,
 
 
 def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
-                        fine_times: np.ndarray, reservoir=None):
-    """Hamiltonian coefficients (c_x, c_y, c_z) and channel rates on a fine grid.
+                        fine_times: np.ndarray, reservoir=None) -> np.ndarray:
+    """Stage coefficients on a fine grid, one row each of (c_x, c_y, c_z,
+    rate_minus, rate_plus), filled in one pass into one array.
 
     The rates come from ``reservoir``, the table on that grid, or when it is
-    None from a table evaluated here, which is dropped on return.
+    None from a table evaluated here.  The table is read before the controls
+    and never written; one evaluated here is dropped before the control
+    splines run, so its arrays and theirs are never alive together.
     """
-    omega_x = schedule.value("omega_x", fine_times)
-    excitation = schedule.value("excitation", fine_times)
     gam, shift = _reservoir_table(env, fine_times) if reservoir is None else reservoir
-    # omega_y after the reservoir: one fine-grid array fewer at its peak
-    omega_y = schedule.value("omega_y", fine_times)
-    rate_minus = gam * (excitation + 1.0)
-    rate_plus = gam * excitation
-    return omega_x, omega_y, 0.5 * shift, rate_minus, rate_plus
+    coeffs = np.empty((5, len(fine_times)))
+    c_x, c_y, c_z, rate_minus, rate_plus = coeffs
+    np.multiply(0.5, shift, out=c_z)
+    rate_minus[:] = gam
+    del gam, shift
+    # rate_plus holds N until the rates are formed from it
+    schedule.value(fine_times, out=(c_x, c_y, rate_plus))
+    n_plus_one = rate_plus + 1.0
+    rate_plus *= rate_minus
+    rate_minus *= n_plus_one
+    return coeffs
 
 
 def _fine_grid(times: np.ndarray, min_steps: int) -> tuple[np.ndarray, int]:
@@ -192,14 +208,34 @@ def _step_maps(stages, first: int, last: int, h: float) -> np.ndarray:
     K2 = h M2 (I + K1 / 2), K3 = h M2 (I + K2 / 2) and K4 = h M4 (I + K3),
     A = I + (K1 + 2 K2 + 2 K3 + K4) / 6.  Returns shape (last - first, d, d).
     """
-    g = h * stages(slice(2 * first, 2 * last + 1))
-    g1, g2, g4 = g[0:-1:2], g[1::2], g[2::2]
-    k2 = g2 + 0.5 * (g2 @ g1)
-    k3 = g2 + 0.5 * (g2 @ k2)
-    k4 = g4 + g4 @ k3
-    maps = (g1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    # h * M as fresh products, never in place: a stack from ``stages`` may
+    # share its nodes with the next chunk's, or be a read-only broadcast.
+    # The step nodes and the half steps go to two contiguous arrays, so the
+    # sums below run on contiguous operands.
+    m = stages(slice(2 * first, 2 * last + 1))
+    nodes, g2 = h * m[0::2], h * m[1::2]
+    del m
+    g1, g4 = nodes[:-1], nodes[1:]
+    # in place, operation for operation the textbook expression
+    # (g1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0 with k2 = g2 + 0.5 * (g2 @ g1),
+    # k3 = g2 + 0.5 * (g2 @ k2) and k4 = g4 + g4 @ k3: the same bits
+    k2 = np.matmul(g2, g1)
+    k2 *= 0.5
+    k2 += g2
+    k3 = np.matmul(g2, k2)
+    k3 *= 0.5
+    k3 += g2
+    k4 = np.matmul(g4, k3)
+    k4 += g4
+    maps = k2
+    maps *= 2.0
+    maps += g1
+    k3 *= 2.0
+    maps += k3
+    maps += k4
+    maps /= 6.0
     n = maps.shape[-1]
-    maps[:, range(n), range(n)] += 1.0
+    maps.reshape(len(maps), n * n)[:, ::n + 1] += 1.0
     return maps
 
 
@@ -247,9 +283,9 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
         for first in range(0, n_out, per_chunk):
             last = min(n_out, first + per_chunk)
             maps = _interval_maps(stages, first, last, sub, h)
-            # indexed ndarray.dot: the same bits as @ without the matmul ufunc dispatch
-            for j in range(last - first):
-                y = out[first + 1 + j] = maps[j].dot(y)
+            # ndarray.dot: the same bits as @ without the matmul ufunc dispatch
+            for interval, row in zip(maps, out[first + 1:last + 1]):
+                y = interval.dot(y, out=row)
             finite = np.all(np.isfinite(out[first + 1:last + 1]), axis=1)
             if not finite.all():
                 bad = first + 1 + int(np.argmin(finite))
@@ -282,7 +318,7 @@ def _qubit_run(schedule: ControlSchedule, env: LorentzianEnvironment, y0: np.nda
     coefficients times the form's five fixed generators ``gens`` (5, d, d),
     stacked by one matrix product."""
     fine, sub = _fine_grid(times, min_steps)
-    coeffs = np.array(_stage_coefficients(schedule, env, fine, reservoir))
+    coeffs = _stage_coefficients(schedule, env, fine, reservoir)
     flat = gens.reshape(len(gens), -1)
 
     def stages(idx):

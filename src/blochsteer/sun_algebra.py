@@ -222,5 +222,5 @@ def random_bloch_vector(dim: int, rng: np.random.Generator,
     """Uniform-direction Bloch vector with |r| <= max_norm (physical for N = 2)."""
     n = dim * dim - 1
     v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(v.dot(v))
     return v * max_norm * rng.uniform() ** (1.0 / n)

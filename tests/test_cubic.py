@@ -71,10 +71,28 @@ def test_schedule_values_match_scipy_on_the_fine_grid(rng):
               for name in ("omega_x", "omega_y", "excitation")}
     schedule = ControlSchedule(times=times, **fields)
     fine = np.linspace(0.0, 9.25, 40001)
-    for name, values in fields.items():
+    values_fine = schedule.value(fine)
+    assert values_fine.shape == (3, len(fine))
+    for row, values in zip(values_fine, fields.values()):
         reference = CubicSpline(times, values)(fine)
-        assert relative_error(schedule.value(name, fine), reference) <= TOL
-    assert schedule.value("omega_x", 20.0) == pytest.approx(fields["omega_x"][-1], abs=1e-12)
+        assert relative_error(row, reference) <= TOL
+    assert schedule.value(np.array([20.0]))[0, 0] == pytest.approx(fields["omega_x"][-1],
+                                                                   abs=1e-12)
+
+
+def test_schedule_value_equals_cubic_value_field_by_field(rng):
+    # one clip and one piece lookup for all fields give each field's bits
+    times = np.linspace(0.0, 9.25, 2001)
+    fields = np.cumsum(rng.normal(size=(3, len(times))), axis=1)
+    schedule = ControlSchedule(times, *fields)
+    fine = np.linspace(0.0, 9.25, 40001)
+    i = uniform_pieces(times, fine)
+    expected = [cubic_value(hermite_coefficients(times, y, not_a_knot_slopes(times, y)),
+                            times, fine, i) for y in fields]
+    assert np.array_equal(schedule.value(fine), expected)
+    rows = np.empty((3, len(fine)))
+    assert schedule.value(fine, out=rows) is rows
+    assert np.array_equal(rows, expected)
 
 
 @pytest.mark.parametrize("x, y", [

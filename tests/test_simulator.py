@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
                                MalformedStateError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
-from blochsteer.simulator import (_stage_coefficients, adiabatic_reference_run, fidelity_bloch,
-                                  integrate_affine, integrate_bloch, integrate_density,
-                                  lab_field_from_effective, renormalized_field)
+from blochsteer.simulator import (_qubit_parts, _stage_coefficients, _step_maps,
+                                  adiabatic_reference_run, fidelity_bloch, integrate_affine,
+                                  integrate_bloch, integrate_density,
+                                  integrate_density_general, lab_field_from_effective,
+                                  renormalized_field, reservoir_table)
 from blochsteer.sun_algebra import bloch_to_density
-from blochsteer.trajectories import tracking_trajectory
+from blochsteer.trajectories import mixed_inversion_trajectory, tracking_trajectory
 
 
 def decay_generator(gamma, qubit_tensors):
@@ -369,7 +373,6 @@ def test_lab_field_matches_rk4_loop(env):
 def test_user_functions_are_called_once_per_run(qubit, tracking_env):
     # each integrator calls its user functions once, on the 1-D array of the
     # 201 fine-grid times (100 steps and their half steps), never per node
-    from blochsteer.simulator import integrate_density_general
     basis, tensors = qubit
     comp = decay_generator(0.7, tensors)
     calls = []
@@ -464,3 +467,124 @@ def test_production_generators_are_pinned_bit_for_bit():
     assert bloch.dtype == density.dtype == np.float64
     assert bloch.tobytes() == _table(BLOCH_GENERATORS).tobytes()
     assert density.tobytes() == _table(DENSITY_GENERATORS).tobytes()
+
+
+def textbook_step_maps(stages, first, last, h):
+    """I + (K1 + 2 K2 + 2 K3 + K4) / 6 of each step, written out with fresh
+    temporaries (test oracle of the in-place kernel)."""
+    g = h * stages(slice(2 * first, 2 * last + 1))
+    g1, g2, g4 = g[0:-1:2], g[1::2], g[2::2]
+    k2 = g2 + 0.5 * (g2 @ g1)
+    k3 = g2 + 0.5 * (g2 @ k2)
+    k4 = g4 + g4 @ k3
+    maps = (g1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    n = maps.shape[-1]
+    maps[:, range(n), range(n)] += 1.0
+    return maps
+
+
+def qubit_stages(gens, rng, n_nodes):
+    """Stages of a two-level form: random stage coefficients times its fixed
+    generators, stacked as the forward runs stack them."""
+    coeffs = rng.normal(size=(5, n_nodes)) * np.array([[3.0], [3.0], [0.5], [0.2], [0.1]])
+    flat = gens.reshape(len(gens), -1)
+    return lambda idx: (coeffs[:, idx].T @ flat).reshape(-1, *gens.shape[1:])
+
+
+def drive_stages(rng, n_nodes):
+    """Stages of the drive transforms' complex 3 x 3 homogeneous generators;
+    ``stages`` returns views of one stack, as ``_drive_ode``'s does."""
+    g = np.zeros((n_nodes, 3, 3), dtype=complex)
+    g[:, 0, :2] = rng.normal(size=(n_nodes, 2)) + 1j * rng.normal(size=(n_nodes, 2))
+    g[:, 1, :2] = 0.05, -0.6
+    g[:, 0, 2] = -1j * (rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes))
+    return lambda idx: g[idx]
+
+
+STAGE_FORMS = {"bloch 4x4": lambda rng, n: qubit_stages(_qubit_parts()[1], rng, n),
+               "density 8x8": lambda rng, n: qubit_stages(_qubit_parts()[2], rng, n),
+               "drive 3x3 complex": drive_stages}
+
+
+@pytest.mark.parametrize("form", STAGE_FORMS)
+@pytest.mark.parametrize("first, last", [(0, 1), (3, 259)])
+def test_step_maps_equal_the_textbook_expression_bit_for_bit(rng, form, first, last):
+    # the kernel reorders no operation, so the maps are equal, not merely close
+    stages = STAGE_FORMS[form](rng, 2 * last + 1)
+    h = 9.25 / 40000
+    maps = _step_maps(stages, first, last, h)
+    expected = textbook_step_maps(stages, first, last, h)
+    assert maps.dtype == expected.dtype and maps.shape == expected.shape
+    assert np.array_equal(maps, expected)
+
+
+def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env):
+    # the kernels write only into their own buffers: never into a generator
+    # stack a caller hands in, a broadcast of it, or a shared reservoir table
+    basis, tensors = qubit
+    times = np.linspace(0.0, 1.0, 11)
+    r0 = np.array([0.3, 0.1, 0.2])
+    fine = np.linspace(0.0, 1.0, 201)
+    comp = decay_generator(0.7, tensors)
+    matrices = comp.matrix + 0.1 * np.sin(fine)[:, None, None]
+    drifts = np.tile(comp.drift, (len(fine), 1))
+    kept = [matrices.copy(), drifts.copy()]
+    integrate_affine(lambda t: matrices, lambda t: drifts, r0, times, min_steps=100)
+    assert np.array_equal(matrices, kept[0]) and np.array_equal(drifts, kept[1])
+
+    coefficients = np.zeros((len(fine), 4))
+    coefficients[:, 3] = 0.4 * np.cos(fine)
+    rates = 0.7 + 0.1 * fine
+    kept = [coefficients.copy(), rates.copy()]
+    spec = HamiltonianSpec(coefficients), [LindbladChannel(SIGMA_MINUS_SHAPE, rate=rates)]
+    integrate_density_general(lambda t: spec, bloch_to_density(r0, basis), times, basis,
+                              min_steps=100)
+    assert np.array_equal(coefficients, kept[0]) and np.array_equal(rates, kept[1])
+
+    drive = 0.5 + 0.1j * np.linspace(0.0, 1.0, 21)
+    kept = drive.copy()
+    renormalized_field(tracking_env, lambda t: drive, times)
+    assert np.array_equal(drive, kept)
+
+    # tracking's controlled and reference runs share one table
+    traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
+    times = np.linspace(0.0, 10.0, 201)
+    sched = schedule_from_trajectory(traj, tracking_env, times)
+    table = reservoir_table(tracking_env, times, 2000)
+    kept = [a.copy() for a in table]
+    r0 = traj.evaluate(0.0)[0]
+    shared = [integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reservoir=table),
+              adiabatic_reference_run(tracking_env, 1e-5, 10.0, 10.0, times, min_steps=2000,
+                                      reservoir=table)]
+    assert all(np.array_equal(a, b) for a, b in zip(table, kept))
+    own = [integrate_bloch(sched, tracking_env, r0, times, min_steps=2000),
+           adiabatic_reference_run(tracking_env, 1e-5, 10.0, 10.0, times, min_steps=2000)]
+    for a, b in zip(shared, own):
+        assert np.array_equal(a.states, b.states)
+
+
+# The forward runs at the bundled 20,000 steps peak in the reservoir
+# evaluation, at about 10.6 fine-grid arrays with the grid itself.  Allocating
+# the coefficient array before the table, or keeping the controls alive across
+# it, adds several more; the bound sits one array below the 13 arrays of an
+# evaluation that builds the three controls, the table and a stacked copy.
+PEAK_FINE_ARRAYS = 12
+
+
+def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qubit):
+    env, t_break, t_final = inversion_setup
+    traj = mixed_inversion_trajectory(t_break, t_final)
+    times = np.linspace(0.0, t_final, 2001)
+    sched = schedule_from_trajectory(traj, env, times)
+    r0 = traj.evaluate(0.0)[0]
+    fine_nbytes = (2 * 20000 + 1) * np.dtype(float).itemsize
+    for run, y0 in ((integrate_bloch, r0), (integrate_density, bloch_to_density(r0, qubit[0]))):
+        run(replace(sched), env, y0, times, min_steps=20000)   # process-wide caches
+        fresh = replace(sched)   # the run builds the control splines too
+        tracemalloc.start()
+        try:
+            run(fresh, env, y0, times, min_steps=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_FINE_ARRAYS * fine_nbytes, (run.__name__, peak / fine_nbytes)
