@@ -298,17 +298,15 @@ class ControlSchedule:
         values = np.array([getattr(self, name) for name in FIELDS])
         return hermite_coefficients(self.times, values, not_a_knot_slopes(self.times, values))
 
-    def value(self, t: np.ndarray, out=None) -> np.ndarray:
+    def value(self, t: np.ndarray, out):
         """All of ``FIELDS`` at the 1-D array of times t, clamped to the
-        sampled span: one row per field, in ``FIELDS`` order.
+        sampled span, written into ``out``: one contiguous float row of t's
+        length per field, in ``FIELDS`` order.  Returns ``out``.
 
-        One clip and one piece lookup serve the three fields.  The rows are
-        written into ``out``, three contiguous float arrays of t's length,
-        when it is given, and into a new (3, len(t)) array otherwise.
+        One clip and one piece lookup serve the three fields.
         """
         t = np.clip(t, self.times[0], self.times[-1])
         i = uniform_pieces(self.times, t)
-        out = np.empty((len(FIELDS), len(t))) if out is None else out
         for c, row in zip(self._coefficients, out):
             cubic_value(c, self.times, t, i, out=row)
         return out
