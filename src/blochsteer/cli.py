@@ -2,7 +2,7 @@
 
 Usage:
     blochsteer run --config experiment.cfg [--out DIR] [--override key=value ...]
-    blochsteer selfcheck [--perturb-f EPS]
+    blochsteer selfcheck
 
 Configs are line-oriented ``key = value`` text with ``#`` comments; all
 frequencies are in units of the coupling gamma0.  Every run writes three CSV
@@ -32,7 +32,15 @@ from .trajectories import (mixed_inversion_trajectory, pure_inversion,
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
-EXPERIMENTS = ("track-steady", "invert-pure", "invert-mixed", "env-scan")
+_KEY_RULES = {
+    "track-steady": (("drive_detuning", "t_final"), ()),
+    "invert-pure": ((), ("drive_detuning", "t_final")),
+    "invert-mixed": ((), ("drive_detuning", "t_final")),
+    "env-scan": (("t_final",), ()),
+}
+"""Each experiment's (keys it requires, keys it derives from the reservoir and
+so rejects when set)."""
+EXPERIMENTS = tuple(_KEY_RULES)
 _SCANNABLE = ("spectral_width", "cavity_detuning", "drive_detuning")
 
 
@@ -63,13 +71,11 @@ class ExperimentConfig:
             raise ConfigError("grid must be at least 16")
         if self.experiment != "env-scan" and self.min_steps < self.grid:
             raise ConfigError("min_steps must be at least the grid size")
-        overridden = [key for key in ("drive_detuning", "t_final") if getattr(self, key) is not None]
-        if self.experiment.startswith("invert-") and overridden:
+        required, derived = _KEY_RULES[self.experiment]
+        overridden = [key for key in derived if getattr(self, key) is not None]
+        if overridden:
             raise ConfigError(f"{' and '.join(overridden)} cannot be set for {self.experiment}, "
-                              "which derives drive_detuning and t_final from the reservoir")
-        if self.experiment == "track-steady":
-            if self.drive_detuning is None or self.t_final is None:
-                raise ConfigError("track-steady requires drive_detuning and t_final")
+                              f"which derives {' and '.join(derived)} from the reservoir")
         if self.experiment == "env-scan":
             if self.scan_parameter not in _SCANNABLE:
                 raise ConfigError(f"scan_parameter must be one of {_SCANNABLE}")
@@ -80,8 +86,8 @@ class ExperimentConfig:
                     _check_value(self.scan_parameter, value)
                 except ConfigError as exc:
                     raise ConfigError(f"scan value {value}: {exc}") from None
-            if self.t_final is None:
-                raise ConfigError("env-scan requires t_final")
+        if any(getattr(self, key) is None for key in required):
+            raise ConfigError(f"{self.experiment} requires {' and '.join(required)}")
 
 
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -193,49 +199,63 @@ def _environment(config: ExperimentConfig, drive_detuning: float) -> LorentzianE
                                  drive_detuning=drive_detuning)
 
 
-def _derive_inversion_setup(config: ExperimentConfig):
-    """(env, t_i, t_final) of an inversion, all derived from the reservoir.
+def _setup(config: ExperimentConfig):
+    """(env, trajectory, derived summary entries) of a controlled experiment.
 
-    The path crosses r_z = 0 at the decay-rate zero t_i, and the drive
-    detuning is tuned so that the Lamb shift vanishes there too.  The decay
-    rate does not depend on the drive detuning, so t_i is found once, at
+    Tracking takes its reservoir and path from the config.  An inversion
+    derives them: the path crosses r_z = 0 at the decay-rate zero t_i, and the
+    drive detuning is tuned so that the Lamb shift vanishes there too.  The
+    decay rate does not depend on the drive detuning, so t_i is found once, at
     Delta = 0.  The mixed inversion ends at the first negative maximum of the
     decay rate past t_i, the pure one at 2 t_i.
     """
+    if config.experiment == "track-steady":
+        env = _environment(config, config.drive_detuning)
+        return env, tracking_trajectory(env, config.n0, config.omega_c, config.t_final), {}
     template = _environment(config, 0.0)
     t_i = find_gamma_zero(template)
     env = _environment(config, tune_detuning_for_lamb_zero(template, t_i))
     if config.experiment == "invert-mixed":
-        return env, t_i, find_gamma_negmax(env, t_i)
-    return env, t_i, 2.0 * t_i
-
-
-def _schedule(env, trajectory, config: ExperimentConfig):
-    """The output times and the control schedule along ``trajectory``."""
-    times = np.linspace(0.0, trajectory.t_final, config.grid + 1)
-    return times, schedule_from_trajectory(trajectory, env, times)
-
-
-def _run_controlled(env, trajectory, times, schedule, config: ExperimentConfig, reservoir):
-    r0, _ = trajectory.evaluate(0.0)
-    return integrate_bloch(schedule, env, r0, times, min_steps=config.min_steps,
-                           reference=trajectory.sample(times)[0], reservoir=reservoir)
+        t_final = find_gamma_negmax(env, t_i)
+        trajectory = mixed_inversion_trajectory(t_i, t_final)
+    else:
+        t_final = 2.0 * t_i
+        trajectory = pure_inversion(t_final, config.theta_mid)
+    return env, trajectory, {"drive_detuning": env.drive_detuning, "t_break": t_i,
+                             "t_final": t_final}
 
 
 def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
     gam, shift = decay_and_shift(env, times)
     t_text = _time_column(times)
-    files = []
     _write_csv(out / "states.csv", "t,r_x,r_y,r_z,fidelity", t_text,
                [run_fwd.states[:, 0], run_fwd.states[:, 1], run_fwd.states[:, 2],
                 run_fwd.fidelity])
-    files.append("states.csv")
     _write_csv(out / "controls.csv", ",".join(("t", *FIELDS)), t_text,
                [getattr(schedule, name) for name in FIELDS])
-    files.append("controls.csv")
     _write_csv(out / "env.csv", "t,decay_rate,lamb_shift", t_text, [gam, shift])
-    files.append("env.csv")
-    return files
+    return ["states.csv", "controls.csv", "env.csv"]
+
+
+def _run_env_scan(config: ExperimentConfig, out: Path) -> dict:
+    """Decay rate and Lamb shift for each scan value, one ``env_NNN.csv`` each."""
+    times = np.linspace(0.0, config.t_final, config.grid + 1)
+    results = []
+    for value in config.scan_values:
+        cfg = replace(config, **{config.scan_parameter: value})
+        env = _environment(cfg, 0.0 if cfg.drive_detuning is None else cfg.drive_detuning)
+        try:
+            results.append(decay_and_shift(env, times))
+        except InvalidInputError as exc:   # a rate that is not finite, with its t
+            raise InvalidInputError(
+                f"scan value {config.scan_parameter} = {value}: {exc}") from None
+    out.mkdir(parents=True, exist_ok=True)
+    t_text = _time_column(times)
+    files = [f"env_{i:03d}.csv" for i in range(len(results))]
+    for name, (gam, shift) in zip(files, results):
+        _write_csv(out / name, "t,decay_rate,lamb_shift", t_text, [gam, shift])
+    return {"experiment": config.experiment, "files": ",".join(files),
+            "scan_parameter": config.scan_parameter}
 
 
 def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -246,63 +266,30 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
     leaves no partial output.
     """
     out = Path(out_dir)
-    summary: dict[str, float | str] = {"experiment": config.experiment}
-
     if config.experiment == "env-scan":
-        times = np.linspace(0.0, config.t_final, config.grid + 1)
-
-        def compute(value: float):
-            cfg = replace(config, **{config.scan_parameter: value})
-            scan_env = _environment(cfg, 0.0 if cfg.drive_detuning is None
-                                    else cfg.drive_detuning)
-            try:
-                return decay_and_shift(scan_env, times)
-            except InvalidInputError as exc:   # a rate that is not finite, with its t
-                raise InvalidInputError(
-                    f"scan value {config.scan_parameter} = {value}: {exc}") from None
-
-        results = [compute(value) for value in config.scan_values]
-        out.mkdir(parents=True, exist_ok=True)
-        t_text = _time_column(times)
-        for i, (gam, shift) in enumerate(results):
-            _write_csv(out / f"env_{i:03d}.csv", "t,decay_rate,lamb_shift", t_text,
-                       [gam, shift])
-        summary["files"] = ",".join(f"env_{i:03d}.csv" for i in range(len(config.scan_values)))
-        summary["scan_parameter"] = config.scan_parameter
-        return summary
-
-    if config.experiment == "track-steady":
-        env = _environment(config, config.drive_detuning)
-        trajectory = tracking_trajectory(env, config.n0, config.omega_c, config.t_final)
-        times, schedule = _schedule(env, trajectory, config)
-        # one fine-grid table for the controlled and the reference run
-        reservoir = reservoir_table(env, times, config.min_steps)
-        run_fwd = _run_controlled(env, trajectory, times, schedule, config, reservoir)
-        reference = adiabatic_reference_run(env, config.n0, config.omega_c,
-                                            config.t_final, times,
-                                            min_steps=config.min_steps,
+        return _run_env_scan(config, out)
+    env, trajectory, derived = _setup(config)
+    times = np.linspace(0.0, trajectory.t_final, config.grid + 1)
+    schedule = schedule_from_trajectory(trajectory, env, times)
+    tracking = config.experiment == "track-steady"
+    # one fine-grid table for tracking's controlled and adiabatic reference run
+    reservoir = reservoir_table(env, times, config.min_steps) if tracking else None
+    r0, _ = trajectory.evaluate(0.0)
+    run_fwd = integrate_bloch(schedule, env, r0, times, min_steps=config.min_steps,
+                              reference=trajectory.sample(times)[0], reservoir=reservoir)
+    summary = {"experiment": config.experiment, **derived,
+               "min_fidelity": run_fwd.min_fidelity}
+    if tracking:
+        reference = adiabatic_reference_run(env, config.n0, config.omega_c, config.t_final,
+                                            times, min_steps=config.min_steps,
                                             reservoir=reservoir)
-        summary["min_fidelity"] = run_fwd.min_fidelity
         summary["adiabatic_min_fidelity"] = reference.min_fidelity
     else:
-        env, t_i, t_final = _derive_inversion_setup(config)
-        summary["drive_detuning"] = env.drive_detuning
-        summary["t_break"] = t_i
-        summary["t_final"] = t_final
-        if config.experiment == "invert-pure":
-            trajectory = pure_inversion(t_final, config.theta_mid)
-        else:
-            trajectory = mixed_inversion_trajectory(t_i, t_final)
-        times, schedule = _schedule(env, trajectory, config)
-        run_fwd = _run_controlled(env, trajectory, times, schedule, config, None)
-        summary["min_fidelity"] = run_fwd.min_fidelity
         summary["final_fidelity"] = float(run_fwd.fidelity[-1])
         summary["final_r_z"] = float(run_fwd.states[-1, 2])
         summary["min_excitation"] = float(np.min(schedule.excitation))
-
     out.mkdir(parents=True, exist_ok=True)
-    files = _write_run_files(out, times, schedule, run_fwd, env)
-    summary["files"] = ",".join(files)
+    summary["files"] = ",".join(_write_run_files(out, times, schedule, run_fwd, env))
     return summary
 
 
@@ -317,11 +304,8 @@ def _print_summary(summary: dict, stream) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "selfcheck":
-        parser = argparse.ArgumentParser(prog="blochsteer selfcheck")
-        parser.add_argument("--perturb-f", type=float, default=0.0,
-                            help="fault-injection offset added to the structure constants")
-        args = parser.parse_args(argv[1:])
-        return run_selfcheck(perturb_f=args.perturb_f)
+        argparse.ArgumentParser(prog="blochsteer selfcheck").parse_args(argv[1:])
+        return run_selfcheck()
     if argv and argv[0] == "run":
         argv = argv[1:]
     parser = argparse.ArgumentParser(prog="blochsteer",

@@ -7,8 +7,6 @@ checks all its instances in one call of each builder; the propagator oracle
 is a batched numpy Pade matrix exponential, so the suites need numpy alone.
 """
 
-import dataclasses
-
 import numpy as np
 
 from . import liouvillian as lv
@@ -22,8 +20,7 @@ from .sun_algebra import (bloch_to_density, build_basis, density_to_bloch,
 __all__ = ["run_selfcheck"]
 
 
-def _suite_liouvillian(rng: np.random.Generator, instances: int,
-                       perturb_f: float = 0.0) -> tuple[float, float]:
+def _suite_liouvillian(rng: np.random.Generator, instances: int) -> tuple[float, float]:
     """Component form vs Kronecker supermatrix on ``instances`` random
     generators in each of dimensions 2 and 3.
 
@@ -35,8 +32,6 @@ def _suite_liouvillian(rng: np.random.Generator, instances: int,
     for dim in (2, 3):
         basis = build_basis(dim)
         tensors = structure_constants(basis)
-        if perturb_f:
-            tensors = dataclasses.replace(tensors, f=tensors.f + perturb_f)
         n = dim * dim - 1
         coefficients = np.empty((instances, dim * dim))
         shapes = np.ones((3, instances, n), dtype=complex)
@@ -168,18 +163,16 @@ def _suite_solver(rng: np.random.Generator, instances: int) -> tuple[float, floa
     return worst, float(np.max(np.abs(field - rdot)))
 
 
-def run_selfcheck(perturb_f: float = 0.0, stream=None) -> int:
+def run_selfcheck(stream=None) -> int:
     """Run the oracle suites and print one pass/fail line each.
 
-    ``perturb_f`` injects a uniform offset into the structure constants
-    before the equivalence suite (a fault-injection hook for testing the
-    selfcheck itself).  Returns 0 if every suite passes, 1 otherwise.
+    Returns 0 if every suite passes, 1 otherwise.
     """
     import sys
     stream = stream or sys.stdout
     suites = [
         ("liouvillian component form vs kronecker oracle",
-         lambda: _suite_liouvillian(np.random.default_rng(2024), 50, perturb_f),
+         lambda: _suite_liouvillian(np.random.default_rng(2024), 50),
          (("worst deviation", 1e-10), ("trace residual", 1e-12))),
         ("propagator closed form vs matrix-exponential oracle",
          lambda: _suite_propagator(np.random.default_rng(7), 5, 201),

@@ -32,9 +32,10 @@ Runs on the same reservoir, output times and ``min_steps`` can share one
 table (``reservoir_table``, passed as ``reservoir``): tracking's controlled
 and adiabatic reference runs do.  The two-level runs fill their five stage
 coefficients into one array in one pass: the table's rows first, then the
-three control splines written straight into their rows.  A run given no
-table evaluates its own and drops it before the splines run, so the two are
-never alive together.  Output grids must be uniform.
+three control splines written straight into their rows.  The splines are
+built after the table and before that array, so their solve's temporaries
+never sit on top of it; a run given no table evaluates its own and drops it
+before the splines are evaluated.  Output grids must be uniform.
 
 The reservoir's drive renormalization Omega -> Omega^R and its inverse are
 linear ODEs in (h, w), the local form of the memory convolution, and run
@@ -88,7 +89,6 @@ _CHUNK_STEPS = 256
 
 @dataclass(frozen=True)
 class SimulationRun:
-    times: np.ndarray
     states: np.ndarray
     fidelity: np.ndarray | None
     densities: np.ndarray | None = None
@@ -163,16 +163,18 @@ def reservoir_table(env: LorentzianEnvironment, times: np.ndarray,
 
 
 def _stage_coefficients(schedule: ControlSchedule, env: LorentzianEnvironment,
-                        fine_times: np.ndarray, reservoir=None) -> np.ndarray:
+                        fine_times: np.ndarray, reservoir) -> np.ndarray:
     """Stage coefficients on a fine grid, one row each of (c_x, c_y, c_z,
     rate_minus, rate_plus), filled in one pass into one array.
 
     The rates come from ``reservoir``, the table on that grid, or when it is
     None from a table evaluated here.  The table is read before the controls
-    and never written; one evaluated here is dropped before the control
-    splines run, so its arrays and theirs are never alive together.
+    and never written.  The control splines are built after the table and
+    before the array, so neither one's temporaries stack on the array; a
+    table evaluated here is dropped before the splines are evaluated.
     """
     gam, shift = _reservoir_table(env, fine_times) if reservoir is None else reservoir
+    schedule._coefficients   # builds the splines, a cached property
     coeffs = np.empty((5, len(fine_times)))
     c_x, c_y, c_z, rate_minus, rate_plus = coeffs
     np.multiply(0.5, shift, out=c_z)
@@ -342,19 +344,18 @@ def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
     states = _qubit_run(schedule, env, y0, times, min_steps, _qubit_parts()[1],
                         reservoir)[:, :-1]
     fid = _reference_fidelity(states, times, reference)
-    return SimulationRun(times=times, states=states, fidelity=fid)
+    return SimulationRun(states=states, fidelity=fid)
 
 
 def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
                       rho0: np.ndarray, times: np.ndarray,
-                      min_steps: int = DEFAULT_MIN_STEPS,
-                      reference: np.ndarray | None = None) -> SimulationRun:
+                      min_steps: int = DEFAULT_MIN_STEPS) -> SimulationRun:
     """Integrate the vectorized density matrix with the Kronecker supermatrix.
 
     States are reported as Bloch vectors for direct comparison with
     ``integrate_bloch``; this is the primary dynamics oracle.  The density
-    matrices themselves are attached to the run as ``densities``.
-    ``reference`` is as in ``integrate_bloch``.
+    matrices themselves are attached to the run as ``densities``; the run
+    has no fidelity column.
     """
     times = np.asarray(times, dtype=float)
     basis, _, gens = _qubit_parts()
@@ -362,9 +363,7 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     y = _qubit_run(schedule, env, np.concatenate([vec0.real, vec0.imag]), times, min_steps,
                    gens, None)
     raw = (y[:, :4] + 1j * y[:, 4:]).reshape(-1, 2, 2)
-    states = density_to_bloch(raw, basis)
-    fid = _reference_fidelity(states, times, reference)
-    return SimulationRun(times=times, states=states, fidelity=fid, densities=raw)
+    return SimulationRun(states=density_to_bloch(raw, basis), fidelity=None, densities=raw)
 
 
 def _reference_fidelity(states, times, reference):
@@ -498,7 +497,7 @@ def renormalized_field(env: LorentzianEnvironment, omega: Callable[[np.ndarray],
 
 def lab_field_from_effective(env: LorentzianEnvironment,
                              omega_r: Callable[[np.ndarray], np.ndarray],
-                             t_final: float, n: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+                             t_final: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Physical drive Omega(t) realizing a prescribed effective drive Omega^R(t).
 
     Integrates h' = -i Omega^R + h u'/u from h(0) = 0 together with the

@@ -218,7 +218,7 @@ def density_to_bloch(rho: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 
 
 def random_bloch_vector(dim: int, rng: np.random.Generator,
-                        max_norm: float = 1.0) -> np.ndarray:
+                        max_norm: float) -> np.ndarray:
     """Uniform-direction Bloch vector with |r| <= max_norm (physical for N = 2)."""
     n = dim * dim - 1
     v = rng.normal(size=n)

@@ -232,8 +232,8 @@ def mixed_inversion_trajectory(t_break: float, t_final: float) -> TrajectorySpec
         return [np.array([evaluate(c, ts, t, i) for c in coefficients])
                 for evaluate in evaluators]
 
-    def max_violation(coefficients, ts, n=4001):
-        grid = np.linspace(0.0, t_final, n)
+    def max_violation(coefficients, ts):
+        grid = np.linspace(0.0, t_final, 4001)
         with np.errstate(over="ignore", invalid="ignore"):
             (ry, rz), = curves(coefficients, ts, grid, cubic_value)
             norm = np.sqrt(ry ** 2 + rz ** 2)

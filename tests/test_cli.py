@@ -424,11 +424,18 @@ def test_selfcheck_passes():
     assert elapsed < 60.0
 
 
-@pytest.mark.slow
-def test_selfcheck_fault_injection():
-    cp = run_cli("selfcheck", "--perturb-f", "0.01")
-    assert cp.returncode == 1
-    assert "FAIL" in cp.stdout
+def test_selfcheck_fault_injection(monkeypatch, capsys):
+    # an offset in the structure constants breaks the component form, which
+    # the Kronecker oracle must catch
+    from blochsteer import selfcheck
+    structure_constants = selfcheck.structure_constants
+
+    def faulty(basis):
+        tensors = structure_constants(basis)
+        return replace(tensors, f=tensors.f + 0.01)
+    monkeypatch.setattr(selfcheck, "structure_constants", faulty)
+    assert main(["selfcheck"]) == 1
+    assert "FAIL liouvillian component form vs kronecker oracle" in capsys.readouterr().out
 
 
 def test_detuning_protocol_csv_columns(tmp_path, tracking_env, hold):
@@ -663,6 +670,109 @@ def test_shipped_configs_match_the_recorded_outputs(tmp_path, stem):
         assert header == ref_header and data.shape == ref.shape, name
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=0))
         assert np.all(np.abs(data - ref) <= 1e-9 * scale), name
+
+
+FILES = "states.csv,controls.csv,env.csv"
+SHIPPED_SUMMARIES = {
+    "tracking": [("experiment", "track-steady"), ("min_fidelity", 0.999999999999988),
+                 ("adiabatic_min_fidelity", 0.675264294009497), ("files", FILES)],
+    "pure_inversion": [("experiment", "invert-pure"), ("drive_detuning", -0.679293196648359),
+                       ("t_break", 8.02562430580751), ("t_final", 16.051248611615),
+                       ("min_fidelity", 0.999999999999877), ("final_fidelity", 1.000000000001),
+                       ("final_r_z", 1.0000000000344), ("min_excitation", -1.0),
+                       ("files", FILES)],
+    "mixed_inversion": [("experiment", "invert-mixed"), ("drive_detuning", -0.679293196648359),
+                        ("t_break", 8.02562430580751), ("t_final", 9.25261228703269),
+                        ("min_fidelity", 0.999999999999881), ("final_fidelity", 1.000000000001),
+                        ("final_r_z", 1.00000000775565), ("min_excitation", -0.121441761657286),
+                        ("files", FILES)],
+    "env_scan": [("experiment", "env-scan"),
+                 ("files", "env_000.csv,env_001.csv,env_002.csv,env_003.csv"),
+                 ("scan_parameter", "spectral_width")],
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_SUMMARIES))
+def test_shipped_summaries_print_their_keys_in_order_as_15g(tmp_path, capsys, stem):
+    # the figures are those of the bundled outputs, within the benchmark's 1e-9
+    config = REPO / "scripts" / "configs" / f"{stem}.cfg"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    printed = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+    assert [key for key, _ in printed] == [key for key, _ in SHIPPED_SUMMARIES[stem]]
+    for (key, text), (_, expected) in zip(printed, SHIPPED_SUMMARIES[stem]):
+        if isinstance(expected, str):
+            assert text == expected, key
+        else:
+            assert text == "%.15g" % float(text), key
+            assert abs(float(text) - expected) <= 1e-9 * max(1.0, abs(expected)), key
+
+
+SCAN_WITHOUT_T_FINAL = ["experiment = env-scan", "spectral_width = 0.1",
+                        "scan_parameter = spectral_width", "scan_values = 0.1, 0.5"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["experiment = track-steady", "spectral_width = 0.5", "t_final = 10"],
+     "track-steady requires drive_detuning and t_final"),
+    (["experiment = track-steady", "spectral_width = 0.5", "drive_detuning = 0.1"],
+     "track-steady requires drive_detuning and t_final"),
+    (["experiment = track-steady", "spectral_width = 0.5"],
+     "track-steady requires drive_detuning and t_final"),
+    (SCAN_WITHOUT_T_FINAL, "env-scan requires t_final"),
+    (SCAN_WITHOUT_T_FINAL + ["scan_parameter = n0"],
+     f"scan_parameter must be one of {_SCANNABLE}"),
+    (SCAN_WITHOUT_T_FINAL + ["scan_values = "], "scan_values must list at least one value"),
+], ids=["track-no-drive_detuning", "track-no-t_final", "track-neither", "scan-no-t_final",
+        "scan-bad-parameter-first", "scan-no-values-first"])
+def test_each_experiment_names_the_keys_it_requires(lines, message):
+    # a scan's own checks come before its t_final requirement
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("\n".join(lines))
+    assert str(err.value) == message
+
+
+class _Stopped(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stem", ["tracking", "pure_inversion", "mixed_inversion"])
+def test_first_bloch_run_gets_the_solved_schedule_and_the_path_start(tmp_path, monkeypatch,
+                                                                      stem):
+    # the benchmark's oracle workload patches cli.integrate_bloch, reads the
+    # first call's arguments and stops the run there
+    import inspect
+    from blochsteer import cli
+    config = cli.load_config(REPO / "scripts" / "configs" / f"{stem}.cfg")
+    solved, calls = [], []
+    schedule_from_trajectory = cli.schedule_from_trajectory
+    signature = inspect.signature(cli.integrate_bloch)
+
+    def solve(trajectory, env, times):
+        solved.append((trajectory, env, schedule_from_trajectory(trajectory, env, times)))
+        return solved[-1][2]
+
+    def capture(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        raise _Stopped
+    monkeypatch.setattr(cli, "schedule_from_trajectory", solve)
+    monkeypatch.setattr(cli, "integrate_bloch", capture)
+    out = tmp_path / "out"
+    with pytest.raises(_Stopped):
+        cli.run(config, out)
+    assert not out.exists()
+    (trajectory, env, schedule), = solved
+    args = calls[0]
+    assert args["schedule"] is schedule and args["env"] is env
+    if config.drive_detuning is None:   # an inversion derives its detuning
+        template = replace(env, drive_detuning=0.0)
+        expected = cli.tune_detuning_for_lamb_zero(template, cli.find_gamma_zero(template))
+    else:
+        expected = config.drive_detuning
+    assert env.drive_detuning == expected and env.lam == config.spectral_width
+    assert np.array_equal(args["r0"], trajectory.evaluate(0.0)[0])
+    assert len(args["times"]) == config.grid + 1 and args["min_steps"] == config.min_steps
 
 
 def test_readme_library_example_runs():

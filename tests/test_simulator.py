@@ -135,7 +135,8 @@ def test_density_run_matches_complex_rk4_loop(tracking_env, qubit, n_out, sub):
 
     def supermatrix(t):
         c_x, c_y, c_z, rate_minus, rate_plus = (
-            float(c[0]) for c in _stage_coefficients(sched, tracking_env, np.array([t])))
+            float(c[0]) for c in _stage_coefficients(sched, tracking_env, np.array([t]),
+                                                        None))
         return kron_liouvillian(HamiltonianSpec([0.0, c_x, c_y, c_z]),
                                 [LindbladChannel(SIGMA_MINUS_SHAPE, rate=rate_minus),
                                  LindbladChannel(SIGMA_PLUS_SHAPE, rate=rate_plus)], basis)
@@ -328,12 +329,12 @@ def test_density_run_matches_bloch_run(tracking_env, qubit):
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     dens = integrate_density(sched, tracking_env, bloch_to_density(r0, qubit[0]), times,
-                             min_steps=2000, reference=traj.sample(times)[0])
+                             min_steps=2000)
     assert dens.densities.shape == (201, 2, 2)
-    bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000,
-                            reference=traj.sample(times)[0])
+    path = traj.sample(times)[0]
+    bloch = integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reference=path)
     assert np.max(np.abs(dens.states - bloch.states)) < 1e-12
-    assert np.max(np.abs(dens.fidelity - bloch.fidelity)) < 1e-12
+    assert np.max(np.abs(fidelity_bloch(dens.states, path) - bloch.fidelity)) < 1e-12
 
 
 # the drive transforms are the (h, w) memory ODE on the shared core, one step
@@ -568,23 +569,33 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env):
 # the coefficient array before the table, or keeping the controls alive across
 # it, adds several more; the bound sits one array below the 13 arrays of an
 # evaluation that builds the three controls, the table and a stacked copy.
-PEAK_FINE_ARRAYS = 12
+# At min_steps = grid = 2000 the fine grid is only twice the output grid, so
+# the control splines' solve on the output grid counts: the Bloch run peaks at
+# about 20.8 fine-grid arrays when the splines are built before the coefficient
+# array and at 25.2 when after it.  The density run's 8 x 8 step maps of one
+# chunk dominate its peak at that size, so it is bounded at 20,000 steps only.
+PEAK_FINE_ARRAYS = {20000: (12, (integrate_bloch, integrate_density)),
+                    2000: (23, (integrate_bloch,))}
 
 
-def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qubit):
+@pytest.mark.parametrize("min_steps", sorted(PEAK_FINE_ARRAYS))
+def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qubit,
+                                                             min_steps):
     env, t_break, t_final = inversion_setup
     traj = mixed_inversion_trajectory(t_break, t_final)
     times = np.linspace(0.0, t_final, 2001)
     sched = schedule_from_trajectory(traj, env, times)
     r0 = traj.evaluate(0.0)[0]
-    fine_nbytes = (2 * 20000 + 1) * np.dtype(float).itemsize
-    for run, y0 in ((integrate_bloch, r0), (integrate_density, bloch_to_density(r0, qubit[0]))):
-        run(replace(sched), env, y0, times, min_steps=20000)   # process-wide caches
+    fine_nbytes = (2 * min_steps + 1) * np.dtype(float).itemsize
+    bound, runs = PEAK_FINE_ARRAYS[min_steps]
+    starts = {integrate_bloch: r0, integrate_density: bloch_to_density(r0, qubit[0])}
+    for run in runs:
+        run(replace(sched), env, starts[run], times, min_steps=min_steps)   # process-wide caches
         fresh = replace(sched)   # the run builds the control splines too
         tracemalloc.start()
         try:
-            run(fresh, env, y0, times, min_steps=20000)
+            run(fresh, env, starts[run], times, min_steps=min_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= PEAK_FINE_ARRAYS * fine_nbytes, (run.__name__, peak / fine_nbytes)
+        assert peak <= bound * fine_nbytes, (run.__name__, peak / fine_nbytes)
