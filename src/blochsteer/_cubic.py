@@ -35,11 +35,12 @@ __all__ = [
 
 
 def require_uniform(times: np.ndarray, what: str) -> None:
-    """Raise unless ``times`` holds two or more points whose steps differ by
-    at most 1e-9 of the span."""
+    """Raise unless ``times`` holds two or more finite points whose steps
+    differ by at most 1e-9 of the span."""
     steps = np.diff(times)
-    if len(times) < 2 or np.ptp(steps) > 1e-9 * abs(times[-1] - times[0]):
-        raise InvalidInputError(f"{what} must be two or more, uniformly spaced; got "
+    if (len(times) < 2 or not np.isfinite(times).all()
+            or np.ptp(steps) > 1e-9 * abs(times[-1] - times[0])):
+        raise InvalidInputError(f"{what} must be two or more finite, uniformly spaced; got "
                                 f"{len(times)} with steps {steps.min(initial=0.0)} .. "
                                 f"{steps.max(initial=0.0)}")
 

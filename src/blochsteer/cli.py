@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .controls import FIELDS, schedule_from_trajectory
+from .controls import FIELDS, ControlSchedule, controllability_check, schedule_from_trajectory
 from .environment import (LorentzianEnvironment, decay_and_shift, find_gamma_negmax,
                           find_gamma_zero, tune_detuning_for_lamb_zero)
 from .errors import BlochSteerError, ConfigError, InvalidInputError
 from .selfcheck import run_selfcheck
-from .simulator import (DEFAULT_MIN_STEPS, adiabatic_reference_run, integrate_bloch,
-                        reservoir_table)
-from .trajectories import (mixed_inversion_trajectory, pure_inversion,
+from .simulator import DEFAULT_MIN_STEPS, integrate_bloch, reservoir_table
+from .trajectories import (mixed_inversion_trajectory, pure_inversion, reference_ramp,
                            tracking_trajectory)
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
@@ -237,9 +236,18 @@ def _write_run_files(out: Path, times, schedule, run_fwd, env) -> list[str]:
     return ["states.csv", "controls.csv", "env.csv"]
 
 
+def _output_times(t_final: float, grid: int) -> np.ndarray:
+    """The grid + 1 uniform output times on [0, t_final]."""
+    try:
+        return np.linspace(0.0, t_final, grid + 1)
+    except MemoryError:
+        raise InvalidInputError(
+            f"a grid of {grid + 1} output times does not fit in memory") from None
+
+
 def _run_env_scan(config: ExperimentConfig, out: Path) -> dict:
     """Decay rate and Lamb shift for each scan value, one ``env_NNN.csv`` each."""
-    times = np.linspace(0.0, config.t_final, config.grid + 1)
+    times = _output_times(config.t_final, config.grid)
     results = []
     for value in config.scan_values:
         cfg = replace(config, **{config.scan_parameter: value})
@@ -269,25 +277,30 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
     if config.experiment == "env-scan":
         return _run_env_scan(config, out)
     env, trajectory, derived = _setup(config)
-    times = np.linspace(0.0, trajectory.t_final, config.grid + 1)
+    times = _output_times(trajectory.t_final, config.grid)
     schedule = schedule_from_trajectory(trajectory, env, times)
     tracking = config.experiment == "track-steady"
-    # one fine-grid table for tracking's controlled and adiabatic reference run
-    reservoir = reservoir_table(env, times, config.min_steps) if tracking else None
+    schedules, reservoir = [schedule], None
+    if tracking:
+        # the reference protocol on the same path: the bare ramp, omega_y = 0 and
+        # N = n0; both runs share one fine-grid reservoir table
+        ramp = reference_ramp(config.omega_c, config.t_final, times)
+        schedules.append(ControlSchedule(times, ramp, np.zeros_like(ramp),
+                                         np.full_like(ramp, config.n0)))
+        reservoir = reservoir_table(env, times, config.min_steps)
     r0, _ = trajectory.evaluate(0.0)
-    run_fwd = integrate_bloch(schedule, env, r0, times, min_steps=config.min_steps,
-                              reference=trajectory.sample(times)[0], reservoir=reservoir)
+    path = trajectory.sample(times)[0]
+    run_fwd, *reference = [integrate_bloch(controls, env, r0, times,
+                                           min_steps=config.min_steps, reference=path,
+                                           reservoir=reservoir) for controls in schedules]
     summary = {"experiment": config.experiment, **derived,
                "min_fidelity": run_fwd.min_fidelity}
     if tracking:
-        reference = adiabatic_reference_run(env, config.n0, config.omega_c, config.t_final,
-                                            times, min_steps=config.min_steps,
-                                            reservoir=reservoir)
-        summary["adiabatic_min_fidelity"] = reference.min_fidelity
+        summary["adiabatic_min_fidelity"] = reference[0].min_fidelity
     else:
         summary["final_fidelity"] = float(run_fwd.fidelity[-1])
         summary["final_r_z"] = float(run_fwd.states[-1, 2])
-        summary["min_excitation"] = float(np.min(schedule.excitation))
+        summary["min_excitation"] = controllability_check(schedule).min_excitation
     out.mkdir(parents=True, exist_ok=True)
     summary["files"] = ",".join(_write_run_files(out, times, schedule, run_fwd, env))
     return summary

@@ -21,7 +21,9 @@ singular locus are patched separately.
 A ``ControlSchedule`` interpolates its fields with the not-a-knot cubic
 spline in numpy (``_cubic``): one tridiagonal slope solve for all fields,
 then Horner's rule on the piece each time falls in, found by index
-arithmetic on the uniform sample grid.
+arithmetic on the uniform sample grid.  ``controllability_check`` reports
+whether a solved schedule is physically realizable (nonnegative excitation
+number).
 """
 
 from dataclasses import dataclass
@@ -45,12 +47,14 @@ __all__ = [
     "ControlSystem",
     "ControlSolution",
     "ControlSchedule",
+    "ControllabilityReport",
     "MarkovianReductionReport",
     "two_level_controls",
     "assemble_control_system",
     "solve_controls",
     "markovian_reduction_check",
     "schedule_from_trajectory",
+    "controllability_check",
 ]
 
 SIGMA_MINUS_SHAPE = np.array([0.5, -0.5j, 0.0])
@@ -310,6 +314,39 @@ class ControlSchedule:
         for c, row in zip(self._coefficients, out):
             cubic_value(c, self.times, t, i, out=row)
         return out
+
+
+@dataclass(frozen=True)
+class ControllabilityReport:
+    """Physical realizability summary of a solved control schedule."""
+
+    min_excitation: float
+    t_min_excitation: float
+    excitation_sign_changes: tuple[float, ...]
+    max_omega_x: float
+    max_omega_y: float
+    excitation_nonnegative: bool
+
+
+def controllability_check(schedule: ControlSchedule) -> ControllabilityReport:
+    """Report min excitation number, its sign changes and the largest fields.
+
+    Never raises on physical grounds; the flag carries the verdict.  The
+    fields are finite by construction (``ControlSchedule`` rejects others).
+    """
+    n = schedule.excitation
+    ts = schedule.times
+    i_min = int(np.argmin(n))
+    signs = np.sign(n)
+    flips = np.nonzero(np.diff(signs) != 0)[0]
+    return ControllabilityReport(
+        min_excitation=float(n[i_min]),
+        t_min_excitation=float(ts[i_min]),
+        excitation_sign_changes=tuple(float(ts[j]) for j in flips),
+        max_omega_x=float(np.max(np.abs(schedule.omega_x))),
+        max_omega_y=float(np.max(np.abs(schedule.omega_y))),
+        excitation_nonnegative=bool(n[i_min] >= -1e-9),
+    )
 
 
 def schedule_from_trajectory(trajectory, env: LorentzianEnvironment,

@@ -30,12 +30,13 @@ reservoir coefficients are evaluated from their closed forms exactly, once
 per fine-grid point, into a table checked for a zero of u between nodes.
 Runs on the same reservoir, output times and ``min_steps`` can share one
 table (``reservoir_table``, passed as ``reservoir``): tracking's controlled
-and adiabatic reference runs do.  The two-level runs fill their five stage
-coefficients into one array in one pass: the table's rows first, then the
-three control splines written straight into their rows.  The splines are
-built after the table and before that array, so their solve's temporaries
-never sit on top of it; a run given no table evaluates its own and drops it
-before the splines are evaluated.  Output grids must be uniform.
+run and its reference-protocol run, two schedules on one path, do.  The
+two-level runs fill their five stage coefficients into one array in one
+pass: the table's rows first, then the three control splines written
+straight into their rows.  The splines are built after the table and
+before that array, so their solve's temporaries never sit on top of it; a
+run given no table evaluates its own and drops it before the splines are
+evaluated.  Output grids must be finite and uniform.
 
 The reservoir's drive renormalization Omega -> Omega^R and its inverse are
 linear ODEs in (h, w), the local form of the memory convolution, and run
@@ -65,7 +66,6 @@ from .environment import (LorentzianEnvironment, _check_zero_between, _log_deriv
                           decay_and_shift)
 from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
 from .sun_algebra import build_basis, density_to_bloch, structure_constants
-from .trajectories import reference_ramp, steady_state_bloch
 
 __all__ = [
     "SimulationRun",
@@ -74,7 +74,6 @@ __all__ = [
     "integrate_bloch",
     "integrate_density",
     "integrate_density_general",
-    "adiabatic_reference_run",
     "reservoir_table",
     "fidelity_bloch",
     "renormalized_field",
@@ -383,28 +382,6 @@ def _reference_fidelity(states, times, reference):
             f"{which} left the Bloch ball at t = {times[i]:.6g} (norms of forward state, "
             f"reference: {np.sqrt(norm2[0][i]):.12f}, {np.sqrt(norm2[1][i]):.12f})")
     return fidelity_bloch(states, ref)
-
-
-def adiabatic_reference_run(env: LorentzianEnvironment, n0: float, omega_c: float,
-                            t_final: float, times: np.ndarray,
-                            min_steps: int = DEFAULT_MIN_STEPS,
-                            reservoir: tuple[np.ndarray, np.ndarray] | None = None
-                            ) -> SimulationRun:
-    """Reference protocol: omega_x follows the bare ramp, omega_y = 0, N = n0.
-
-    The run starts in the instantaneous steady state at t = 0, and the
-    fidelity column compares against the instantaneous steady state.
-    ``reservoir`` is as in ``integrate_bloch``.
-    """
-    times = np.asarray(times, dtype=float)
-    ramp = reference_ramp(omega_c, t_final, times)
-    schedule = ControlSchedule(times=times, omega_x=ramp, omega_y=np.zeros_like(ramp),
-                               excitation=np.full_like(ramp, n0))
-
-    def steady(ts):
-        return steady_state_bloch(env, n0, reference_ramp(omega_c, t_final, ts), ts)
-    return integrate_bloch(schedule, env, steady(0.0), times, min_steps=min_steps,
-                           reference=steady(times), reservoir=reservoir)
 
 
 # ---------------------------------------------------------------------------

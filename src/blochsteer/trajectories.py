@@ -1,17 +1,17 @@
 """Designed Bloch trajectories for tracking and population-inversion tasks.
 
 Three constructions: instantaneous steady-state tracking (the state follows
-the null vector of the frozen reference generator), a pure-state inversion
-ansatz in spherical coordinates, and a mixed-state piecewise-cubic inversion
-path satisfying a knot table of values and derivatives exactly (a cubic
-Hermite spline in numpy, ``_cubic``, evaluated with its derivative by
-Horner's rule).  A controllability report summarizes whether a solved
-schedule is physically realizable (nonnegative excitation number).
+the null vector of the frozen reference generator under the reference ramp),
+a pure-state inversion ansatz in spherical coordinates, and a mixed-state
+piecewise-cubic inversion path satisfying a knot table of values and
+derivatives exactly (a cubic Hermite spline in numpy, ``_cubic``, evaluated
+with its derivative by Horner's rule).  The tracking path is also what
+tracking's reference protocol, the bare ramp ``reference_ramp`` with no
+omega_y and N = n0, is checked against.
 
 Every closed form here works on time arrays: a trajectory's evaluator maps
 n sample times to (r, rdot) of shape (n, 3) in one call, and
-``reference_ramp``, ``reference_ramp_rate`` and ``steady_state_bloch`` are
-elementwise in t (a scalar t gives a scalar or a length-3 vector).
+``reference_ramp`` and ``reference_ramp_rate`` are elementwise in t.
 """
 
 from dataclasses import dataclass, field
@@ -20,21 +20,17 @@ from typing import Callable
 import numpy as np
 
 from ._cubic import cubic_derivative, cubic_value, hermite_coefficients, pieces
-from .controls import ControlSchedule
-from .environment import LorentzianEnvironment, decay_and_shift, decay_shift_derivatives
+from .environment import LorentzianEnvironment, decay_shift_derivatives
 from .errors import InfeasibleTrajectoryError, InvalidInputError
 
 __all__ = [
     "TrajectorySpec",
-    "ControllabilityReport",
     "BOUNDARY_TABLE",
     "reference_ramp",
     "reference_ramp_rate",
-    "steady_state_bloch",
     "tracking_trajectory",
     "pure_inversion",
     "mixed_inversion_trajectory",
-    "controllability_check",
 ]
 
 # Rounds of knot insertion and slope scaling before a mixed path is infeasible
@@ -83,44 +79,13 @@ def reference_ramp_rate(omega_c: float, t_final: float, t):
     return 6.0 * omega_c * s * (1.0 - s) / t_final
 
 
-def _thermal_factor(n0: float) -> np.float64:
-    """2 n0 + 1 as a numpy float, so that its square overflows to inf (caught
-    downstream as a non-finite field) instead of raising OverflowError."""
-    return np.float64(2.0 * n0 + 1.0)
-
-
-def _steady_state(g, s0, npr, w):
-    """(r, ss, z, zero) of the instantaneous steady state under the drive w,
-    with ss = s0^2 + (2 n0 + 1)^2 G^2 and the normalizer
-    z = (2 n0 + 1)(ss + 2 w^2); ``npr`` is 2 n0 + 1.  z vanishes only where the
-    drive and both rates do (``zero``): the state there is the thermal state
-    (0, 0, -1 / (2 n0 + 1)), its zero-drive limit, and z is returned as 1."""
-    ss = s0 * s0 + npr ** 2 * g * g
-    z = npr * (ss + 2.0 * w * w)
-    zero = z == 0.0
-    z = np.where(zero, 1.0, z)
-    r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z,
-                  np.where(zero, -1.0 / npr, -ss / z)], axis=-1)
-    return r, ss, z, zero
-
-
-def steady_state_bloch(env: LorentzianEnvironment, n0: float, omega0, t) -> np.ndarray:
-    """Instantaneous steady state of the reference generator at time t.
-
-    At zero drive this is the thermal state (0, 0, -1/(2 n0 + 1)); in
-    general it is the null vector of the frozen reference Liouvillian
-    (checked against the Kronecker form in the test suite).  ``omega0`` and
-    ``t`` may be arrays of n samples; the result then has shape (n, 3).
-    """
-    g, s0 = decay_and_shift(env, t)
-    return _steady_state(g, s0, _thermal_factor(n0), omega0)[0]
-
-
 def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
                         t_final: float) -> TrajectorySpec:
     """Steady-state path under the reference ramp, with analytic derivative.
 
-    The path is checked where it is sampled.
+    r(t) is the null vector of the frozen reference generator (the ramp, no
+    omega_y, N = n0) at time t; at zero drive it is the thermal state
+    (0, 0, -1/(2 n0 + 1)).  The path is checked where it is sampled.
 
     Raises
     ------
@@ -129,7 +94,9 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
     InvalidInputError
         If r or rdot is not finite at a sampled time; names the first one.
     """
-    npr = _thermal_factor(n0)
+    # 2 n0 + 1 as a numpy float: its square overflows to inf (named by the
+    # check below) instead of raising OverflowError
+    npr = np.float64(2.0 * n0 + 1.0)
 
     def evaluator(t: np.ndarray):
         _check_window(t, t_final)
@@ -139,7 +106,16 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w = reference_ramp(omega_c, t_final, t)
             wd = reference_ramp_rate(omega_c, t_final, t)
-            r, ss, z, zero = _steady_state(g, s0, npr, w)
+            # r = (-2 w s0, 2 npr w G, -ss) / z with ss = s0^2 + npr^2 G^2 and
+            # z = npr (ss + 2 w^2).  z vanishes only where the drive and both
+            # rates do; r there is its zero-drive limit, the thermal state
+            # (0, 0, -1 / npr), and z is taken as 1
+            ss = s0 * s0 + npr ** 2 * g * g
+            z = npr * (ss + 2.0 * w * w)
+            zero = z == 0.0
+            z = np.where(zero, 1.0, z)
+            r = np.stack([-2.0 * w * s0 / z, 2.0 * npr * w * g / z,
+                          np.where(zero, -1.0 / npr, -ss / z)], axis=-1)
             ss_d = 2.0 * s0 * sd + 2.0 * npr ** 2 * g * gd
             zd = npr * (ss_d + 4.0 * w * wd)
             rdot = np.stack([
@@ -278,36 +254,3 @@ def mixed_inversion_trajectory(t_break: float, t_final: float) -> TrajectorySpec
 
     knot_tuple = tuple((comp, tuple(ts), tuple(v), tuple(m)) for comp, v, m in zip(comps, vs, ms))
     return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator, knots=knot_tuple)
-
-
-@dataclass(frozen=True)
-class ControllabilityReport:
-    """Physical realizability summary of a solved control schedule."""
-
-    min_excitation: float
-    t_min_excitation: float
-    excitation_sign_changes: tuple[float, ...]
-    max_omega_x: float
-    max_omega_y: float
-    excitation_nonnegative: bool
-
-
-def controllability_check(schedule: ControlSchedule) -> ControllabilityReport:
-    """Report min excitation number, its sign changes and the largest fields.
-
-    Never raises on physical grounds; the flag carries the verdict.  The
-    fields are finite by construction (``ControlSchedule`` rejects others).
-    """
-    n = schedule.excitation
-    ts = schedule.times
-    i_min = int(np.argmin(n))
-    signs = np.sign(n)
-    flips = np.nonzero(np.diff(signs) != 0)[0]
-    return ControllabilityReport(
-        min_excitation=float(n[i_min]),
-        t_min_excitation=float(ts[i_min]),
-        excitation_sign_changes=tuple(float(ts[j]) for j in flips),
-        max_omega_x=float(np.max(np.abs(schedule.omega_x))),
-        max_omega_y=float(np.max(np.abs(schedule.omega_y))),
-        excitation_nonnegative=bool(n[i_min] >= -1e-9),
-    )

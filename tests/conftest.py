@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blochsteer import (LorentzianEnvironment, TrajectorySpec, build_basis,
-                        find_gamma_negmax, find_gamma_zero, structure_constants,
-                        tune_detuning_for_lamb_zero)
+from blochsteer import (ControlSchedule, LorentzianEnvironment, TrajectorySpec, build_basis,
+                        find_gamma_negmax, find_gamma_zero, integrate_bloch, reference_ramp,
+                        structure_constants, tracking_trajectory, tune_detuning_for_lamb_zero)
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +46,21 @@ def hold():
             return np.tile(r_target, (len(t), 1)), np.zeros((len(t), 3))
         return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
     return make
+
+
+@pytest.fixture(scope="session")
+def reference_protocol():
+    """Factory of tracking's reference-protocol run, as ``cli.run`` makes it: the
+    bare ramp, omega_y = 0 and N = n0 from the start of the tracking path,
+    checked against that path."""
+    def run(env, n0, omega_c, t_final, times, min_steps, reservoir=None):
+        path = tracking_trajectory(env, n0, omega_c, t_final)
+        ramp = reference_ramp(omega_c, t_final, times)
+        schedule = ControlSchedule(times, ramp, np.zeros_like(ramp), np.full_like(ramp, n0))
+        return integrate_bloch(schedule, env, path.evaluate(0.0)[0], times,
+                               min_steps=min_steps, reference=path.sample(times)[0],
+                               reservoir=reservoir)
+    return run
 
 
 @pytest.fixture()

@@ -34,8 +34,7 @@ from blochsteer.environment import decay_and_shift
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel,
                                     assemble_components)
 from blochsteer.selfcheck import _suite_liouvillian, _suite_propagator, _suite_solver
-from blochsteer.simulator import (adiabatic_reference_run, integrate_affine,
-                                  integrate_bloch, integrate_density)
+from blochsteer.simulator import integrate_affine, integrate_bloch, integrate_density
 from blochsteer.sun_algebra import random_bloch_vector
 from blochsteer.trajectories import (mixed_inversion_trajectory, pure_inversion,
                                      tracking_trajectory)
@@ -50,7 +49,7 @@ def report(number: int, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def tracking_bundle():
+def tracking_bundle(reference_protocol):
     env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=0.1)
     start = time.perf_counter()
     trajectory = tracking_trajectory(env, 1e-5, 10.0, 10.0)
@@ -59,7 +58,7 @@ def tracking_bundle():
     engineered = integrate_bloch(schedule, env, trajectory.evaluate(0.0)[0], times,
                                  min_steps=MIN_STEPS, reference=trajectory.sample(times)[0])
     elapsed = time.perf_counter() - start
-    adiabatic = adiabatic_reference_run(env, 1e-5, 10.0, 10.0, times, min_steps=MIN_STEPS)
+    adiabatic = reference_protocol(env, 1e-5, 10.0, 10.0, times, MIN_STEPS)
     return env, times, schedule, engineered, adiabatic, elapsed
 
 

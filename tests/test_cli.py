@@ -351,6 +351,22 @@ def test_unallocatable_step_count_exits_3_with_one_line_and_no_files(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stem, experiment", [("tracking", "track-steady"),
+                                              ("env_scan", "env-scan")])
+def test_unallocatable_grid_exits_3_with_one_line_and_no_files(tmp_path, capsys, stem,
+                                                               experiment):
+    # 10^15 + 1 output times are 8 PB: numpy refuses the allocation at once
+    out = tmp_path / "out"
+    n = 10 ** 15
+    assert main(["run", "--config", str(REPO / "scripts" / "configs" / f"{stem}.cfg"),
+                 "--out", str(out), "--override", f"grid={n}",
+                 "--override", f"min_steps={n}"]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure in {experiment}: InvalidInputError: a grid of {n + 1} "
+        "output times does not fit in memory\n")
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, TRACK_CFG)
     outs = []
@@ -544,7 +560,7 @@ def test_reservoir_and_trajectory_calls_do_not_grow_with_the_grid(tmp_path, monk
 @pytest.mark.parametrize("stem", ["tracking", "pure_inversion", "mixed_inversion"])
 def test_one_fine_grid_reservoir_table_per_run(tmp_path, monkeypatch, stem, min_steps):
     # the 2 min_steps + 1 step nodes and half steps are evaluated once per run:
-    # tracking's controlled and adiabatic reference runs share one table
+    # tracking's controlled and reference-protocol runs share one table
     from blochsteer import cli, environment
     decay_and_shift = environment.decay_and_shift
     fine_calls = []
@@ -773,6 +789,43 @@ def test_first_bloch_run_gets_the_solved_schedule_and_the_path_start(tmp_path, m
     assert env.drive_detuning == expected and env.lam == config.spectral_width
     assert np.array_equal(args["r0"], trajectory.evaluate(0.0)[0])
     assert len(args["times"]) == config.grid + 1 and args["min_steps"] == config.min_steps
+
+
+@pytest.mark.parametrize("stem, runs", [("tracking", 2), ("pure_inversion", 1),
+                                        ("mixed_inversion", 1), ("env_scan", 0)])
+def test_every_forward_run_goes_through_the_one_call_site(tmp_path, monkeypatch, stem, runs):
+    # tracking's reference protocol is a second schedule through the same
+    # cli.integrate_bloch call: the bare ramp, omega_y = 0 and N = n0, from the
+    # same start, checked against the same path, on the same reservoir table
+    import inspect
+    from blochsteer import cli
+    from blochsteer.trajectories import reference_ramp
+    config = cli.load_config(REPO / "scripts" / "configs" / f"{stem}.cfg")
+    integrate, calls = cli.integrate_bloch, []
+    signature = inspect.signature(integrate)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(cli, "integrate_bloch", spy)
+    cli.run(config, tmp_path)
+    assert len(calls) == runs
+    if runs < 2:
+        return
+    controlled, reference = calls
+    for name in ("env", "r0", "times", "reference", "reservoir"):
+        assert reference[name] is controlled[name], name
+    assert controlled["reservoir"] is not None
+    assert reference["min_steps"] == controlled["min_steps"] == config.min_steps
+    schedule = reference["schedule"]
+    assert schedule is not controlled["schedule"]
+    assert np.array_equal(schedule.times, controlled["times"])
+    assert np.array_equal(schedule.omega_x,
+                          reference_ramp(config.omega_c, config.t_final, schedule.times))
+    assert np.array_equal(schedule.omega_y, np.zeros(config.grid + 1))
+    assert np.array_equal(schedule.excitation, np.full(config.grid + 1, config.n0))
 
 
 def test_readme_library_example_runs():

@@ -1,5 +1,7 @@
 """The numpy piecewise cubics against the scipy interpolants they reproduce."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
@@ -118,3 +120,13 @@ def test_schedule_rejects_non_uniform_times():
     with pytest.raises(InvalidInputError, match="uniformly spaced"):
         ControlSchedule(times=np.array([0.0, 1.0, 3.0]), omega_x=np.zeros(3),
                         omega_y=np.zeros(3), excitation=np.zeros(3))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 2.0, 3.0], [0.0, np.inf]])
+def test_schedule_rejects_non_finite_times_without_a_warning(times):
+    n = len(times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite, uniformly spaced"):
+            ControlSchedule(times=np.array(times), omega_x=np.zeros(n), omega_y=np.zeros(n),
+                            excitation=np.zeros(n))

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +18,10 @@ PUBLIC = {
                "uniform_pieces", "cubic_value", "cubic_derivative"],
     "cli": ["ExperimentConfig", "load_config", "run", "main"],
     "controls": ["SIGMA_MINUS_SHAPE", "SIGMA_PLUS_SHAPE", "SINGULARITY_TOL", "FIELDS",
-                 "ControlSystem", "ControlSolution", "ControlSchedule",
+                 "ControlSystem", "ControlSolution", "ControlSchedule", "ControllabilityReport",
                  "MarkovianReductionReport", "two_level_controls", "assemble_control_system",
-                 "solve_controls", "markovian_reduction_check", "schedule_from_trajectory"],
+                 "solve_controls", "markovian_reduction_check", "schedule_from_trajectory",
+                 "controllability_check"],
     "environment": ["LorentzianEnvironment", "propagator_u", "decay_and_shift",
                     "decay_shift_derivatives", "find_gamma_zero", "find_gamma_negmax",
                     "tune_detuning_for_lamb_zero"],
@@ -33,17 +36,19 @@ PUBLIC = {
                     "trace_preservation_residual"],
     "selfcheck": ["run_selfcheck"],
     "simulator": ["SimulationRun", "DEFAULT_MIN_STEPS", "integrate_affine", "integrate_bloch",
-                  "integrate_density", "integrate_density_general", "adiabatic_reference_run",
-                  "reservoir_table", "fidelity_bloch", "renormalized_field",
-                  "lab_field_from_effective"],
+                  "integrate_density", "integrate_density_general", "reservoir_table",
+                  "fidelity_bloch", "renormalized_field", "lab_field_from_effective"],
     "sun_algebra": ["GeneratorBasis", "StructureTensors", "TRACE_NORMALIZATION", "bloch_scale",
                     "build_basis", "structure_constants", "bloch_to_density",
                     "density_to_bloch", "random_bloch_vector"],
-    "trajectories": ["TrajectorySpec", "ControllabilityReport", "BOUNDARY_TABLE",
-                     "reference_ramp", "reference_ramp_rate", "steady_state_bloch",
-                     "tracking_trajectory", "pure_inversion", "mixed_inversion_trajectory",
-                     "controllability_check"],
+    "trajectories": ["TrajectorySpec", "BOUNDARY_TABLE", "reference_ramp",
+                     "reference_ramp_rate", "tracking_trajectory", "pure_inversion",
+                     "mixed_inversion_trajectory"],
 }
+
+# The modules in pipeline order: each imports only modules before it.
+PIPELINE = ["errors", "sun_algebra", "_cubic", "environment", "liouvillian", "trajectories",
+            "controls", "simulator", "selfcheck", "cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -71,7 +76,8 @@ def test_removed_symbols_are_not_exported():
     from blochsteer import controls, environment, errors, simulator, trajectories
     for symbol in ("density_run_from_bloch", "snapshot", "EnvSnapshot", "_rk4_complex",
                    "pure_inversion_trajectory", "two_level_controls_detuning", "PROTOCOLS",
-                   "DegenerateSteadyStateError", "fidelity", "correlation_kernel", "max_norm"):
+                   "DegenerateSteadyStateError", "fidelity", "correlation_kernel", "max_norm",
+                   "adiabatic_reference_run", "steady_state_bloch"):
         assert not hasattr(blochsteer, symbol)
         assert not any(hasattr(module, symbol)
                        for module in (controls, environment, errors, simulator, trajectories))
@@ -82,6 +88,26 @@ def test_removed_symbols_are_not_exported():
     assert not hasattr(environment, "renormalized_field")
     assert blochsteer.renormalized_field is simulator.renormalized_field
     assert blochsteer.lab_field_from_effective is simulator.lab_field_from_effective
+    # the controllability report lives with the schedule it reports on
+    for symbol in ("controllability_check", "ControllabilityReport"):
+        assert not hasattr(trajectories, symbol)
+        assert getattr(blochsteer, symbol) is getattr(controls, symbol)
+
+
+def relative_imports(name: str) -> set[str]:
+    """The package modules that module ``name`` imports, anywhere in its source."""
+    tree = ast.parse(Path(blochsteer.__file__).with_name(f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_only_earlier_pipeline_stages():
+    assert sorted(PIPELINE) == MODULES
+    for i, name in enumerate(PIPELINE):
+        assert relative_imports(name) <= set(PIPELINE[:i]), name
 
 
 def test_t_break_is_an_unknown_config_key(tmp_path, capsys):

@@ -13,10 +13,10 @@ from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
 from blochsteer.simulator import (_qubit_parts, _stage_coefficients, _step_maps,
-                                  adiabatic_reference_run, fidelity_bloch, integrate_affine,
-                                  integrate_bloch, integrate_density,
-                                  integrate_density_general, lab_field_from_effective,
-                                  renormalized_field, reservoir_table)
+                                  fidelity_bloch, integrate_affine, integrate_bloch,
+                                  integrate_density, integrate_density_general,
+                                  lab_field_from_effective, renormalized_field,
+                                  reservoir_table)
 from blochsteer.sun_algebra import bloch_to_density
 from blochsteer.trajectories import mixed_inversion_trajectory, tracking_trajectory
 
@@ -206,6 +206,13 @@ def test_non_uniform_output_grid_is_rejected():
     with pytest.raises(InvalidInputError):
         renormalized_field(LorentzianEnvironment(lam=0.5), lambda t: 1.0,
                            np.array([0.0, 1.0, 3.0]))
+    # non-finite times are refused before any arithmetic warns
+    for times in ([0.0, np.nan, 2.0, 3.0], [0.0, np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="finite"):
+                integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1),
+                                 np.array(times), min_steps=300)
     rounded = np.linspace(0.0, 3.0, 4)
     rounded[1] += 1e-15
     states = integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1), rounded,
@@ -229,23 +236,21 @@ def test_fidelity_rejects_unphysical():
         fidelity_bloch(np.array([0.0, 0.0, 1.1]), np.zeros(3))
 
 
-def test_adiabatic_gap_and_limits(tracking_env):
+def test_adiabatic_gap_and_limits(tracking_env, reference_protocol):
     times = np.linspace(0.0, 10.0, 501)
     traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
     sched = schedule_from_trajectory(traj, tracking_env, times)
     r0, _ = traj.evaluate(0.0)
     engineered = integrate_bloch(sched, tracking_env, r0, times, min_steps=5000,
                                  reference=traj.sample(times)[0])
-    adiabatic = adiabatic_reference_run(tracking_env, 1e-5, 10.0, 10.0, times,
-                                        min_steps=5000)
+    adiabatic = reference_protocol(tracking_env, 1e-5, 10.0, 10.0, times, 5000)
     assert adiabatic.min_fidelity < engineered.min_fidelity - 0.01
     # zero drive: the system sits in the thermal steady state
-    still = adiabatic_reference_run(tracking_env, 1e-5, 0.0, 10.0, times, min_steps=5000)
+    still = reference_protocol(tracking_env, 1e-5, 0.0, 10.0, times, 5000)
     assert still.min_fidelity > 1.0 - 1e-9
     # slower ramps track better
     slow_times = np.linspace(0.0, 50.0, 501)
-    slow = adiabatic_reference_run(tracking_env, 1e-5, 10.0, 50.0, slow_times,
-                                   min_steps=10000)
+    slow = reference_protocol(tracking_env, 1e-5, 10.0, 50.0, slow_times, 10000)
     assert slow.min_fidelity > adiabatic.min_fidelity
 
 
@@ -519,7 +524,7 @@ def test_step_maps_equal_the_textbook_expression_bit_for_bit(rng, form, first, l
     assert np.array_equal(maps, expected)
 
 
-def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env):
+def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_protocol):
     # the kernels write only into their own buffers: never into a generator
     # stack a caller hands in, a broadcast of it, or a shared reservoir table
     basis, tensors = qubit
@@ -555,11 +560,10 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env):
     kept = [a.copy() for a in table]
     r0 = traj.evaluate(0.0)[0]
     shared = [integrate_bloch(sched, tracking_env, r0, times, min_steps=2000, reservoir=table),
-              adiabatic_reference_run(tracking_env, 1e-5, 10.0, 10.0, times, min_steps=2000,
-                                      reservoir=table)]
+              reference_protocol(tracking_env, 1e-5, 10.0, 10.0, times, 2000, reservoir=table)]
     assert all(np.array_equal(a, b) for a, b in zip(table, kept))
     own = [integrate_bloch(sched, tracking_env, r0, times, min_steps=2000),
-           adiabatic_reference_run(tracking_env, 1e-5, 10.0, 10.0, times, min_steps=2000)]
+           reference_protocol(tracking_env, 1e-5, 10.0, 10.0, times, 2000)]
     for a, b in zip(shared, own):
         assert np.array_equal(a.states, b.states)
 

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from blochsteer import trajectories
-from blochsteer.controls import schedule_from_trajectory
+from blochsteer.controls import controllability_check, schedule_from_trajectory
 from blochsteer.errors import InfeasibleTrajectoryError, InvalidInputError
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, kron_liouvillian,
                                     vec)
 from blochsteer.controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE
 from blochsteer.environment import LorentzianEnvironment, decay_and_shift
 from blochsteer.sun_algebra import bloch_to_density
-from blochsteer.trajectories import (BOUNDARY_TABLE, controllability_check,
-                                     mixed_inversion_trajectory, pure_inversion,
-                                     reference_ramp,
-                                     reference_ramp_rate, steady_state_bloch,
+from blochsteer.trajectories import (BOUNDARY_TABLE, mixed_inversion_trajectory,
+                                     pure_inversion, reference_ramp, reference_ramp_rate,
                                      tracking_trajectory)
 
 
@@ -48,39 +46,55 @@ def test_reference_ramp_values():
         reference_ramp(omega_c, t_final, t_final + 0.1)
 
 
+def null_residual(r, env, n0, omega0, t, basis) -> float:
+    """Largest entry of the frozen reference generator applied to vec rho(r)."""
+    sup = reference_generator(env, n0, omega0, t, basis)
+    return float(np.max(np.abs(sup @ vec(bloch_to_density(r, basis)))))
+
+
 def test_steady_state_thermal(tracking_env):
-    r = steady_state_bloch(tracking_env, 0.25, 0.0, 2.0)
+    # zero drive (omega_c = 0): the path is the thermal state throughout
+    r, _ = tracking_trajectory(tracking_env, 0.25, 0.0, 10.0).evaluate(2.0)
     assert np.allclose(r, [0.0, 0.0, -1.0 / 1.5], atol=1e-13)
     # vacuum reservoir pins the ground state
-    r0 = steady_state_bloch(tracking_env, 0.0, 0.0, 3.0)
+    r0, _ = tracking_trajectory(tracking_env, 0.0, 0.0, 10.0).evaluate(3.0)
     assert np.allclose(r0, [0.0, 0.0, -1.0], atol=1e-13)
 
 
 def test_steady_state_is_nullvector(qubit, tracking_env, rng):
     basis, _ = qubit
     n0 = 1e-5
+    path = tracking_trajectory(tracking_env, n0, 10.0, 10.0)
     for t in rng.uniform(0.3, 10.0, size=12):
+        r, _ = path.evaluate(float(t))
         omega0 = reference_ramp(10.0, 10.0, float(t))
-        r = steady_state_bloch(tracking_env, n0, omega0, float(t))
-        sup = reference_generator(tracking_env, n0, omega0, float(t), basis)
-        residual = np.max(np.abs(sup @ vec(bloch_to_density(r, basis))))
-        assert residual < 1e-10
+        assert null_residual(r, tracking_env, n0, omega0, float(t), basis) < 1e-10
 
 
 def test_steady_state_degenerate():
     # drive, decay rate and Lamb shift all vanish at t = 0: the thermal state
     env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.0, drive_detuning=0.0)
     thermal = np.array([0.0, 0.0, -1.0 / 1.2])
-    assert np.array_equal(steady_state_bloch(env, 0.1, 0.0, 0.0), thermal)
-    assert np.array_equal(steady_state_bloch(env, 0.1, 0.0, np.zeros(2)), [thermal, thermal])
+    path = tracking_trajectory(env, 0.1, 0.0, 10.0)
+    assert np.array_equal(path.evaluate(0.0)[0], thermal)
+    assert np.array_equal(path.sample(np.zeros(2))[0], [thermal, thermal])
 
 
-def test_tracking_trajectory_endpoints(tracking_env):
+def test_tracking_trajectory_endpoints(qubit, tracking_env):
+    # undriven at t = 0 (the thermal state), fully driven at t_f
+    basis, _ = qubit
     traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
     r0, _ = traj.evaluate(0.0)
     rf, _ = traj.evaluate(10.0)
-    assert np.allclose(r0, steady_state_bloch(tracking_env, 1e-5, 0.0, 0.0), atol=1e-14)
-    assert np.allclose(rf, steady_state_bloch(tracking_env, 1e-5, 10.0, 10.0), atol=1e-14)
+    assert np.allclose(r0, [0.0, 0.0, -1.0 / (1.0 + 2e-5)], atol=1e-14)
+    # the closed form (-2 w s0, 2 npr w G, -ss) / (npr (ss + 2 w^2)) at w = omega_c
+    g, s0 = decay_and_shift(tracking_env, 10.0)
+    npr, w = 1.0 + 2e-5, 10.0
+    ss = s0 * s0 + npr ** 2 * g * g
+    steady = np.array([-2.0 * w * s0, 2.0 * npr * w * g, -ss]) / (npr * (ss + 2.0 * w * w))
+    assert np.allclose(rf, steady, atol=1e-14)
+    assert null_residual(r0, tracking_env, 1e-5, 0.0, 0.0, basis) < 1e-10
+    assert null_residual(rf, tracking_env, 1e-5, 10.0, 10.0, basis) < 1e-10
     assert max_norm(traj) < 1.0
 
 
