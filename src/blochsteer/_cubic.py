@@ -36,13 +36,17 @@ __all__ = [
 
 def require_uniform(times: np.ndarray, what: str) -> None:
     """Raise unless ``times`` holds two or more finite points whose steps
-    differ by at most 1e-9 of the span."""
-    steps = np.diff(times)
-    if (len(times) < 2 or not np.isfinite(times).all()
-            or np.ptp(steps) > 1e-9 * abs(times[-1] - times[0])):
-        raise InvalidInputError(f"{what} must be two or more finite, uniformly spaced; got "
-                                f"{len(times)} with steps {steps.min(initial=0.0)} .. "
-                                f"{steps.max(initial=0.0)}")
+    differ by at most 1e-9 of the span.  Finiteness is tested before any step
+    is taken; the message gives the smallest and largest step."""
+    rule = f"{what} must be two or more finite, uniformly spaced; got {len(times)}"
+    if len(times) < 2:
+        raise InvalidInputError(rule)
+    if (not np.isfinite(times).all()
+            or np.ptp(np.diff(times)) > 1e-9 * abs(times[-1] - times[0])):
+        # inf - inf is a nan step, which the message shows without a warning
+        with np.errstate(invalid="ignore"):
+            steps = np.diff(times)
+        raise InvalidInputError(f"{rule} with steps {steps.min()} .. {steps.max()}")
 
 
 def _check_knots(x: np.ndarray, **data: np.ndarray) -> None:

@@ -283,7 +283,8 @@ class ControlSchedule:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
+        # non-finite times are left to require_uniform, before any step is taken
+        if t.ndim != 1 or (np.isfinite(t).all() and np.any(np.diff(t) <= 0)):
             raise InvalidInputError("schedule times must be strictly increasing")
         require_uniform(t, "schedule times")
         for name in FIELDS:

@@ -6,8 +6,14 @@ root-finding utilities the inversion protocols need (decay-rate zero,
 first negative maximum, detuning tuning), which share one bisection.  The
 closed forms follow numpy's shape rules: an array of times gives arrays of
 its shape, one time gives numpy scalars.  Each closed-form value is
-evaluated once per point: Gamma0 and s0 share one sinhc(d t / 2), whose
-series runs only on the entries that need it.  A run's fine-grid table of
+evaluated once per point, in real arithmetic: cosh z and sinh z, z = d t / 2,
+come from the real cosh and sinh of Re z and the cos and sin of Im z, which
+numpy runs in SIMD loops where its complex functions run one element at a
+time, and |u| = e^{-lam t / 2} |g| from the real exp.  Gamma0 and s0 share
+that evaluation; the series of sinh(z)/z runs only on the entries that need
+it.  Long grids are evaluated in blocks of ``_SCAN_POINTS`` points, so a
+table holds one block's temporaries at a time, and one time gives the bits
+of its entry in an array.  A run's fine-grid table of
 Gamma0 and s0 is evaluated once and checked for a zero of u between nodes,
 and tracking's two runs, the controlled one and the reference protocol,
 share that table (``simulator.reservoir_table``).  The drive
@@ -86,15 +92,24 @@ class LorentzianEnvironment:
 
 
 def _sinhc(z):
-    """sinh(z)/z, stable near z = 0 (even in z): the series 1 + z^2/6 + z^4/120
-    replaces the quotient on the entries with |z| < 1e-4 only."""
+    """(sinh(z)/z, cosh z) for complex z, from the real cosh and sinh of Re z
+    and the cos and sin of Im z: numpy runs those real functions in SIMD loops
+    and its complex sinh, cosh and exp one element at a time.  sinh(z)/z is
+    stable near z = 0 (even in z): the series 1 + z^2/6 + z^4/120 replaces the
+    quotient on the entries with |z| < 1e-4 only."""
     z = np.asarray(z, dtype=complex)
+    ch, sh = np.cosh(z.real), np.sinh(z.real)
+    c, s = np.cos(z.imag), np.sin(z.imag)
+    cosh_z, sinh_z = np.empty_like(z), np.empty_like(z)
+    np.multiply(ch, c, out=cosh_z.real)
+    np.multiply(sh, s, out=cosh_z.imag)
+    np.multiply(sh, c, out=sinh_z.real)
+    np.multiply(ch, s, out=sinh_z.imag)
     small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    out = np.asarray(np.sinh(safe) / safe)
+    sinh_z /= np.where(small, 1.0, z)
     zs = z[small]
-    out[small] = 1.0 + zs * zs / 6.0 + zs ** 4 / 120.0
-    return out[()]
+    sinh_z[small] = 1.0 + zs * zs / 6.0 + zs ** 4 / 120.0
+    return sinh_z[()], cosh_z[()]
 
 
 def _cosh_g(env: LorentzianEnvironment, t):
@@ -102,9 +117,8 @@ def _cosh_g(env: LorentzianEnvironment, t):
     u = e^{-kappa t} g.  ``_log_derivative`` reuses s."""
     t = np.asarray(t, dtype=float)
     half = 0.5 * t
-    z = env._d * half
-    s = _sinhc(z)
-    return np.cosh(z) + (env.lam - 1j * env.cavity_detuning) * half * s, s
+    s, cosh_z = _sinhc(env._d * half)
+    return cosh_z + (env.lam - 1j * env.cavity_detuning) * half * s, s
 
 
 def propagator_u(env: LorentzianEnvironment, t):
@@ -134,7 +148,7 @@ def _log_derivative(env: LorentzianEnvironment, t):
     # an overflowing closed form gives inf or nan; the checks below name it
     with np.errstate(over="ignore", invalid="ignore"):
         g, s = _cosh_g(env, t)
-        u_abs = np.abs(_phase_free(env, t, g))
+        u_abs = _u_abs(env, t, g)
         if (u_abs < _PROPAGATOR_ZERO_TOL).any():
             t_bad = np.atleast_1d(t)[np.nanargmin(u_abs)]
             raise PropagatorZeroError(
@@ -144,6 +158,33 @@ def _log_derivative(env: LorentzianEnvironment, t):
     if not (np.isfinite(q).all() and np.isfinite(u_abs).all()):
         raise _not_finite(t, q, u_abs)
     return q, v
+
+
+def _blockwise(rates, env: LorentzianEnvironment, t, n: int):
+    """The n real arrays of ``rates(env, block, out)`` over t, which writes
+    them into the rows of ``out``, evaluated in blocks of ``_SCAN_POINTS``
+    points (a root-finding scan is one block): a long grid holds the closed
+    form's temporaries of one block at a time.  Returns n arrays of t's
+    shape, numpy scalars for one time.  An error is raised by the first block
+    that holds a bad t.
+    """
+    t = np.asarray(t, dtype=float)
+    flat, out = t.reshape(-1), np.empty((n, t.size))
+    for start in range(0, t.size, _SCAN_POINTS):
+        block = slice(start, start + _SCAN_POINTS)
+        rates(env, flat[block], out[:, block])
+    return tuple(out.reshape(n, *t.shape))
+
+
+def _u_abs(env: LorentzianEnvironment, t, g):
+    """|u| = e^{-lam t / 2} |g| from g = _cosh_g(env, t)[0], by the real exp.
+
+    The exponent is the real part of the complex product -kappa t, so that an
+    overflowing kappa leaves |u| without a value, as it leaves u.
+    """
+    u_abs = np.exp(-(env._envelope_rate * t).real)
+    u_abs *= np.abs(g)
+    return u_abs
 
 
 def _phase_free(env: LorentzianEnvironment, t, g):
@@ -200,21 +241,29 @@ def _not_finite(t, q, u_abs) -> InvalidInputError:
     return InvalidInputError(f"{name} is not finite at t = {np.ravel(t)[i]:.6g}")
 
 
+def _rates(env: LorentzianEnvironment, t, out) -> None:
+    q, _ = _log_derivative(env, t)
+    np.negative(q.real, out=out[0])
+    np.negative(q.imag, out=out[1])
+
+
+def _rates_and_derivatives(env: LorentzianEnvironment, t, out) -> None:
+    """Uses qdot = -f(0) + v (mu + q) with mu the kernel decay rate and v the
+    memory-integral ratio, avoiding finite differences."""
+    q, v = _log_derivative(env, t)
+    qdot = -0.5 * env.lam + v * (env._memory_rate + q)
+    for row, part in zip(out, (q.real, q.imag, qdot.real, qdot.imag)):
+        np.negative(part, out=row)
+
+
 def decay_and_shift(env: LorentzianEnvironment, t):
     """(Gamma0, s0) = (-Re, -Im) of the analytic log-derivative of u."""
-    q, _ = _log_derivative(env, t)
-    return -q.real, -q.imag
+    return _blockwise(_rates, env, t, 2)
 
 
 def decay_shift_derivatives(env: LorentzianEnvironment, t):
-    """(Gamma0, s0, dGamma0/dt, ds0/dt), all from closed forms.
-
-    Uses qdot = -f(0) + v (mu + q) with mu the kernel decay rate and
-    v the memory-integral ratio, avoiding finite differences.
-    """
-    q, v = _log_derivative(env, t)
-    qdot = -0.5 * env.lam + v * (env._memory_rate + q)
-    return -q.real, -q.imag, -qdot.real, -qdot.imag
+    """(Gamma0, s0, dGamma0/dt, ds0/dt), all from closed forms."""
+    return _blockwise(_rates_and_derivatives, env, t, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +346,19 @@ def tune_detuning_for_lamb_zero(env: LorentzianEnvironment, t_i: float) -> float
 
     Bisection over Delta of F(Delta) = s0(t_i; Delta), to 1e-8.  The decay rate
     Gamma0 = Re v does not depend on Delta, even in floating point, so the
-    caller finds t_i once (``find_gamma_zero``) for every trial Delta.
+    caller finds t_i once (``find_gamma_zero``) for every trial Delta.  Nor
+    does v itself: s0 = -Im(-i Delta - v) rounds as Delta + Im v, so one
+    evaluation of v at t_i serves every trial Delta.
 
     Raises
     ------
     RootNotFoundError
         If F does not change sign over [-2, 2].
     """
+    im_v = decay_and_shift(replace(env, drive_detuning=0.0), t_i)[1]
+
     def f_of(delta_drive: float) -> float:
-        return decay_and_shift(replace(env, drive_detuning=delta_drive), t_i)[1]
+        return delta_drive + im_v
 
     lo, hi = -2.0, 2.0
     flo, fhi = f_of(lo), f_of(hi)

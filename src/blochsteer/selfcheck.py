@@ -193,5 +193,5 @@ def run_selfcheck(stream=None) -> int:
         detail = ", ".join(f"{label} {value:.3e} (tolerance {tol:g})"
                            for value, (label, tol) in zip(figures, clauses))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+        failures += not ok
+    return int(failures > 0)

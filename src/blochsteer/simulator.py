@@ -7,10 +7,16 @@ matrix with supermatrices assembled by Kronecker products.  Agreement
 between the two is the primary dynamics oracle.
 
 The RK4 core is batched and drift-free.  For ydot = M(t) y one RK4 step is
-an exact linear map y -> A y, so the core builds the step maps of a chunk of
-a few hundred steps with batched matrix products, composes the maps of each
-output interval, and advances with one matrix-vector product per output
-node, written straight into the output row; no Python code runs per step.
+an exact linear map y -> A y, so the core builds the step maps of a chunk
+with batched matrix products and composes the maps of each output interval.
+A chunk's step maps take at most ``_CHUNK_BYTES`` and no more bytes than
+the run's fine grid: 1,024 Bloch or 256 density steps at the default
+20,000.  A prefix product of the chunk's interval maps, by doubling, gives
+the map from the chunk's first node to each output node, and one batched
+matrix-vector product from the state there writes all of the chunk's output
+rows; no Python code runs per step or per output node.  A chunk with a
+non-finite row is redone one interval at a time, since a product of maps
+can overflow before the states do.
 The step maps are formed in place: three matmul results are scaled and
 summed in their own buffers, operation for operation in the order of the
 textbook expression, so the in-place form gives its bits with few
@@ -81,9 +87,11 @@ __all__ = [
 ]
 
 DEFAULT_MIN_STEPS = 20000
-# Fine steps handled per batch: keeps the stacked stage and step-map
-# temporaries of one chunk well under 1 MB.
-_CHUNK_STEPS = 256
+# Bytes of one chunk's stack of RK4 step maps, at most: 1,024 Bloch steps
+# (4 x 4) or 256 density steps (8 x 8).  A run whose fine grid takes fewer
+# bytes takes that many instead, so a short run's chunk stays small next to
+# its other arrays.  Each chunk pays a fixed cost of some tens of numpy calls.
+_CHUNK_BYTES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -250,16 +258,32 @@ def _compose(maps: np.ndarray) -> np.ndarray:
     return maps[..., 0, :, :]
 
 
-def _interval_maps(stages, first: int, last: int, sub: int, h: float) -> np.ndarray:
-    """Composed maps of output intervals first .. last-1, each of ``sub`` steps."""
-    if sub <= _CHUNK_STEPS:
+def _interval_maps(stages, first: int, last: int, sub: int, h: float,
+                   chunk: int) -> np.ndarray:
+    """Composed maps of output intervals first .. last-1, each of ``sub`` steps,
+    built ``chunk`` steps at a time at most."""
+    if sub <= chunk:
         maps = _step_maps(stages, first * sub, last * sub, h)
         return _compose(maps.reshape(last - first, sub, *maps.shape[1:]))
     # one interval longer than a chunk (then last == first + 1)
     stop = last * sub
-    parts = [_compose(_step_maps(stages, s, min(s + _CHUNK_STEPS, stop), h))
-             for s in range(first * sub, stop, _CHUNK_STEPS)]
+    parts = [_compose(_step_maps(stages, s, min(s + chunk, stop), h))
+             for s in range(first * sub, stop, chunk)]
     return _compose(np.array(parts))[None]
+
+
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """maps[i] <- maps[i] @ ... @ maps[0] for every i, in place: a parallel
+    prefix product (Blelloch, "Prefix sums and their applications",
+    CMU-CS-90-190, 1990) in its doubling form (Hillis and Steele, "Data
+    parallel algorithms", CACM 29, 1986).  The round at stride s multiplies
+    each map from s on by the one s before it, so ceil(log2 len(maps))
+    batched products replace a product per map."""
+    stride = 1
+    while stride < len(maps):
+        maps[stride:] = maps[stride:] @ maps[:-stride]
+        stride *= 2
+    return maps
 
 
 def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarray:
@@ -268,30 +292,42 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
     ``stages(idx)`` returns the stacked M at the fine-grid indices ``idx`` (a
     slice; the fine grid holds the step nodes and half steps).  An affine ODE
     runs here in homogeneous form (see ``_homogeneous``).  Works through the
-    run in chunks of about ``_CHUNK_STEPS`` steps: builds each step's map with
-    batched matmuls, composes the maps of each output interval, then advances
-    with one matvec per output node.  Records the state at every output node
-    and raises on non-finite states.
+    run in chunks whose step maps take at most ``_CHUNK_BYTES``, and no more
+    than the run's fine grid: builds each step's map with batched matmuls,
+    composes the maps of each output interval, turns them into the maps from
+    the chunk's first node by a prefix product, and advances to every output
+    node of the chunk by one batched matrix-vector product from the state at
+    its first node.  Records the state at every output node and raises on
+    non-finite states.  A product of maps can overflow before the states do,
+    so a chunk with a non-finite state is redone one interval at a time, and
+    the error names the first output time at which that sweep's state is not
+    finite.
     """
     n_out = len(times) - 1
     h = (times[-1] - times[0]) / (n_out * sub)
-    per_chunk = max(1, _CHUNK_STEPS // sub)
     out = np.empty((n_out + 1, y0.size), dtype=np.result_type(y0, float))
+    fine_bytes = (2 * n_out * sub + 1) * np.dtype(float).itemsize
+    chunk = max(1, min(_CHUNK_BYTES, fine_bytes) // (out.itemsize * y0.size ** 2))
+    per_chunk = max(1, chunk // sub)
     out[0] = y0
     y = out[0]
     # a diverging run overflows on its way to inf or nan; the check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_out, per_chunk):
             last = min(n_out, first + per_chunk)
-            maps = _interval_maps(stages, first, last, sub, h)
-            # ndarray.dot: the same bits as @ without the matmul ufunc dispatch
-            for interval, row in zip(maps, out[first + 1:last + 1]):
-                y = interval.dot(y, out=row)
-            finite = np.all(np.isfinite(out[first + 1:last + 1]), axis=1)
-            if not finite.all():
-                bad = first + 1 + int(np.argmin(finite))
-                raise IntegrationDivergedError(
-                    f"state became non-finite at t = {times[bad]:.6g}")
+            rows = out[first + 1:last + 1]
+            maps = _prefix_products(_interval_maps(stages, first, last, sub, h, chunk))
+            np.matmul(maps, y, out=rows)
+            if not np.isfinite(rows).all():
+                for interval, row in zip(_interval_maps(stages, first, last, sub, h, chunk),
+                                         rows):
+                    y = interval.dot(y, out=row)
+                finite = np.all(np.isfinite(rows), axis=1)
+                if not finite.all():
+                    bad = first + 1 + int(np.argmin(finite))
+                    raise IntegrationDivergedError(
+                        f"state became non-finite at t = {times[bad]:.6g}")
+            y = rows[-1]
     return out
 
 

@@ -1,5 +1,6 @@
 """The numpy piecewise cubics against the scipy interpolants they reproduce."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from blochsteer._cubic import (cubic_derivative, cubic_value, hermite_coefficients,
-                               not_a_knot_slopes, pieces, uniform_pieces)
+                               not_a_knot_slopes, pieces, require_uniform, uniform_pieces)
 from blochsteer.controls import ControlSchedule
 from blochsteer.errors import InvalidInputError
+from blochsteer.simulator import integrate_affine
 
 TOL = 1e-13
 
@@ -130,3 +132,28 @@ def test_schedule_rejects_non_finite_times_without_a_warning(times):
         with pytest.raises(InvalidInputError, match="finite, uniformly spaced"):
             ControlSchedule(times=np.array(times), omega_x=np.zeros(n), omega_y=np.zeros(n),
                             excitation=np.zeros(n))
+
+
+def test_infinite_times_are_refused_before_any_step_is_taken():
+    # inf - inf would warn "invalid value encountered in subtract"
+    times = np.array([np.inf, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite, uniformly spaced"):
+            ControlSchedule(times=times, omega_x=np.zeros(2), omega_y=np.zeros(2),
+                            excitation=np.zeros(2))
+        with pytest.raises(InvalidInputError, match="finite, uniformly spaced"):
+            integrate_affine(lambda t: -np.eye(1), lambda t: np.zeros(1), np.ones(1), times,
+                             min_steps=10)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 1.0, np.inf], "got 3 with steps 1.0 .. inf"),
+    ([0.0, 1.0, 3.0], "got 3 with steps 1.0 .. 2.0"),
+    ([0.0, 0.5, 1.5, 1.75], "got 4 with steps 0.25 .. 1.0"),
+    ([2.0], "got 1"),
+])
+def test_uniformity_message_gives_the_real_step_range(times, message):
+    rule = "output times must be two or more finite, uniformly spaced; "
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(rule + message)}$"):
+        require_uniform(np.array(times), "output times")

@@ -1,6 +1,8 @@
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from blochsteer import environment
+from blochsteer import cli, environment
 from blochsteer.environment import (LorentzianEnvironment, _bisect, _check_zero_between, _sinhc,
                                     decay_and_shift, decay_shift_derivatives, find_gamma_negmax,
                                     find_gamma_zero, propagator_u, tune_detuning_for_lamb_zero)
@@ -102,7 +104,8 @@ def test_zero_search_evaluates_each_time_once(monkeypatch, n, between):
 
 
 def _sinhc_on_every_entry(z):
-    """sinhc with the series and the quotient on every entry, picked by np.where."""
+    """sinhc with the series and the quotient on every entry, picked by np.where,
+    from numpy's complex sinh."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, z)
@@ -116,14 +119,92 @@ def test_sinhc_takes_the_series_on_the_small_entries_only(rng):
         rng.uniform(-30.0, 30.0, 50) + 1j * rng.uniform(-30.0, 30.0, 50)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _sinhc(z)
-        scalars = [_sinhc(x) for x in (0.0, 3e-5, 0.7 - 0.2j)]
-    assert got.tobytes() == _sinhc_on_every_entry(z).tobytes()
-    assert got[0] == 1.0 and got.shape == z.shape
-    for x, value in zip((0.0, 3e-5, 0.7 - 0.2j), scalars):
-        assert type(value) is np.complex128
-        assert value == _sinhc_on_every_entry(x)
-    assert _sinhc(z.reshape(10, 11)).shape == (10, 11)
+        got, cosh = _sinhc(z)
+        scalars = [_sinhc(x) for x in z]
+    expected = _sinhc_on_every_entry(z)
+    small = np.abs(z) < 1e-4
+    # the series entries are the series' own bits; the quotient and cosh z
+    # are formed from real functions, within a few ulp of numpy's complex ones
+    assert got[small].tobytes() == expected[small].tobytes()
+    ulp = np.finfo(float).eps
+    assert np.all(np.abs(got - expected) <= 4 * ulp * np.abs(expected))
+    assert np.all(np.abs(cosh - np.cosh(z)) <= 4 * ulp * np.abs(np.cosh(z)))
+    assert got[0] == 1.0 and got.shape == cosh.shape == z.shape
+    for i, (value, cosh_value) in enumerate(scalars):
+        assert type(value) is type(cosh_value) is np.complex128
+        assert (value, cosh_value) == (got[i], cosh[i])
+    assert all(part.shape == (10, 11) for part in _sinhc(z.reshape(10, 11)))
+
+
+def _complex_closed_form(env, t):
+    """The closed form as numpy's complex sinh, cosh and exp give it, the
+    oracle of the real-arithmetic one: (Gamma0, s0, |u|) and the rounding
+    scales (|v| c + |Delta|, |u| c) of the two rates and of |u|.
+
+    c = (|cosh z| + |(lam - i delta) (t/2) sinhc z|) / |g| >= 1 is the
+    condition number of the sum g, by which the rounding of its terms is
+    amplified in every quantity divided by or taken from g.  The modulus of
+    the prefactor e^{-kappa t} is taken exactly, as e^{-lam t / 2}: numpy's
+    complex exp alone rounds it by up to 2 ulp.
+    """
+    half = 0.5 * t
+    z = env._d * half
+    sinhc = _sinhc_on_every_entry(z)
+    memory = (env.lam - 1j * env.cavity_detuning) * half * sinhc
+    g = np.cosh(z) + memory
+    v = env.lam * half * sinhc / g
+    u_abs = np.exp(-0.5 * env.lam * t) * np.abs(g)
+    c = (np.abs(np.cosh(z)) + np.abs(memory)) / np.abs(g)
+    return (v.real, env.drive_detuning + v.imag, u_abs,
+            np.abs(v) * c + abs(env.drive_detuning), u_abs * c)
+
+
+def _shipped_environments():
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    return [cli._setup(cli.load_config(configs / f"{stem}.cfg"))[0]
+            for stem in ("tracking", "pure_inversion", "mixed_inversion")]
+
+
+def test_real_closed_form_matches_the_complex_one_within_4_ulp(rng):
+    envs = [LorentzianEnvironment(lam=float(rng.uniform(0.05, 5.0)),
+                                  cavity_detuning=float(rng.uniform(-1, 1)),
+                                  drive_detuning=float(rng.uniform(-1, 1)))
+            for _ in range(20)]
+    # the degenerate reservoir (d = 0) takes the series everywhere
+    envs += _shipped_environments() + [LorentzianEnvironment(lam=2.0, drive_detuning=0.3)]
+    blocks = environment._SCAN_POINTS
+    ulp = np.finfo(float).eps
+    for env in envs:
+        # |d t / 2| < 1e-4 up to t_small, then a grid over three blocks
+        t_small = 2e-4 / max(abs(env._d), 1e-300)
+        t = np.concatenate([np.linspace(0.0, min(t_small, 1.0), 41),
+                            np.linspace(0.0, 12.0, 2 * blocks + 7)])
+        gam, shift = decay_and_shift(env, t)
+        u_abs = environment._u_abs(env, t, environment._cosh_g(env, t)[0])
+        gam0, shift0, u_abs0, rate_scale, u_scale = _complex_closed_form(env, t)
+        assert np.all(np.abs(gam - gam0) <= 4 * ulp * rate_scale)
+        assert np.all(np.abs(shift - shift0) <= 4 * ulp * rate_scale)
+        assert np.all(np.abs(u_abs - u_abs0) <= 4 * ulp * u_scale)
+        # one time gives the bits of its entry in the array, at the block edges too
+        for i in (0, 1, 40, 41 + blocks - 1, 41 + blocks, 41 + 2 * blocks, len(t) - 1):
+            assert decay_and_shift(env, t[i]) == (gam[i], shift[i])
+            assert decay_shift_derivatives(env, t[i]) == tuple(
+                part[i] for part in decay_shift_derivatives(env, t))
+
+
+def test_decay_and_shift_peaks_below_five_fine_grid_arrays():
+    # the closed form holds one block's temporaries at a time, next to its
+    # two outputs
+    env = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1, drive_detuning=0.3)
+    t = np.linspace(0.0, 20.0, 40001)
+    decay_and_shift(env, t)
+    tracemalloc.start()
+    try:
+        decay_and_shift(env, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * t.nbytes, peak / t.nbytes
 
 
 @pytest.mark.parametrize("ts", [np.array([1e-5, 4.8368]), np.linspace(0.0, 30.0, 17)])

@@ -12,7 +12,8 @@ from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
                                MalformedStateError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
-from blochsteer.simulator import (_qubit_parts, _stage_coefficients, _step_maps,
+from blochsteer.simulator import (_compose, _qubit_parts, _rk4_linear, _stage_coefficients,
+                                  _step_maps,
                                   fidelity_bloch, integrate_affine, integrate_bloch,
                                   integrate_density, integrate_density_general,
                                   lab_field_from_effective, renormalized_field,
@@ -123,6 +124,61 @@ def test_step_maps_match_rk4_loop_complex_without_drift(rng, n_out, sub):
     states = integrate_affine(matrix, drift, y0, times, min_steps=n_out * sub)
     assert states.dtype == complex
     assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
+
+
+def row_sweep(stages, y0, times, sub):
+    """The output sweep one interval at a time: each interval's composed map
+    applied to the state before it (test oracle of the prefix sweep)."""
+    n_out = len(times) - 1
+    h = (times[-1] - times[0]) / (n_out * sub)
+    out = [y0]
+    for j in range(n_out):
+        out.append(_compose(_step_maps(stages, j * sub, (j + 1) * sub, h)) @ out[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n_out, sub", STEP_MAP_CASES)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_prefix_sweep_matches_the_row_sweep(rng, n_out, sub, dtype):
+    # random stage stacks near a rotation, so the states stay of order one
+    d = 4 if dtype is float else 3
+    noise = rng.normal(size=(2 * n_out * sub + 1, d, d))
+    skew = rng.normal(size=(d, d))
+    if dtype is complex:
+        noise = noise + 1j * rng.normal(size=noise.shape)
+        skew = skew + 1j * rng.normal(size=(d, d))
+    gens = 0.5 * (skew - skew.conj().T) + 0.2 * noise
+    y0 = np.ones(d, dtype=dtype)
+    times = np.linspace(0.0, 2.0, n_out + 1)
+    states = _rk4_linear(lambda idx: gens[idx], y0, times, sub)
+    expected = row_sweep(lambda idx: gens[idx], y0, times, sub)
+    assert np.max(np.abs(states - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def exploding(rate):
+    """ydot = diag(rate, 0) y, whose RK4 step over h = 1 multiplies y_0 by about
+    rate^4 / 24."""
+    return lambda t: np.diag([rate, 0.0])
+
+
+def test_diverging_run_names_the_time_of_the_row_sweep():
+    # each step multiplies y_0 by 1e100: from 1e-300 the state overflows at
+    # t = 7, but a product of four steps' maps already overflows at t = 4
+    times = np.linspace(0.0, 20.0, 21)
+    rate = (24.0 * 1e100) ** 0.25
+    gens = np.broadcast_to(np.diag([rate, 0.0, 0.0]), (41, 3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = row_sweep(lambda idx: gens[idx], np.array([1e-300, 0.0, 1.0]), times, 1)
+    assert np.flatnonzero(~np.isfinite(rows).all(axis=1))[0] == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergedError, match="^state became non-finite at t = 7$"):
+            integrate_affine(exploding(rate), lambda t: np.zeros(2), np.array([1e-300, 0.0]),
+                             times, min_steps=20)
+        # the products overflow, the states do not: the run goes on
+        states = integrate_affine(exploding(rate), lambda t: np.zeros(2), np.array([0.0, 1.0]),
+                                  times, min_steps=20)
+    assert np.array_equal(states, np.tile([0.0, 1.0], (21, 1)))
 
 
 @pytest.mark.parametrize("n_out, sub", [(300, 1), (2, 600)])
