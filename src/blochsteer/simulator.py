@@ -3,14 +3,14 @@
 Two independent integrators share one fixed-step RK4 core: the component
 form propagates the Bloch vector with matrices assembled from the structure
 tensors, the density form propagates the row-major vectorized density
-matrix with supermatrices assembled by Kronecker products.  Agreement
-between the two is the primary dynamics oracle.
+matrix, at any N, with supermatrices assembled by Kronecker products.
+Agreement between the two is the primary dynamics oracle.
 
 The RK4 core is batched and drift-free.  For ydot = M(t) y one RK4 step is
 an exact linear map y -> A y, so the core builds the step maps of a chunk
 with batched matrix products and composes the maps of each output interval.
 A chunk's step maps take at most ``_CHUNK_BYTES`` and no more bytes than
-the run's fine grid: 1,024 Bloch or 256 density steps at the default
+the run's fine grid: 1,024 Bloch or 256 two-level density steps at the default
 20,000.  A prefix product of the chunk's interval maps, by doubling, gives
 the map from the chunk's first node to each output node, and one batched
 matrix-vector product from the state there writes all of the chunk's output
@@ -24,12 +24,12 @@ temporaries.  The stage stack itself is never scaled in place, because a
 caller's stack may share nodes across chunks or be a read-only broadcast.
 
 An affine ODE ydot = M y + b runs in homogeneous form: the state (y, 1)
-under the generator [[M, b], [0, 0]].  The Bloch run, ``integrate_affine``
-and the drive transforms do so, the Bloch run on homogeneous generators
-built once per process.  The density run has no drift; it propagates the
-real vector [Re vec rho; Im vec rho] under the Kronecker supermatrices S in
-the real block form [[Re S, -Im S], [Im S, Re S]], because a stacked real
-8 x 8 product costs far less than the complex 4 x 4 one.
+under the generator [[M, b], [0, 0]].  The Bloch and density runs are one
+table run: a coefficient table (n_fine, k) times k fixed generators built
+once, the Bloch run's homogeneous, the density form's at every N the
+Kronecker supermatrices S of the unit Hamiltonians and unit-rate channels in
+the real block form [[Re S, -Im S], [Im S, Re S]] on [Re vec rho; Im vec
+rho], since a stacked real product costs far less than the complex one.
 
 Controls are sampled schedules, interpolated cubically at the half steps;
 reservoir coefficients are evaluated from their closed forms exactly, once
@@ -48,8 +48,8 @@ The reservoir's drive renormalization Omega -> Omega^R and its inverse are
 linear ODEs in (h, w), the local form of the memory convolution, and run
 through the same core with one step per output interval.
 
-User coefficient functions are called once, on the 1-D array of fine-grid
-times; a constant result is broadcast.
+User coefficient functions (``integrate_density_general``'s table too) are
+called once, on the 1-D array of fine-grid times; a constant is broadcast.
 
 Everything after the core is batched over the output grid as well: the
 density run converts all its rows to Bloch vectors in one call, and the
@@ -70,7 +70,8 @@ from ._cubic import require_uniform
 from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
 from .environment import (LorentzianEnvironment, _check_zero_between, _log_derivative,
                           decay_and_shift)
-from .errors import IntegrationDivergedError, InvalidInputError, MalformedStateError
+from .errors import (DimensionError, IntegrationDivergedError, InvalidInputError,
+                     MalformedStateError)
 from .sun_algebra import build_basis, density_to_bloch, structure_constants
 
 __all__ = [
@@ -118,33 +119,36 @@ def _homogeneous(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g
 
 
+def _density_generators(basis, shapes) -> np.ndarray:
+    """Fixed density-form generators (k, 2 N^2, 2 N^2) in real block form: the
+    Kronecker supermatrices of the unit Hamiltonians c_1 .. c_{N^2-1}, then of
+    one unit-rate channel per shape.  Padding the Hamiltonian specs with rate-0
+    channels would turn -0.0 entries of their supermatrices into +0.0, so the
+    two kinds take two stacked calls."""
+    n = basis.dimension ** 2
+    units = lv.HamiltonianSpec(np.eye(n - 1, n, 1))
+    decay = [lv.LindbladChannel(np.array(shapes))]
+    s = np.concatenate([lv.kron_liouvillian(units, [], basis),
+                        lv.kron_liouvillian(lv.HamiltonianSpec(np.zeros(n)), decay, basis)])
+    return np.block([[s.real, -s.imag], [s.imag, s.real]])
+
+
 @lru_cache(maxsize=1)
 def _qubit_parts():
-    """Cached N = 2 structure: the basis and the five fixed generators of each form.
-
-    The generators multiply the stage coefficients (c_x, c_y, c_z, rate_minus,
-    rate_plus); both forms are built from the same five unit specs, the unit
-    c_x, c_y and c_z Hamiltonians and the unit sigma- and sigma+ channels.
+    """Cached N = 2 structure: the basis and the five fixed generators of each form,
+    which multiply the stage coefficients (c_x, c_y, c_z, rate_minus, rate_plus).
     Bloch form: homogeneous 4 x 4 matrices [[K, b], [0, 0]] of the component
-    generators, the channel drifts in the last column.  Density form: the
-    Kronecker supermatrices in real block form, as 8 x 8 matrices.  Padding
-    the Hamiltonian specs with rate-0 channels would turn -0.0 entries of
-    their supermatrices into +0.0, so each form takes two stacked calls.
-    """
+    generators, the drifts in the last column, built in two stacked calls as
+    ``_density_generators`` builds the density form's from sigma- and sigma+."""
     basis = build_basis(2)
     tensors = structure_constants(basis)
-    units = lv.HamiltonianSpec(np.eye(3, 4, 1))
-    zero = lv.HamiltonianSpec(np.zeros(4))
-    decay = [lv.LindbladChannel(np.array([SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE]))]
-    coherent = lv.assemble_components(units, [], tensors)
-    dissipative = lv.assemble_components(zero, decay, tensors)
+    shapes = SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE
+    coherent = lv.assemble_components(lv.HamiltonianSpec(np.eye(3, 4, 1)), [], tensors)
+    dissipative = lv.assemble_components(lv.HamiltonianSpec(np.zeros(4)),
+                                         [lv.LindbladChannel(np.array(shapes))], tensors)
     bloch = _homogeneous(np.concatenate([coherent.matrix, dissipative.matrix]),
                          np.concatenate([coherent.drift, dissipative.drift]))
-    s = np.concatenate([lv.kron_liouvillian(units, [], basis),
-                        lv.kron_liouvillian(zero, decay, basis)])
-    # S acts on [Re vec rho; Im vec rho] as [[Re S, -Im S], [Im S, Re S]]
-    density = np.block([[s.real, -s.imag], [s.imag, s.real]])
-    return basis, bloch, density
+    return basis, bloch, _density_generators(basis, shapes)
 
 
 def _reservoir_table(env: LorentzianEnvironment, fine_times: np.ndarray):
@@ -348,18 +352,24 @@ def integrate_affine(matrix_fun, drift_fun, y0: np.ndarray, times: np.ndarray,
     return _rk4_linear(lambda idx: gens[idx], np.append(y0, 1.0), times, sub)[:, :-1]
 
 
-def _qubit_run(schedule: ControlSchedule, env: LorentzianEnvironment, y0: np.ndarray,
-               times: np.ndarray, min_steps: int, gens: np.ndarray,
-               reservoir) -> np.ndarray:
-    """RK4 run of a two-level form: the stage generators are the stage
-    coefficients times the form's five fixed generators ``gens`` (5, d, d),
-    stacked by one matrix product."""
+def _table_run(coefficient_fun, gens: np.ndarray, y0: np.ndarray, times: np.ndarray,
+               min_steps: int, state) -> np.ndarray:
+    """RK4 run whose stage generators are the table ``coefficient_fun(fine)``
+    (n_fine, k) or one constant row, on the run's fine grid, times fixed
+    generators ``gens`` (k, d, d), stacked by one matrix product.  ``y0`` is
+    the initial ``state`` as the vector they act on; a state of another size
+    raises ``DimensionError``."""
+    if y0.shape != gens.shape[-1:]:
+        raise DimensionError(f"initial state of shape {np.shape(state)} does not fit "
+                             f"generators of shape {gens.shape[1:]}")
+    times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    coeffs = _stage_coefficients(schedule, env, fine, reservoir)
+    table = np.broadcast_to(np.asarray(coefficient_fun(fine), dtype=float),
+                            (len(fine), len(gens)))
     flat = gens.reshape(len(gens), -1)
 
     def stages(idx):
-        return (coeffs[:, idx].T @ flat).reshape(-1, *gens.shape[1:])
+        return (table[idx] @ flat).reshape(-1, *gens.shape[1:])
     return _rk4_linear(stages, y0, times, sub)
 
 
@@ -374,10 +384,9 @@ def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
     ``reservoir`` is ``reservoir_table(env, times, min_steps)``, passed to
     share one table between runs; None evaluates it here.
     """
-    times = np.asarray(times, dtype=float)
     y0 = np.append(np.asarray(r0, dtype=float), 1.0)
-    states = _qubit_run(schedule, env, y0, times, min_steps, _qubit_parts()[1],
-                        reservoir)[:, :-1]
+    states = _table_run(lambda fine: _stage_coefficients(schedule, env, fine, reservoir).T,
+                        _qubit_parts()[1], y0, times, min_steps, r0)[:, :-1]
     fid = _reference_fidelity(states, times, reference)
     return SimulationRun(states=states, fidelity=fid)
 
@@ -392,11 +401,10 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     matrices themselves are attached to the run as ``densities``; the run
     has no fidelity column.
     """
-    times = np.asarray(times, dtype=float)
     basis, _, gens = _qubit_parts()
     vec0 = lv.vec(np.asarray(rho0, dtype=complex))
-    y = _qubit_run(schedule, env, np.concatenate([vec0.real, vec0.imag]), times, min_steps,
-                   gens, None)
+    y = _table_run(lambda fine: _stage_coefficients(schedule, env, fine, None).T, gens,
+                   np.concatenate([vec0.real, vec0.imag]), times, min_steps, rho0)
     raw = (y[:, :4] + 1j * y[:, 4:]).reshape(-1, 2, 2)
     return SimulationRun(states=density_to_bloch(raw, basis), fidelity=None, densities=raw)
 
@@ -453,22 +461,23 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
     return np.minimum(np.maximum(val, 0.0), 1.0 + 1e-12)
 
 
-def integrate_density_general(generator_fun, rho0: np.ndarray, times: np.ndarray, basis,
-                              min_steps: int = DEFAULT_MIN_STEPS) -> np.ndarray:
-    """Kronecker-form integration for any SU(N) setup with a callable generator.
+def integrate_density_general(coefficient_fun, shapes, rho0: np.ndarray, times: np.ndarray,
+                              basis, min_steps: int = DEFAULT_MIN_STEPS) -> np.ndarray:
+    """Kronecker-form integration for any SU(N), linear in a coefficient table.
 
-    ``generator_fun(t)`` returns the HamiltonianSpec and the channels at the
-    step nodes and half steps t, stacked along t or constant.  Returns the
-    density matrices on the output grid.  Slower than the two-level path (a
-    supermatrix per stage) but dimension-agnostic.
+    The generator is sum_k c_k(t) S_k over the supermatrices of the unit
+    Hamiltonians c_1 .. c_{N^2-1} and of a unit-rate channel per shape vector
+    in ``shapes`` (one or more, as ``LindbladChannel`` takes them).
+    ``coefficient_fun(t)`` is called once, on the step nodes and half steps t,
+    and returns the table (len(t), N^2 - 1 + len(shapes)) or one constant row:
+    c_1 .. c_{N^2-1}, then the channel rates.  Returns the density matrices on
+    the output grid, shape (n, N, N).
     """
-    times = np.asarray(times, dtype=float)
-    fine, sub = _fine_grid(times, min_steps)
-    s = lv.kron_liouvillian(*generator_fun(fine), basis)
-    supers = np.broadcast_to(s, fine.shape + s.shape[-2:])
-    raw = _rk4_linear(lambda idx: supers[idx], lv.vec(np.asarray(rho0, dtype=complex)),
-                      times, sub)
-    return raw.reshape(len(raw), basis.dimension, basis.dimension)
+    gens, n = _density_generators(basis, shapes), basis.dimension
+    vec0 = lv.vec(np.asarray(rho0, dtype=complex))
+    y = _table_run(coefficient_fun, gens, np.concatenate([vec0.real, vec0.imag]), times,
+                   min_steps, rho0)
+    return (y[:, :n * n] + 1j * y[:, n * n:]).reshape(-1, n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from blochsteer.controls import (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule,
                                  schedule_from_trajectory)
 from blochsteer.environment import LorentzianEnvironment, _log_derivative
-from blochsteer.errors import (IntegrationDivergedError, InvalidInputError,
+from blochsteer.errors import (DimensionError, IntegrationDivergedError, InvalidInputError,
                                MalformedStateError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
@@ -322,26 +322,33 @@ def test_fidelity_symmetry_property(rng):
         assert abs(fidelity_bloch(r1, r1) - 1.0) < 1e-12
 
 
-def test_general_dimension_dual_representation(rng):
-    # dynamics-level oracle for a qutrit: component form vs supermatrix form
-    from blochsteer.simulator import integrate_density_general
-    from blochsteer.sun_algebra import (bloch_to_density, build_basis, density_to_bloch,
-                                        random_bloch_vector, structure_constants)
-    basis = build_basis(3)
-    tensors = structure_constants(basis)
+def qutrit_oracle_inputs(rng):
+    """A time-dependent qutrit generator with two channels, its coefficient
+    table, the channel shapes and a start Bloch vector, drawn from ``rng``."""
+    from blochsteer.sun_algebra import random_bloch_vector
     coeffs = rng.normal(size=9)
     mod = rng.normal(size=9)
-    shape1 = rng.normal(size=8) + 1j * rng.normal(size=8)
-    shape2 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    shapes = tuple(rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2))
 
     def generator(t):
         # a stack along t: the first channel's rate is an array over the times
         ham = HamiltonianSpec(coeffs + mod * np.cos(0.9 * t)[..., None])
-        channels = [LindbladChannel(shape1, rate=0.3 + 0.2 * np.sin(t)),
-                    LindbladChannel(shape2, rate=0.15)]
+        channels = [LindbladChannel(shapes[0], rate=0.3 + 0.2 * np.sin(t)),
+                    LindbladChannel(shapes[1], rate=0.15)]
         return ham, channels
 
-    r0 = random_bloch_vector(3, rng, 0.4)
+    def table(t):
+        # the same generator as c_1 .. c_8, then the two channel rates
+        ham, (first, second) = generator(t)
+        return np.column_stack([ham.coefficients[:, 1:], first.rate, np.full_like(t, second.rate)])
+    return generator, table, shapes, random_bloch_vector(3, rng, 0.4)
+
+
+def test_general_dimension_dual_representation(rng, qutrit):
+    # dynamics-level oracle for a qutrit: component form vs supermatrix form
+    from blochsteer.sun_algebra import bloch_to_density, density_to_bloch
+    basis, tensors = qutrit
+    generator, table, shapes, r0 = qutrit_oracle_inputs(rng)
     times = np.linspace(0.0, 2.0, 41)
 
     def matrix(t):
@@ -351,10 +358,47 @@ def test_general_dimension_dual_representation(rng):
         return assemble_components(*generator(t), tensors).drift
 
     bloch_states = integrate_affine(matrix, drift, r0, times, min_steps=800)
-    rhos = integrate_density_general(generator, bloch_to_density(r0, basis), times, basis,
+    rhos = integrate_density_general(table, shapes, bloch_to_density(r0, basis), times, basis,
                                      min_steps=800)
-    density_states = np.array([density_to_bloch(r, basis) for r in rhos])
-    assert np.max(np.abs(bloch_states - density_states)) < 1e-8
+    assert rhos.shape == (41, 3, 3)
+    assert np.max(np.abs(bloch_states - density_to_bloch(rhos, basis))) < 1e-12
+
+
+def test_general_run_of_a_schedules_table_is_the_two_level_run(inversion_setup, qubit):
+    # the two density entries share one path: a shipped schedule's stage
+    # coefficients, as a table, give integrate_density's densities bit for bit
+    env, t_break, t_final = inversion_setup
+    traj = mixed_inversion_trajectory(t_break, t_final)
+    times = np.linspace(0.0, t_final, 2001)
+    sched = schedule_from_trajectory(traj, env, times)
+    rho0 = bloch_to_density(traj.evaluate(0.0)[0], qubit[0])
+    rhos = integrate_density_general(lambda t: _stage_coefficients(sched, env, t, None).T,
+                                     (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE), rho0, times,
+                                     qubit[0], min_steps=20000)
+    run = integrate_density(sched, env, rho0, times, min_steps=20000)
+    assert rhos.tobytes() == run.densities.tobytes()
+
+
+def test_initial_state_of_another_size_names_both_shapes(tracking_env, hold, qubit, qutrit):
+    times = np.linspace(0.0, 1.0, 11)
+    sched = schedule_from_trajectory(hold(np.array([0.25, -0.15, -0.55]), 1.0),
+                                     tracking_env, times)
+    runs = [(lambda: integrate_bloch(sched, tracking_env, np.zeros(4), times, min_steps=100),
+             r"\(4,\) does not fit generators of shape \(4, 4\)"),
+            (lambda: integrate_density(sched, tracking_env, np.eye(3) / 3, times, min_steps=100),
+             r"\(3, 3\) does not fit generators of shape \(8, 8\)"),
+            (lambda: integrate_density_general(lambda t: np.zeros(9), (np.ones(8),), np.eye(2) / 2,
+                                               times, qutrit[0], min_steps=100),
+             r"\(2, 2\) does not fit generators of shape \(18, 18\)")]
+    for run, message in runs:
+        with pytest.raises(DimensionError, match=r"^initial state of shape " + message + "$"):
+            run()
+
+
+def test_general_run_refuses_a_shape_of_the_wrong_length(qutrit):
+    with pytest.raises(DimensionError, match=r"channel shape must have length 8 \(or 9\)"):
+        integrate_density_general(lambda t: np.zeros(9), (SIGMA_MINUS_SHAPE,), np.eye(3) / 3,
+                                  np.linspace(0.0, 1.0, 11), qutrit[0], min_steps=100)
 
 
 def test_batched_fidelity_matches_scalar_calls(rng):
@@ -451,9 +495,9 @@ def test_user_functions_are_called_once_per_run(qubit, tracking_env):
                               r0, times, min_steps=100)
     assert calls == [(201,), (201,)]
     calls.clear()
-    spec = HamiltonianSpec(np.zeros(4)), [LindbladChannel(SIGMA_MINUS_SHAPE, rate=0.7)]
-    rhos = integrate_density_general(counted(lambda t: spec), bloch_to_density(r0, basis),
-                                     times, basis, min_steps=100)
+    rhos = integrate_density_general(counted(lambda t: [0.0, 0.0, 0.0, 0.7]),
+                                     (SIGMA_MINUS_SHAPE,), bloch_to_density(r0, basis), times,
+                                     basis, min_steps=100)
     assert calls == [(201,)]
     assert np.max(np.abs(rhos - bloch_to_density(states, basis))) < 1e-12
     calls.clear()
@@ -594,14 +638,13 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
     integrate_affine(lambda t: matrices, lambda t: drifts, r0, times, min_steps=100)
     assert np.array_equal(matrices, kept[0]) and np.array_equal(drifts, kept[1])
 
-    coefficients = np.zeros((len(fine), 4))
-    coefficients[:, 3] = 0.4 * np.cos(fine)
-    rates = 0.7 + 0.1 * fine
-    kept = [coefficients.copy(), rates.copy()]
-    spec = HamiltonianSpec(coefficients), [LindbladChannel(SIGMA_MINUS_SHAPE, rate=rates)]
-    integrate_density_general(lambda t: spec, bloch_to_density(r0, basis), times, basis,
-                              min_steps=100)
-    assert np.array_equal(coefficients, kept[0]) and np.array_equal(rates, kept[1])
+    table = np.zeros((len(fine), 4))
+    table[:, 2] = 0.4 * np.cos(fine)
+    table[:, 3] = 0.7 + 0.1 * fine
+    kept = table.copy()
+    integrate_density_general(lambda t: table, (SIGMA_MINUS_SHAPE,), bloch_to_density(r0, basis),
+                              times, basis, min_steps=100)
+    assert np.array_equal(table, kept)
 
     drive = 0.5 + 0.1j * np.linspace(0.0, 1.0, 21)
     kept = drive.copy()
@@ -636,6 +679,23 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
 # chunk dominate its peak at that size, so it is bounded at 20,000 steps only.
 PEAK_FINE_ARRAYS = {20000: (12, (integrate_bloch, integrate_density)),
                     2000: (23, (integrate_bloch,))}
+# The general density run at N = 3 and 20,000 steps, given a (n_fine, 10)
+# coefficient table built before it, holds the fine grid and one chunk's
+# 18 x 18 step maps: about 3.3 fine-grid arrays.  A run that copies the table
+# holds 13.3; the bound sits one array below it.  (The callable interface,
+# which built a complex supermatrix per stage, peaked at 515 with the same
+# generator evaluated inside the run.)
+GENERAL_PEAK_FINE_ARRAYS = 12
+
+
+def traced_peak(run, *args, **kwargs):
+    """Peak of the memory traced while ``run(*args, **kwargs)`` runs."""
+    tracemalloc.start()
+    try:
+        run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("min_steps", sorted(PEAK_FINE_ARRAYS))
@@ -652,10 +712,17 @@ def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qu
     for run in runs:
         run(replace(sched), env, starts[run], times, min_steps=min_steps)   # process-wide caches
         fresh = replace(sched)   # the run builds the control splines too
-        tracemalloc.start()
-        try:
-            run(fresh, env, starts[run], times, min_steps=min_steps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run, fresh, env, starts[run], times, min_steps=min_steps)
         assert peak <= bound * fine_nbytes, (run.__name__, peak / fine_nbytes)
+
+
+def test_general_density_run_peaks_below_a_bound_in_fine_grid_arrays(rng, qutrit):
+    basis = qutrit[0]
+    _, table, shapes, r0 = qutrit_oracle_inputs(rng)
+    times = np.linspace(0.0, 2.0, 41)
+    fine = np.linspace(0.0, 2.0, 2 * 20000 + 1)   # the run's fine grid
+    coefficients = table(fine)
+    args = (lambda t: coefficients, shapes, bloch_to_density(r0, basis), times, basis)
+    integrate_density_general(*args, min_steps=20000)   # process-wide caches
+    peak = traced_peak(integrate_density_general, *args, min_steps=20000)
+    assert peak <= GENERAL_PEAK_FINE_ARRAYS * fine.nbytes, peak / fine.nbytes
