@@ -2,15 +2,15 @@
 
 Two independent integrators share one fixed-step RK4 core: the component
 form propagates the Bloch vector with matrices assembled from the structure
-tensors, the density form propagates the row-major vectorized density
-matrix, at any N, with supermatrices assembled by Kronecker products.
+tensors, the density form propagates the density matrix, at any N, in real
+coordinates, with supermatrices assembled by Kronecker products.
 Agreement between the two is the primary dynamics oracle.
 
 The RK4 core is batched and drift-free.  For ydot = M(t) y one RK4 step is
 an exact linear map y -> A y, so the core builds the step maps of a chunk
 with batched matrix products and composes the maps of each output interval.
 A chunk's step maps take at most ``_CHUNK_BYTES`` and no more bytes than
-the run's fine grid: 1,024 Bloch or 256 two-level density steps at the default
+the run's fine grid: 1,024 steps of either two-level form at the default
 20,000.  A prefix product of the chunk's interval maps, by doubling, gives
 the map from the chunk's first node to each output node, and one batched
 matrix-vector product from the state there writes all of the chunk's output
@@ -26,10 +26,10 @@ caller's stack may share nodes across chunks or be a read-only broadcast.
 An affine ODE ydot = M y + b runs in homogeneous form: the state (y, 1)
 under the generator [[M, b], [0, 0]].  The Bloch and density runs are one
 table run: a coefficient table (n_fine, k) times k fixed generators built
-once, the Bloch run's homogeneous, the density form's at every N the
-Kronecker supermatrices S of the unit Hamiltonians and unit-rate channels in
-the real block form [[Re S, -Im S], [Im S, Re S]] on [Re vec rho; Im vec
-rho], since a stacked real product costs far less than the complex one.
+once, the Bloch run's homogeneous.  The density form's, at every N, are the
+Kronecker supermatrices S of the unit Hamiltonians and unit-rate channels as
+Re P S Q, on the N^2 real coordinates x = P vec rho of a Hermitian rho
+(rho_ii, Re rho_ij, Im rho_ij for i < j; vec rho = Q x): 4 x 4 at N = 2.
 
 Controls are sampled schedules, interpolated cubically at the half steps;
 reservoir coefficients are evaluated from their closed forms exactly, once
@@ -88,10 +88,10 @@ __all__ = [
 ]
 
 DEFAULT_MIN_STEPS = 20000
-# Bytes of one chunk's stack of RK4 step maps, at most: 1,024 Bloch steps
-# (4 x 4) or 256 density steps (8 x 8).  A run whose fine grid takes fewer
-# bytes takes that many instead, so a short run's chunk stays small next to
-# its other arrays.  Each chunk pays a fixed cost of some tens of numpy calls.
+# Bytes of one chunk's stack of RK4 step maps, at most: 1,024 steps of either
+# two-level form (4 x 4).  A run whose fine grid takes fewer bytes takes that
+# many instead, so a short run's chunk stays small next to its other arrays.
+# Each chunk pays a fixed cost of some tens of numpy calls.
 _CHUNK_BYTES = 2 ** 17
 
 
@@ -119,18 +119,41 @@ def _homogeneous(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g
 
 
+@lru_cache
+def _hermitian_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The density form's coordinates x = P vec rho of an N x N Hermitian rho
+    and their inverse vec rho = Q x, both (N^2, N^2), built by index.  x holds
+    rho_ii, then Re rho_ij, then Im rho_ij for i < j (row-major order); Q
+    rebuilds rho_ji = conj rho_ij.  Every entry is 0, 1, i, 1/2 or i/2 up to
+    sign, so no product with one rounds."""
+    diag, (i, j) = np.arange(n), np.triu_indices(n, 1)
+    upper, lower = i * n + j, j * n + i
+    re, im = n + np.arange(len(i)), n + len(i) + np.arange(len(i))
+    p, q = np.zeros((2, n * n, n * n), dtype=complex)
+    p[diag, diag * (n + 1)] = q[diag * (n + 1), diag] = 1.0
+    p[re, upper] = p[re, lower] = 0.5
+    p[im, upper], p[im, lower] = -0.5j, 0.5j
+    q[upper, re] = q[lower, re] = 1.0
+    q[upper, im], q[lower, im] = 1j, -1j
+    return p, q
+
+
 def _density_generators(basis, shapes) -> np.ndarray:
-    """Fixed density-form generators (k, 2 N^2, 2 N^2) in real block form: the
-    Kronecker supermatrices of the unit Hamiltonians c_1 .. c_{N^2-1}, then of
-    one unit-rate channel per shape.  Padding the Hamiltonian specs with rate-0
-    channels would turn -0.0 entries of their supermatrices into +0.0, so the
-    two kinds take two stacked calls."""
+    """Fixed density-form generators (k, N^2, N^2), Re P S Q on the real
+    coordinates of ``_hermitian_maps``, for the Kronecker supermatrices S of
+    the unit Hamiltonians c_1 .. c_{N^2-1}, then of one unit-rate channel per
+    shape in the sequence ``shapes`` (none: a coherent run).  S keeps rho
+    Hermitian, so P S Q is real up to rounding.  Padding the Hamiltonian
+    specs with rate-0 channels would turn -0.0 entries of their supermatrices
+    into +0.0, so the two kinds take two stacked calls."""
     n = basis.dimension ** 2
     units = lv.HamiltonianSpec(np.eye(n - 1, n, 1))
-    decay = [lv.LindbladChannel(np.array(shapes))]
+    extended = [lv._extended_shape(shape, basis.dimension) for shape in shapes]
+    decay = [lv.LindbladChannel(np.reshape(extended, (-1, n)))]
     s = np.concatenate([lv.kron_liouvillian(units, [], basis),
                         lv.kron_liouvillian(lv.HamiltonianSpec(np.zeros(n)), decay, basis)])
-    return np.block([[s.real, -s.imag], [s.imag, s.real]])
+    p, q = _hermitian_maps(basis.dimension)
+    return (p @ s @ q).real
 
 
 @lru_cache(maxsize=1)
@@ -357,20 +380,40 @@ def _table_run(coefficient_fun, gens: np.ndarray, y0: np.ndarray, times: np.ndar
     """RK4 run whose stage generators are the table ``coefficient_fun(fine)``
     (n_fine, k) or one constant row, on the run's fine grid, times fixed
     generators ``gens`` (k, d, d), stacked by one matrix product.  ``y0`` is
-    the initial ``state`` as the vector they act on; a state of another size
-    raises ``DimensionError``."""
+    the initial ``state`` as the vector they act on; a state of another size,
+    or a table of another width, raises ``DimensionError``."""
     if y0.shape != gens.shape[-1:]:
         raise DimensionError(f"initial state of shape {np.shape(state)} does not fit "
                              f"generators of shape {gens.shape[1:]}")
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    table = np.broadcast_to(np.asarray(coefficient_fun(fine), dtype=float),
-                            (len(fine), len(gens)))
+    coefficients = np.asarray(coefficient_fun(fine), dtype=float)
+    try:
+        table = np.broadcast_to(coefficients, (len(fine), len(gens)))
+    except ValueError:
+        raise DimensionError(f"coefficient table of shape {coefficients.shape} does not "
+                             f"fit shape {(len(fine), len(gens))}") from None
     flat = gens.reshape(len(gens), -1)
 
     def stages(idx):
         return (table[idx] @ flat).reshape(-1, *gens.shape[1:])
     return _rk4_linear(stages, y0, times, sub)
+
+
+def _density_run(coefficient_fun, gens: np.ndarray, rho0: np.ndarray, times: np.ndarray,
+                 min_steps: int) -> np.ndarray:
+    """Density-form table run on the coordinates x = P vec rho0 of a Hermitian
+    ``rho0`` (``_hermitian_maps``); returns the densities Q x on the output grid,
+    (n, N, N).  A rho0 that is not Hermitian raises ``InvalidInputError``."""
+    rho = np.asarray(rho0, dtype=complex)
+    n = len(rho)
+    p, q = _hermitian_maps(n)   # at rho0's own size, so a wrong size reaches the shape check
+    gap = np.max(np.abs(lv.vec(rho) - lv.vec(rho.conj().mT)))
+    if gap > 1e-12 * np.max(np.abs(rho)):
+        raise InvalidInputError(f"initial density matrix is not Hermitian: "
+                                f"max |rho0 - rho0^+| = {gap:.3e}")
+    y = _table_run(coefficient_fun, gens, (p @ lv.vec(rho)).real, times, min_steps, rho0)
+    return (y @ q.T).reshape(-1, n, n)
 
 
 def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
@@ -402,10 +445,8 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     has no fidelity column.
     """
     basis, _, gens = _qubit_parts()
-    vec0 = lv.vec(np.asarray(rho0, dtype=complex))
-    y = _table_run(lambda fine: _stage_coefficients(schedule, env, fine, None).T, gens,
-                   np.concatenate([vec0.real, vec0.imag]), times, min_steps, rho0)
-    raw = (y[:, :4] + 1j * y[:, 4:]).reshape(-1, 2, 2)
+    raw = _density_run(lambda fine: _stage_coefficients(schedule, env, fine, None).T, gens,
+                       rho0, times, min_steps)
     return SimulationRun(states=density_to_bloch(raw, basis), fidelity=None, densities=raw)
 
 
@@ -467,17 +508,14 @@ def integrate_density_general(coefficient_fun, shapes, rho0: np.ndarray, times: 
 
     The generator is sum_k c_k(t) S_k over the supermatrices of the unit
     Hamiltonians c_1 .. c_{N^2-1} and of a unit-rate channel per shape vector
-    in ``shapes`` (one or more, as ``LindbladChannel`` takes them).
+    in the sequence ``shapes`` (none for a coherent run).  ``rho0`` is Hermitian.
     ``coefficient_fun(t)`` is called once, on the step nodes and half steps t,
     and returns the table (len(t), N^2 - 1 + len(shapes)) or one constant row:
     c_1 .. c_{N^2-1}, then the channel rates.  Returns the density matrices on
     the output grid, shape (n, N, N).
     """
-    gens, n = _density_generators(basis, shapes), basis.dimension
-    vec0 = lv.vec(np.asarray(rho0, dtype=complex))
-    y = _table_run(coefficient_fun, gens, np.concatenate([vec0.real, vec0.imag]), times,
-                   min_steps, rho0)
-    return (y[:, :n * n] + 1j * y[:, n * n:]).reshape(-1, n, n)
+    return _density_run(coefficient_fun, _density_generators(basis, shapes), rho0, times,
+                        min_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from blochsteer.errors import (DimensionError, IntegrationDivergedError, Invalid
                                MalformedStateError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
-from blochsteer.simulator import (_compose, _qubit_parts, _rk4_linear, _stage_coefficients,
-                                  _step_maps,
+from blochsteer.simulator import (_compose, _density_generators, _hermitian_maps,
+                                  _qubit_parts, _rk4_linear, _stage_coefficients, _step_maps,
                                   fidelity_bloch, integrate_affine, integrate_bloch,
                                   integrate_density, integrate_density_general,
                                   lab_field_from_effective, renormalized_field,
                                   reservoir_table)
-from blochsteer.sun_algebra import bloch_to_density
+from blochsteer.sun_algebra import bloch_to_density, random_bloch_vector
 from blochsteer.trajectories import mixed_inversion_trajectory, tracking_trajectory
 
 
@@ -183,7 +183,8 @@ def test_diverging_run_names_the_time_of_the_row_sweep():
 
 @pytest.mark.parametrize("n_out, sub", [(300, 1), (2, 600)])
 def test_density_run_matches_complex_rk4_loop(tracking_env, qubit, n_out, sub):
-    # the real block form against literal complex RK4 on the Kronecker supermatrix
+    # the real Hermitian coordinates against literal complex RK4 on the
+    # Kronecker supermatrix of vec rho
     basis = qubit[0]
     traj = tracking_trajectory(tracking_env, 1e-5, 3.0, 3.0)
     sched = schedule_from_trajectory(traj, tracking_env, np.linspace(0.0, 3.0, 61))
@@ -386,10 +387,10 @@ def test_initial_state_of_another_size_names_both_shapes(tracking_env, hold, qub
     runs = [(lambda: integrate_bloch(sched, tracking_env, np.zeros(4), times, min_steps=100),
              r"\(4,\) does not fit generators of shape \(4, 4\)"),
             (lambda: integrate_density(sched, tracking_env, np.eye(3) / 3, times, min_steps=100),
-             r"\(3, 3\) does not fit generators of shape \(8, 8\)"),
+             r"\(3, 3\) does not fit generators of shape \(4, 4\)"),
             (lambda: integrate_density_general(lambda t: np.zeros(9), (np.ones(8),), np.eye(2) / 2,
                                                times, qutrit[0], min_steps=100),
-             r"\(2, 2\) does not fit generators of shape \(18, 18\)")]
+             r"\(2, 2\) does not fit generators of shape \(9, 9\)")]
     for run, message in runs:
         with pytest.raises(DimensionError, match=r"^initial state of shape " + message + "$"):
             run()
@@ -399,6 +400,80 @@ def test_general_run_refuses_a_shape_of_the_wrong_length(qutrit):
     with pytest.raises(DimensionError, match=r"channel shape must have length 8 \(or 9\)"):
         integrate_density_general(lambda t: np.zeros(9), (SIGMA_MINUS_SHAPE,), np.eye(3) / 3,
                                   np.linspace(0.0, 1.0, 11), qutrit[0], min_steps=100)
+    # shapes of unequal lengths: the short one is named, not stacked by numpy
+    with pytest.raises(DimensionError, match=r"length 8 \(or 9\), got \(5,\)$"):
+        integrate_density_general(lambda t: np.zeros(10), (np.ones(8), np.ones(5)),
+                                  np.eye(3) / 3, np.linspace(0.0, 1.0, 11), qutrit[0],
+                                  min_steps=100)
+
+
+def test_general_run_refuses_a_table_of_the_wrong_width(qutrit):
+    with pytest.raises(DimensionError, match=r"^coefficient table of shape \(201, 7\) does not "
+                                             r"fit shape \(201, 9\)$"):
+        integrate_density_general(lambda t: np.zeros((len(t), 7)), (np.ones(8),), np.eye(3) / 3,
+                                  np.linspace(0.0, 1.0, 11), qutrit[0], min_steps=100)
+
+
+def test_general_run_without_channels_is_coherent(rng, qutrit):
+    # no shapes: the N^2 - 1 unit Hamiltonians alone, the same run as a
+    # channel at rate 0, and unitary, so the purity stays put
+    basis = qutrit[0]
+    assert _density_generators(basis, ()).shape == (8, 9, 9)
+    coefficients = rng.normal(size=8)
+    rho0 = bloch_to_density(random_bloch_vector(3, rng, 0.4), basis)
+    times = np.linspace(0.0, 2.0, 21)
+    coherent = integrate_density_general(lambda t: coefficients, (), rho0, times, basis,
+                                         min_steps=2000)
+    with_rate_0 = integrate_density_general(lambda t: np.append(coefficients, 0.0),
+                                            (rng.normal(size=8),), rho0, times, basis,
+                                            min_steps=2000)
+    assert np.max(np.abs(coherent - with_rate_0)) < 1e-14
+    purity = np.einsum("nij,nji->n", coherent, coherent).real
+    assert np.max(np.abs(purity - purity[0])) < 1e-12
+
+
+def supermatrices(basis, shapes):
+    """Kronecker supermatrices on vec rho of the unit Hamiltonians, then of a
+    unit-rate channel per shape, as the density form stacks them."""
+    n = basis.dimension ** 2
+    return np.concatenate([
+        kron_liouvillian(HamiltonianSpec(np.eye(n - 1, n, 1)), [], basis),
+        kron_liouvillian(HamiltonianSpec(np.zeros(n)), [LindbladChannel(np.array(shapes))],
+                         basis)])
+
+
+def test_supermatrices_are_real_on_hermitian_coordinates(rng, qubit, qutrit):
+    # S maps Hermitian matrices to Hermitian ones, so P S Q is real: exactly
+    # at N = 2, up to rounding at N = 3 with random complex shapes
+    p, q = _hermitian_maps(2)
+    assert np.array_equal(q @ p, np.eye(4)) and np.array_equal(p @ q, np.eye(4))
+    s = supermatrices(qubit[0], (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE))
+    assert not (p @ s @ q).imag.any()
+    p, q = _hermitian_maps(3)
+    assert np.array_equal(q @ p, np.eye(9)) and np.array_equal(p @ q, np.eye(9))
+    s = supermatrices(qutrit[0], rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
+    coordinates = p @ s @ q
+    assert np.max(np.abs(coordinates.imag)) <= 1e-13 * np.max(np.abs(coordinates.real))
+    # the coordinates of a Hermitian rho are real, and Q rebuilds it exactly
+    rho = bloch_to_density(random_bloch_vector(3, rng, 0.9), qutrit[0])
+    x = p @ rho.reshape(-1)
+    assert not x.imag.any()
+    assert np.array_equal(q @ x.real, rho.reshape(-1))
+
+
+def test_density_runs_refuse_a_state_that_is_not_hermitian(tracking_env, hold, qubit, qutrit):
+    times = np.linspace(0.0, 1.0, 11)
+    sched = schedule_from_trajectory(hold(np.array([0.25, -0.15, -0.55]), 1.0),
+                                     tracking_env, times)
+    rho0 = bloch_to_density(np.array([0.25, -0.15, -0.55]), qubit[0])
+    rho0[0, 1] += 1e-6
+    with pytest.raises(InvalidInputError, match=r"not Hermitian: max \|rho0 - rho0\^\+\| "
+                                                r"= 1\.000e-06$"):
+        integrate_density(sched, tracking_env, rho0, times, min_steps=100)
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        integrate_density_general(lambda t: np.zeros(9), (np.ones(8),),
+                                  np.diag([0.5, 0.3, 0.2]) + 0.1j, times, qutrit[0],
+                                  min_steps=100)
 
 
 def test_batched_fidelity_matches_scalar_calls(rng):
@@ -508,6 +583,7 @@ def test_user_functions_are_called_once_per_run(qubit, tracking_env):
 
 # The production generators, one row string per matrix row; "-0" is a
 # negative zero.  Order: unit c_x, c_y, c_z, unit sigma- rate, unit sigma+ rate.
+# The density form's act on (rho_00, rho_11, Re rho_01, Im rho_01).
 BLOCH_GENERATORS = (
     (" 0  0  0  0", " 0  0 -2  0", " 0  2  0  0", " 0  0  0  0"),
     (" 0  0  2  0", " 0  0  0  0", "-2  0  0  0", " 0  0  0  0"),
@@ -516,46 +592,11 @@ BLOCH_GENERATORS = (
     ("-1  0  0  0", " 0 -1  0  0", " 0  0 -2  2", " 0  0  0  0"),
 )
 DENSITY_GENERATORS = (
-    (" 0  0  0  0  0 -1  1  0",
-     " 0  0  0  0 -1  0  0  1",
-     " 0  0  0  0  1  0  0 -1",
-     " 0  0  0  0  0  1 -1  0",
-     "-0  1 -1 -0  0  0  0  0",
-     " 1 -0 -0 -1  0  0  0  0",
-     "-1 -0 -0  1  0  0  0  0",
-     "-0 -1  1 -0  0  0  0  0"),
-    (" 0 -1 -1  0  0 -0 -0  0",
-     " 1  0  0 -1  0  0  0 -0",
-     " 1  0  0 -1  0  0  0 -0",
-     " 0  1  1  0  0  0  0  0",
-     "-0  0  0 -0  0 -1 -1  0",
-     "-0 -0 -0  0  1  0  0 -1",
-     "-0 -0 -0  0  1  0  0 -1",
-     "-0 -0 -0 -0  0  1  1  0"),
-    (" 0  0  0  0  0  0  0  0",
-     " 0  0  0  0  0  2  0  0",
-     " 0  0  0  0  0  0 -2 -0",
-     " 0  0  0  0  0  0 -0  0",
-     "-0 -0 -0 -0  0  0  0  0",
-     "-0 -2 -0 -0  0  0  0  0",
-     "-0 -0  2  0  0  0  0  0",
-     "-0 -0  0 -0  0  0  0  0"),
-    ("-2  0  0  0 -0 -0 -0 -0",
-     " 0 -1  0  0 -0 -0 -0 -0",
-     " 0  0 -1  0 -0 -0 -0 -0",
-     " 2  0  0  0 -0 -0 -0 -0",
-     " 0  0  0  0 -2  0  0  0",
-     " 0  0  0  0  0 -1  0  0",
-     " 0  0  0  0  0  0 -1  0",
-     " 0  0  0  0  2  0  0  0"),
-    (" 0  0  0  2 -0 -0 -0 -0",
-     " 0 -1  0  0 -0 -0 -0 -0",
-     " 0  0 -1  0 -0 -0 -0 -0",
-     " 0  0  0 -2 -0 -0 -0 -0",
-     " 0  0  0  0  0  0  0  2",
-     " 0  0  0  0  0 -1  0  0",
-     " 0  0  0  0  0  0 -1  0",
-     " 0  0  0  0  0  0  0 -2"),
+    (" 0  0  0 -2", " 0  0  0  2", " 0  0  0  0", " 1 -1  0  0"),
+    (" 0  0 -2  0", " 0  0  2  0", " 1 -1  0  0", " 0  0  0  0"),
+    (" 0  0  0  0", " 0  0  0  0", " 0  0  0  2", " 0  0 -2  0"),
+    ("-2  0  0  0", " 2  0  0  0", " 0  0 -1  0", " 0  0  0 -1"),
+    (" 0  2  0  0", " 0 -2  0  0", " 0  0 -1  0", " 0  0  0 -1"),
 )
 
 
@@ -569,7 +610,7 @@ def test_production_generators_are_pinned_bit_for_bit():
     from blochsteer.simulator import _qubit_parts
     basis, bloch, density = _qubit_parts()
     assert basis.dimension == 2
-    assert bloch.shape == (5, 4, 4) and density.shape == (5, 8, 8)
+    assert bloch.shape == density.shape == (5, 4, 4)
     assert bloch.dtype == density.dtype == np.float64
     assert bloch.tobytes() == _table(BLOCH_GENERATORS).tobytes()
     assert density.tobytes() == _table(DENSITY_GENERATORS).tobytes()
@@ -608,7 +649,7 @@ def drive_stages(rng, n_nodes):
 
 
 STAGE_FORMS = {"bloch 4x4": lambda rng, n: qubit_stages(_qubit_parts()[1], rng, n),
-               "density 8x8": lambda rng, n: qubit_stages(_qubit_parts()[2], rng, n),
+               "density 4x4": lambda rng, n: qubit_stages(_qubit_parts()[2], rng, n),
                "drive 3x3 complex": drive_stages}
 
 
@@ -675,14 +716,15 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
 # At min_steps = grid = 2000 the fine grid is only twice the output grid, so
 # the control splines' solve on the output grid counts: the Bloch run peaks at
 # about 20.8 fine-grid arrays when the splines are built before the coefficient
-# array and at 25.2 when after it.  The density run's 8 x 8 step maps of one
-# chunk dominate its peak at that size, so it is bounded at 20,000 steps only.
+# array and at 25.2 when after it.  The density run, on the 4 x 4 real
+# coordinates of a Hermitian rho, takes the Bloch run's step maps and chunks
+# and peaks at the same 20.7 there.
 PEAK_FINE_ARRAYS = {20000: (12, (integrate_bloch, integrate_density)),
-                    2000: (23, (integrate_bloch,))}
+                    2000: (23, (integrate_bloch, integrate_density))}
 # The general density run at N = 3 and 20,000 steps, given a (n_fine, 10)
 # coefficient table built before it, holds the fine grid and one chunk's
-# 18 x 18 step maps: about 3.3 fine-grid arrays.  A run that copies the table
-# holds 13.3; the bound sits one array below it.  (The callable interface,
+# 9 x 9 step maps: about 3.2 fine-grid arrays.  A run that copies the table
+# holds 13.2; the bound sits one array below it.  (The callable interface,
 # which built a complex supermatrix per stage, peaked at 515 with the same
 # generator evaluated inside the run.)
 GENERAL_PEAK_FINE_ARRAYS = 12
