@@ -3,8 +3,13 @@
 Each suite draws its random instances from the generator it is given and
 returns its figures of merit; ``run_selfcheck`` and the acceptance tests call
 the same suites with their own generators and instance counts.  Each suite
-checks all its instances in one call of each builder; the propagator oracle
-is a batched numpy Pade matrix exponential, so the suites need numpy alone.
+draws its instances array by array, one generator call per array whatever
+the instance count (the solver suite's rejection may add a batch), and
+checks them all in one call of each builder, so no Python code runs per
+instance.  The propagator oracle is a batched numpy
+Pade matrix exponential, run on the real embedding of its complex matrices,
+so the suites need numpy alone.  Nothing is kept between calls: each call
+draws its own instances and builds its own bases and tensors.
 """
 
 import numpy as np
@@ -25,31 +30,31 @@ def _suite_liouvillian(rng: np.random.Generator, instances: int) -> tuple[float,
     generators in each of dimensions 2 and 3.
 
     Returns the worst deviation between their actions on a random state and
-    the worst trace-preservation residual of the supermatrices.  Instances
-    with fewer than 3 channels are padded with rate-0 channels.
+    the worst trace-preservation residual of the supermatrices.  Each
+    dimension draws, one array each: the Hamiltonian coefficients
+    (instances, N^2), the channel counts 1 to 3, the real and then the
+    imaginary parts of 3 channel shapes (3, instances, N^2 - 1), 3 channel
+    rates (3, instances), then the states (``random_bloch_vector``).  The
+    channels of an instance past its count are padded as rate-0 channels of
+    shape all ones; their draws go unused.
     """
     worst = residual = 0.0
     for dim in (2, 3):
         basis = build_basis(dim)
         tensors = structure_constants(basis)
         n = dim * dim - 1
-        coefficients = np.empty((instances, dim * dim))
-        shapes = np.ones((3, instances, n), dtype=complex)
-        rates = np.zeros((3, instances))
-        r = np.empty((instances, n))
-        for i in range(instances):
-            coefficients[i] = rng.normal(size=dim * dim)
-            for j in range(int(rng.integers(1, 4))):
-                shapes[j, i] = rng.normal(size=n) + 1j * rng.normal(size=n)
-                rates[j, i] = rng.normal()
-            r[i] = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim))
-        ham = lv.HamiltonianSpec(coefficients)
+        ham = lv.HamiltonianSpec(rng.normal(size=(instances, dim * dim)))
+        live = np.arange(3)[:, None] < rng.integers(1, 4, size=instances)
+        shapes = rng.normal(size=(3, instances, n)) + 1j * rng.normal(size=(3, instances, n))
+        shapes = np.where(live[..., None], shapes, 1.0)
+        rates = np.where(live, rng.normal(size=(3, instances)), 0.0)
+        r = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim), size=(instances,))
         chans = [lv.LindbladChannel(shape=shape, rate=rate) for shape, rate in zip(shapes, rates)]
         comp = lv.assemble_components(ham, chans, tensors)
         sup = lv.kron_liouvillian(ham, chans, basis)
         residual = max(residual, float(np.max(lv.trace_preservation_residual(sup))))
         rho = lv.vec(bloch_to_density(r, basis))
-        image = lv.unvec(np.einsum("...ij,...j->...i", sup, rho)) + np.eye(dim) / dim
+        image = lv.unvec((sup @ rho[..., None])[..., 0]) + np.eye(dim) / dim
         worst = max(worst, float(np.max(np.abs(comp.apply(r) - density_to_bloch(image, basis)))))
     return worst, residual
 
@@ -60,7 +65,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     Degree-13 Pade approximant with scaling and squaring (Higham, SIAM J.
     Matrix Anal. Appl. 26, 1179 (2005)); each instance gets its own scaling
     s = max(0, ceil(log2(|A|_1 / theta_13))), so a small instance is not
-    squared as often as the largest one in the stack.
+    squared as often as the largest one in the stack.  A complex stack runs
+    through its real 2n x 2n embedding [[Re A, -Im A], [Im A, Re A]], whose
+    exponential is the embedding of exp(A): real matmuls and solves cost a
+    fraction of complex ones at these sizes.
 
     Raises
     ------
@@ -69,6 +77,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(a).all():
         raise InvalidInputError("matrix exponential of a non-finite matrix")
+    if np.iscomplexobj(a):
+        n = a.shape[-1]
+        e = _expm(np.block([[a.real, -a.imag], [a.imag, a.real]]))
+        return e[..., :n, :n] + 1j * e[..., n:, :n]
     # Pade coefficients b_0 .. b_13; theta_13 = 5.37 is the largest 1-norm at which
     # the unscaled approximant is accurate to double-precision roundoff
     b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -115,10 +127,10 @@ def _suite_propagator(rng: np.random.Generator, sets: int,
     identities Gamma0(0) = 0 and s0(0) = Delta.
     """
     grid = np.linspace(0.0, 10.0, points)
-    envs = [LorentzianEnvironment(lam=float(rng.uniform(0.05, 5.0)),
-                                  cavity_detuning=float(rng.uniform(-1, 1)),
-                                  drive_detuning=float(rng.uniform(-1, 1)))
-            for _ in range(sets)]
+    # one draw of (lam, cavity_detuning, drive_detuning) rows: the values of
+    # three scalar draws per reservoir, in the same order
+    envs = [LorentzianEnvironment(*map(float, row))
+            for row in rng.uniform((0.05, -1.0, -1.0), (5.0, 1.0, 1.0), size=(sets, 3))]
     closed = np.array([propagator_u(env, grid) for env in envs])
     worst = float(np.max(np.abs(closed - _expm_propagator(envs, grid))))
     boundary = 0.0
@@ -134,17 +146,21 @@ def _suite_solver(rng: np.random.Generator, instances: int) -> tuple[float, floa
 
     Returns the worst deviation between the two and the worst residual of
     the velocity that the closed-form controls give back when substituted
-    into the component-form generator.
+    into the component-form generator.  The states are drawn first, with
+    |r_z| >= 0.1 by rejection in batches of twice the shortfall (one batch
+    almost always suffices), then the velocities, decay rates and shifts,
+    one array each.
     """
     basis = build_basis(2)
     tensors = structure_constants(basis)
-    draws = []
-    for _ in range(instances):
-        r = random_bloch_vector(2, rng, 0.95)
-        while abs(r[2]) < 0.1:
-            r = random_bloch_vector(2, rng, 0.95)
-        draws.append((r, rng.normal(size=3), rng.uniform(0.1, 2.0), rng.normal()))
-    r, rdot, gam, shift = map(np.array, zip(*draws))
+    r = np.empty((0, 3))
+    while len(r) < instances:
+        batch = random_bloch_vector(2, rng, 0.95, size=(2 * (instances - len(r)),))
+        r = np.concatenate([r, batch[np.abs(batch[:, 2]) >= 0.1]])
+    r = r[:instances]
+    rdot = rng.normal(size=(instances, 3))
+    gam = rng.uniform(0.1, 2.0, size=instances)
+    shift = rng.normal(size=instances)
     omega_x, omega_y, excitation = two_level_controls(r, rdot, gam, shift)
     channels = [
         lv.LindbladChannel(SIGMA_MINUS_SHAPE, rate=gam, control_index=None),

@@ -60,7 +60,7 @@ output times.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
+from math import ceil, isqrt
 from typing import Callable
 
 import numpy as np
@@ -404,10 +404,15 @@ def _density_run(coefficient_fun, gens: np.ndarray, rho0: np.ndarray, times: np.
                  min_steps: int) -> np.ndarray:
     """Density-form table run on the coordinates x = P vec rho0 of a Hermitian
     ``rho0`` (``_hermitian_maps``); returns the densities Q x on the output grid,
-    (n, N, N).  A rho0 that is not Hermitian raises ``InvalidInputError``."""
+    (n, N, N).  A rho0 that is not an N x N matrix for the generators'
+    (k, N^2, N^2) raises ``DimensionError``, one that is not Hermitian
+    ``InvalidInputError``."""
     rho = np.asarray(rho0, dtype=complex)
-    n = len(rho)
-    p, q = _hermitian_maps(n)   # at rho0's own size, so a wrong size reaches the shape check
+    n = isqrt(gens.shape[-1])
+    if rho.shape != (n, n):
+        raise DimensionError(f"initial state of shape {rho.shape} does not fit "
+                             f"generators of shape {gens.shape[1:]}")
+    p, q = _hermitian_maps(n)
     gap = np.max(np.abs(lv.vec(rho) - lv.vec(rho.conj().mT)))
     if gap > 1e-12 * np.max(np.abs(rho)):
         raise InvalidInputError(f"initial density matrix is not Hermitian: "

@@ -217,10 +217,12 @@ def density_to_bloch(rho: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     return r.real
 
 
-def random_bloch_vector(dim: int, rng: np.random.Generator,
-                        max_norm: float) -> np.ndarray:
-    """Uniform-direction Bloch vector with |r| <= max_norm (physical for N = 2)."""
+def random_bloch_vector(dim: int, rng: np.random.Generator, max_norm: float,
+                        size: tuple[int, ...] = ()) -> np.ndarray:
+    """Uniform-direction Bloch vector with |r| <= max_norm (physical for N = 2);
+    a stack of shape (*size, N^2 - 1) from the same two whole-array draws: the
+    directions, then the radii."""
     n = dim * dim - 1
-    v = rng.normal(size=n)
-    v /= np.sqrt(v.dot(v))
-    return v * max_norm * rng.uniform() ** (1.0 / n)
+    v = rng.normal(size=(*size, n))
+    v /= np.sqrt(np.vecdot(v, v))[..., None]
+    return v * max_norm * (rng.uniform(size=size) ** (1.0 / n))[..., None]

@@ -11,7 +11,8 @@ from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, _kron,
                                     coherent_part, components_from_kron, incoherent_part,
                                     inhomogeneous_part, kron_liouvillian,
                                     trace_preservation_residual, unvec, vec)
-from blochsteer.sun_algebra import build_basis, random_bloch_vector, structure_constants
+from blochsteer.sun_algebra import (bloch_scale, build_basis, random_bloch_vector,
+                                    structure_constants)
 
 
 def random_instance(dim, rng, n_channels=None):
@@ -159,8 +160,14 @@ def test_components_from_kron_rejects_trace_violation(qubit):
     basis, _ = qubit
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 0] = 1e-3  # pumps trace
-    with pytest.raises(MalformedLiouvillianError):
+    with pytest.raises(MalformedLiouvillianError, match=r"by 1\.000e-03$"):
         components_from_kron(bad, basis)
+    # a stack names its first failing supermatrix
+    stack = np.zeros((2, 3, 4, 4), dtype=complex)
+    stack[1, 2, 0, 0], stack[1, 1, 3, 3] = 1e-3, 2e-3
+    with pytest.raises(MalformedLiouvillianError,
+                       match=r"by 2\.000e-03 \(supermatrix 1, 1 of the stack\)$"):
+        components_from_kron(stack, basis)
 
 
 def test_identity_component_shapes_against_oracle(qubit, rng):
@@ -245,6 +252,9 @@ def test_stacked_builders_match_single_calls(dim, rng):
     sup = kron_liouvillian(ham, chans, basis)
     same(sup, lambda i: kron_liouvillian(*instance(i), basis))
     same(trace_preservation_residual(sup), lambda i: trace_preservation_residual(sup[i]))
+    proj = components_from_kron(sup, basis)
+    same(proj.matrix, lambda i: components_from_kron(sup[i], basis).matrix)
+    same(proj.drift, lambda i: components_from_kron(sup[i], basis).drift)
     rho = bloch_to_density(r, basis)
     same(rho, lambda i: bloch_to_density(r[i], basis))
     same(vec(rho), lambda i: vec(rho[i]))
@@ -254,6 +264,64 @@ def test_stacked_builders_match_single_calls(dim, rng):
     assert np.array_equal(one.matrix[3], assemble_components(
         instance(0)[0], instance(3)[1], tensors).matrix)
     assert one.drift.shape == (k, n)
+
+
+# The builders' contractions as numpy's einsum wrote them before the row-wise
+# products; a shape l runs over the full basis, identity slot first.
+def einsum_matrix(coefficients, basis):
+    return np.einsum("...k,kij->...ij", coefficients, basis.generators)
+
+
+def einsum_coherent_part(coefficients, tensors):
+    return np.einsum("...k,kji->...ij", coefficients[..., 1:], tensors.f)
+
+
+def einsum_channel_matrix(l, tensors):
+    a = l[..., :, None] * l[..., None, :].conj()
+    return np.einsum("...mn,mnji->...ij", a, tensors.s).real
+
+
+def einsum_channel_drift(l, tensors):
+    return np.einsum("...m,...n,mnk->...k", l[..., 1:], l[..., 1:].conj(), tensors.g).real
+
+
+def einsum_apply(matrix, drift, r):
+    return np.einsum("...ij,...j->...i", matrix, r) + drift
+
+
+def einsum_components_from_kron(supermatrix, basis):
+    images = unvec(np.einsum("ij,kj->ki", supermatrix, vec(basis.generators)))
+    cols = np.einsum("kab,jba->kj", basis.traceless(), images).real / 2.0
+    return cols[:, 1:], cols[:, 0] / bloch_scale(basis.dimension)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_wise_builders_match_the_einsum_contractions(dim, rng):
+    # the same sums in another order: equal up to rounding
+    basis = build_basis(dim)
+    tensors = structure_constants(basis)
+    n, k = dim * dim - 1, 25
+    coefficients = rng.normal(size=(k, dim * dim))
+    full = rng.normal(size=(k, n + 1)) + 1j * rng.normal(size=(k, n + 1))
+    ham = HamiltonianSpec(coefficients)
+    chans = [LindbladChannel(full, rate=rng.normal(size=k))]
+    r = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim), size=(k,))
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    close(ham.matrix(basis), einsum_matrix(coefficients, basis))
+    close(chans[0].operator(basis), einsum_matrix(full, basis))
+    close(coherent_part(ham, tensors), einsum_coherent_part(coefficients, tensors))
+    close(channel_matrix(full, tensors), einsum_channel_matrix(full, tensors))
+    close(channel_drift(full, tensors), einsum_channel_drift(full, tensors))
+    comp = assemble_components(ham, chans, tensors)
+    close(comp.apply(r), einsum_apply(comp.matrix, comp.drift, r))
+    proj = components_from_kron(kron_liouvillian(ham, chans, basis), basis)
+    ref = [einsum_components_from_kron(sup, basis) for sup in kron_liouvillian(ham, chans, basis)]
+    close(proj.matrix, np.array([matrix for matrix, _ in ref]))
+    close(proj.drift, np.array([drift for _, drift in ref]))
 
 
 def test_selfcheck_builder_calls_do_not_grow_with_the_instances(monkeypatch):
@@ -283,3 +351,48 @@ def test_selfcheck_builder_calls_do_not_grow_with_the_instances(monkeypatch):
         selfcheck._suite_solver(np.random.default_rng(1), instances)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls of its methods."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_selfcheck_generator_calls_do_not_grow_with_the_instances():
+    # each suite draws whole arrays: per dimension of the Liouvillian suite the
+    # coefficients, channel counts, real and imaginary shape parts, rates, and
+    # the states' directions and radii; one batch of states and the velocities,
+    # rates and shifts for the solver suite; one table for the propagator suite
+    from blochsteer import selfcheck
+    suites = {"liouvillian": (lambda rng, k: selfcheck._suite_liouvillian(rng, k), 14),
+              "solver": (lambda rng, k: selfcheck._suite_solver(rng, k), 5),
+              "propagator": (lambda rng, k: selfcheck._suite_propagator(rng, k, 11), 1)}
+    for name, (suite, draws) in suites.items():
+        counts = []
+        for instances in (4, 40):
+            rng = CountingGenerator(1)
+            suite(rng, instances)
+            counts.append(rng.calls)
+        assert counts == [draws, draws], name
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_selfcheck_suites_pass_at_every_seed(seed):
+    # run_selfcheck's instance counts and clauses, at seeds other than its own
+    from blochsteer import selfcheck
+    worst, residual = selfcheck._suite_liouvillian(np.random.default_rng(seed), 50)
+    assert worst < 1e-10 and residual < 1e-12
+    worst, boundary = selfcheck._suite_propagator(np.random.default_rng(seed), 5, 201)
+    assert worst < 1e-12 and boundary < 1e-10
+    worst, back = selfcheck._suite_solver(np.random.default_rng(seed), 100)
+    assert worst < 1e-9 and back < 1e-10

@@ -396,6 +396,18 @@ def test_initial_state_of_another_size_names_both_shapes(tracking_env, hold, qub
             run()
 
 
+def test_density_runs_name_an_initial_state_that_is_not_a_square_matrix(qubit):
+    # checked before the Hermitian check: a (2, 3) rho0 equals its conjugate
+    # transpose as a vector, and a 1-D rho0 has no transpose to compare
+    times = np.linspace(0.0, 1.0, 11)
+    for rho0, shape in ((np.ones((2, 3)) / 3, r"\(2, 3\)"),
+                        (np.array([0.5, 0.0, 0.0, 0.5]), r"\(4,\)")):
+        with pytest.raises(DimensionError, match=r"^initial state of shape " + shape
+                                                 + r" does not fit generators of shape \(4, 4\)$"):
+            integrate_density_general(lambda t: np.zeros(4), (SIGMA_MINUS_SHAPE,), rho0, times,
+                                      qubit[0], min_steps=100)
+
+
 def test_general_run_refuses_a_shape_of_the_wrong_length(qutrit):
     with pytest.raises(DimensionError, match=r"channel shape must have length 8 \(or 9\)"):
         integrate_density_general(lambda t: np.zeros(9), (SIGMA_MINUS_SHAPE,), np.eye(3) / 3,
