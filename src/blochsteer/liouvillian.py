@@ -18,7 +18,7 @@ builders contract coefficients against fixed tensors row by row,
 ``(v[..., None, :] @ m)[..., 0, :]``: one vector-matrix product per instance,
 so a stack gives the bits of its single calls.  A plain ``v @ m`` over the
 stack would be one gemm, which blocks and rounds its sums differently from
-the single row's product; numpy's unoptimized ``einsum`` gives the same sums
+the single row's product; an unoptimized ``einsum`` runs the same contraction
 several times slower.
 """
 

@@ -266,7 +266,7 @@ def test_stacked_builders_match_single_calls(dim, rng):
     assert one.drift.shape == (k, n)
 
 
-# The builders' contractions as numpy's einsum wrote them before the row-wise
+# The builders' contractions written with einsum, the reference of the row-wise
 # products; a shape l runs over the full basis, identity slot first.
 def einsum_matrix(coefficients, basis):
     return np.einsum("...k,kij->...ij", coefficients, basis.generators)
@@ -318,8 +318,9 @@ def test_row_wise_builders_match_the_einsum_contractions(dim, rng):
     close(channel_drift(full, tensors), einsum_channel_drift(full, tensors))
     comp = assemble_components(ham, chans, tensors)
     close(comp.apply(r), einsum_apply(comp.matrix, comp.drift, r))
-    proj = components_from_kron(kron_liouvillian(ham, chans, basis), basis)
-    ref = [einsum_components_from_kron(sup, basis) for sup in kron_liouvillian(ham, chans, basis)]
+    sup = kron_liouvillian(ham, chans, basis)
+    proj = components_from_kron(sup, basis)
+    ref = [einsum_components_from_kron(one, basis) for one in sup]
     close(proj.matrix, np.array([matrix for matrix, _ in ref]))
     close(proj.drift, np.array([drift for _, drift in ref]))
 
@@ -374,8 +375,8 @@ def test_selfcheck_generator_calls_do_not_grow_with_the_instances():
     # the states' directions and radii; one batch of states and the velocities,
     # rates and shifts for the solver suite; one table for the propagator suite
     from blochsteer import selfcheck
-    suites = {"liouvillian": (lambda rng, k: selfcheck._suite_liouvillian(rng, k), 14),
-              "solver": (lambda rng, k: selfcheck._suite_solver(rng, k), 5),
+    suites = {"liouvillian": (selfcheck._suite_liouvillian, 14),
+              "solver": (selfcheck._suite_solver, 5),
               "propagator": (lambda rng, k: selfcheck._suite_propagator(rng, k, 11), 1)}
     for name, (suite, draws) in suites.items():
         counts = []
