@@ -5,11 +5,12 @@ returns its figures of merit; ``run_selfcheck`` and the acceptance tests call
 the same suites with their own generators and instance counts.  Each suite
 draws its instances array by array, one generator call per array whatever
 the instance count (the solver suite's rejection may add a batch), and
-checks them all in one call of each builder, so no Python code runs per
-instance.  The propagator oracle is a batched numpy
-Pade matrix exponential, run on the real embedding of its complex matrices,
-so the suites need numpy alone.  Nothing is kept between calls: each call
-draws its own instances and builds its own bases and tensors.
+checks them all in one call of each builder.  Only the propagator suite's
+closed forms run once per reservoir, as they take one environment.  The
+propagator oracle is a batched numpy Pade matrix exponential, run on the
+real embedding of its complex matrices, so the suites need numpy alone.
+Nothing is kept between calls: each call draws its own instances and builds
+its own bases and tensors.
 """
 
 import numpy as np
