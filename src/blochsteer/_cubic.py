@@ -175,25 +175,27 @@ def uniform_pieces(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.minimum(i, n - 2, out=i)
 
 
-# The evaluators take 1-D t and gather one coefficient row at a time into a
-# reused buffer: on a fine grid of tens of thousands of points every fresh
-# temporary array costs about as much as the arithmetic, and gathering rows
-# with ``take`` is several times faster than fancy indexing of the block.
-# The pieces are in range by construction; ``mode="clip"`` lets ``take``
-# write into ``out`` directly, where the default mode copies through a buffer.
+# The evaluators take the offsets s = t - x[i] of 1-D t from ``_offsets``,
+# formed once for every curve on the same knots and times, and gather one
+# coefficient row at a time into a reused buffer: on a fine grid of tens of
+# thousands of points every fresh temporary array costs about as much as the
+# arithmetic, and gathering rows with ``take`` is several times faster than
+# fancy indexing of the block.  The pieces are in range by construction;
+# ``mode="clip"`` lets ``take`` write into ``out`` directly, where the
+# default mode copies through a buffer.
 
-def _offsets(x: np.ndarray, t: np.ndarray, i: np.ndarray):
-    """s = t - x[i], and a buffer of its size."""
+def _offsets(x: np.ndarray, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """s = t - x[i], the offsets of t in their pieces i."""
     s = x.take(i)
-    np.subtract(t, s, out=s)
-    return s, np.empty_like(s)
+    return np.subtract(t, s, out=s)
 
 
-def cubic_value(c: np.ndarray, x: np.ndarray, t: np.ndarray, i: np.ndarray,
+def cubic_value(c: np.ndarray, s: np.ndarray, i: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Value at t on pieces i of the coefficients c (4, n - 1), by Horner's
-    rule; written into ``out``, a contiguous float array of t's shape, when given."""
-    s, row = _offsets(x, t, i)
+    """Value at offsets s on pieces i of the coefficients c (4, n - 1), by
+    Horner's rule; written into ``out``, a contiguous float array of s's
+    shape, when given."""
+    row = np.empty_like(s)
     v = c[0].take(i, out=out, mode="clip")
     for k in (1, 2, 3):
         v *= s
@@ -201,9 +203,9 @@ def cubic_value(c: np.ndarray, x: np.ndarray, t: np.ndarray, i: np.ndarray,
     return v
 
 
-def cubic_derivative(c: np.ndarray, x: np.ndarray, t: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """First derivative at t on pieces i, by Horner's rule."""
-    s, row = _offsets(x, t, i)
+def cubic_derivative(c: np.ndarray, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """First derivative at offsets s on pieces i, by Horner's rule."""
+    row = np.empty_like(s)
     v = c[0].take(i)
     v *= 3
     v *= s

@@ -15,8 +15,8 @@ The closed forms follow numpy's shape rules: one sample gives three numpy
 floats, a stack of n samples (r, rdot of shape (n, 3), rates of shape (n,))
 three arrays, through the same expressions.  ``schedule_from_trajectory``
 samples the trajectory and the reservoir once over the whole grid and
-solves all regular samples in one call; only the few samples on the
-singular locus are patched separately.
+solves all regular samples in one call; the few samples on the singular
+locus take the mean of their probes, all solved in one more call.
 
 A ``ControlSchedule`` interpolates its fields with the not-a-knot cubic
 spline in numpy (``_cubic``): one tridiagonal slope solve for all fields,
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._cubic import (cubic_value, hermite_coefficients, not_a_knot_slopes,
+from ._cubic import (_offsets, cubic_value, hermite_coefficients, not_a_knot_slopes,
                      require_uniform, uniform_pieces)
 from .environment import LorentzianEnvironment, decay_and_shift
 from .errors import InvalidInputError, NoUniqueSolutionError, SingularControlError
@@ -308,12 +308,13 @@ class ControlSchedule:
         sampled span, written into ``out``: one contiguous float row of t's
         length per field, in ``FIELDS`` order.  Returns ``out``.
 
-        One clip and one piece lookup serve the three fields.
+        One clip, one piece lookup and one set of offsets serve the three fields.
         """
         t = np.clip(t, self.times[0], self.times[-1])
         i = uniform_pieces(self.times, t)
+        s = _offsets(self.times, t, i)
         for c, row in zip(self._coefficients, out):
-            cubic_value(c, self.times, t, i, out=row)
+            cubic_value(c, s, i, out=row)
         return out
 
 
@@ -356,11 +357,12 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment,
 
     The trajectory is sampled and the reservoir evaluated once over the whole
     grid, and the closed form is solved in one call on the regular samples.
-    At samples on the singular locus that satisfy the regularity conditions
-    (the closed forms have finite one-sided limits) the value is taken as
-    the average of evaluations at t -+ eps with eps = 1e-6 t_final.  A
-    genuinely singular sample (a singular probe, or no probe inside the
-    window) raises ``SingularControlError`` naming its time.
+    A sample on the singular locus (the closed forms have finite one-sided
+    limits there) takes the mean of the probes t -+ eps, eps = 1e-6 t_final,
+    all of them evaluated and solved in one more call; a probe outside
+    [0, t_final] is replaced by its partner, so the mean is the one-sided
+    value.  A singular probe raises ``SingularControlError`` naming its time
+    and its sample's.
     """
     times = np.asarray(times, dtype=float)
     t_final = float(trajectory.t_final)
@@ -377,34 +379,17 @@ def schedule_from_trajectory(trajectory, env: LorentzianEnvironment,
     rows = np.empty((len(times), 3))
     rows[regular] = np.column_stack(two_level_controls(r[regular], rdot[regular],
                                                        g[regular], s0[regular]))
-    if np.any(singular):
-        rows[singular] = _one_sided_limits(inputs, times[singular], eps, t_final)
-    return ControlSchedule(times, *rows.T)
-
-
-def _one_sided_limits(inputs, t_sing, eps, t_final):
-    """Controls at singular samples: the mean of the probes t -+ eps that lie
-    in [0, t_final], all evaluated in one call.  Raises at the first sample
-    with no probe or with a singular probe."""
+    t_sing = times[singular]
     probes = np.stack([t_sing - eps, t_sing + eps], axis=1)
-    valid = (probes >= 0.0) & (probes <= t_final) & (probes != t_sing[:, None])
-    r, rdot, g, s0 = inputs(probes[valid])
-    probe_singular = np.zeros_like(valid)
-    probe_singular[valid] = _singular_mask(r, g)
-    failed = ~valid.any(axis=1) | probe_singular.any(axis=1)
-    if np.any(failed):
-        j = int(np.argmax(failed))
-        if not valid[j].any():
-            raise SingularControlError(
-                f"control sample at t = {t_sing[j]:.6g} is on the singular locus and has "
-                f"no probe inside [0, {t_final}]")
-        m = int(np.argmax(probe_singular[j]))
-        i = np.cumsum(valid.ravel())[2 * j + m] - 1   # position of probe (j, m) in r
-        raise _singular_error(r[i], rdot[i], float(g[i]),
-                              f" at t = {probes[j, m]:.6g} (probe of the singular sample "
-                              f"at t = {t_sing[j]:.6g})")
-    values = np.full(valid.shape + (3,), np.nan)
-    values[valid] = np.column_stack(two_level_controls(r, rdot, g, s0))
-    both = valid.all(axis=1)[:, None]
-    one = np.where(valid[:, :1], values[:, 0], values[:, 1])
-    return np.where(both, 0.5 * (values[:, 0] + values[:, 1]), one)
+    outside = (probes < 0.0) | (probes > t_final)
+    probes[outside] = probes[:, ::-1][outside]
+    r, rdot, g, s0 = inputs(probes.ravel())
+    probe_singular = _singular_mask(r, g)
+    if probe_singular.any():
+        j = int(np.argmax(probe_singular))
+        raise _singular_error(r[j], rdot[j], float(g[j]),
+                              f" at t = {probes.flat[j]:.6g} (probe of the singular sample "
+                              f"at t = {t_sing[j // 2]:.6g})")
+    values = np.column_stack(two_level_controls(r, rdot, g, s0)).reshape(-1, 2, 3)
+    rows[singular] = 0.5 * (values[:, 0] + values[:, 1])
+    return ControlSchedule(times, *rows.T)

@@ -45,8 +45,8 @@ run given no table evaluates its own and drops it before the splines are
 evaluated.  Output grids must be finite and uniform.
 
 The reservoir's drive renormalization Omega -> Omega^R and its inverse are
-linear ODEs in (h, w), the local form of the memory convolution, and run
-through the same core with one step per output interval.
+affine ODEs in (h, w), the local form of the memory convolution, and run
+through ``integrate_affine`` with one step per output interval.
 
 User coefficient functions (``integrate_density_general``'s table too) are
 called once, on the 1-D array of fine-grid times; a constant is broadcast.
@@ -527,22 +527,6 @@ def integrate_density_general(coefficient_fun, shapes, rho0: np.ndarray, times: 
 # drive transforms
 
 
-def _drive_ode(env: LorentzianEnvironment, h_row, drive: np.ndarray,
-               tgrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, w) on ``tgrid`` for h' = h_row . (h, w) - i drive, w' = f(0) h - mu w.
-
-    Starts from h = w = 0 and takes one RK4 step per interval, in homogeneous
-    form with the drive in the last column; ``h_row`` and ``drive`` hold values
-    at the fine-grid nodes (step nodes and half steps).
-    """
-    g = np.zeros((len(drive), 3, 3), dtype=complex)
-    g[:, 0, :2] = h_row
-    g[:, 1, :2] = 0.5 * env.lam, -env._memory_rate
-    g[:, 0, 2] = -1j * drive
-    y = _rk4_linear(lambda idx: g[idx], np.array([0.0, 0.0, 1.0], dtype=complex), tgrid, 1)
-    return y[:, 0], y[:, 1]
-
-
 def renormalized_field(env: LorentzianEnvironment, omega: Callable[[np.ndarray], np.ndarray],
                        tgrid: np.ndarray) -> np.ndarray:
     """Effective drive Omega^R(t) produced by the physical drive Omega(t).
@@ -554,7 +538,10 @@ def renormalized_field(env: LorentzianEnvironment, omega: Callable[[np.ndarray],
     tgrid = np.asarray(tgrid, dtype=float)
     fine, _ = _fine_grid(tgrid, len(tgrid) - 1)
     drive = np.broadcast_to(np.asarray(omega(fine), dtype=complex), fine.shape)
-    h, w = _drive_ode(env, (-1j * env.drive_detuning, -1.0), drive, tgrid)
+    matrix = np.array([[-1j * env.drive_detuning, -1.0], [0.5 * env.lam, -env._memory_rate]])
+    drift = np.stack([-1j * drive, np.zeros_like(drive)], axis=-1)
+    h, w = integrate_affine(lambda t: matrix, lambda t: drift, np.zeros(2, dtype=complex),
+                            tgrid, min_steps=len(tgrid) - 1).T
     hdot = -1j * env.drive_detuning * h - w - 1j * drive[::2]
     q, _ = _log_derivative(env, tgrid)
     return 1j * (hdot - h * q)
@@ -578,6 +565,11 @@ def lab_field_from_effective(env: LorentzianEnvironment,
     fine, _ = _fine_grid(tgrid, n)
     q, _ = _log_derivative(env, fine)
     drive = np.broadcast_to(np.asarray(omega_r(fine), dtype=complex), fine.shape)
-    h, w = _drive_ode(env, np.column_stack([q, np.zeros_like(q)]), drive, tgrid)
+    matrix = np.zeros((len(fine), 2, 2), dtype=complex)
+    matrix[:, 0, 0] = q
+    matrix[:, 1] = 0.5 * env.lam, -env._memory_rate
+    drift = np.stack([-1j * drive, np.zeros_like(drive)], axis=-1)
+    h, w = integrate_affine(lambda t: matrix, lambda t: drift, np.zeros(2, dtype=complex),
+                            tgrid, min_steps=n).T
     hdot = -1j * drive[::2] + h * q[::2]
     return tgrid, 1j * (hdot + 1j * env.drive_detuning * h + w)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._cubic import cubic_derivative, cubic_value, hermite_coefficients, pieces
+from ._cubic import _offsets, cubic_derivative, cubic_value, hermite_coefficients, pieces
 from .environment import LorentzianEnvironment, decay_shift_derivatives
 from .errors import InfeasibleTrajectoryError, InvalidInputError
 
@@ -123,10 +123,10 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
                 2.0 * npr * (wd * g + w * gd) / z - 2.0 * npr * w * g * zd / z ** 2,
                 -ss_d / z + ss * zd / z ** 2,
             ], axis=-1)
-            if zero.any():
-                # t = 0 at zero drive detuning: the limit t -> 0+, where
-                # w ~ 3 Oc t^2 / t_f^2 and G ~ G'(0) t give r_y ~ 2 w / (npr^2 G)
-                rdot[zero, 1] = 6.0 * omega_c / (t_final ** 2 * npr ** 2 * gd[zero])
+            # t = 0 at zero drive detuning: the limit t -> 0+, where
+            # w ~ 3 Oc t^2 / t_f^2 and G ~ G'(0) t give r_y ~ 2 w / (npr^2 G);
+            # t_f^2 as a numpy float, which overflows to inf, not OverflowError
+            rdot[zero, 1] = 6.0 * omega_c / (np.float64(t_final) ** 2 * npr ** 2 * gd[zero])
         finite = np.isfinite(r).all(axis=-1) & np.isfinite(rdot).all(axis=-1)
         if not finite.all():
             raise InvalidInputError(
@@ -203,9 +203,10 @@ def mixed_inversion_trajectory(t_break: float, t_final: float) -> TrajectorySpec
 
     def curves(coefficients, ts, t, *evaluators):
         """Both components at times t, shape (2, len(t)), for each evaluator;
-        each sample's piece is found once."""
+        each sample's piece and offset are found once."""
         i = pieces(ts, t)
-        return [np.array([evaluate(c, ts, t, i) for c in coefficients])
+        s = _offsets(ts, t, i)
+        return [np.array([evaluate(c, s, i) for c in coefficients])
                 for evaluate in evaluators]
 
     def max_violation(coefficients, ts):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_c
                                     components_from_kron, kron_liouvillian)
 from blochsteer.sun_algebra import random_bloch_vector
 from blochsteer.trajectories import mixed_inversion_trajectory, pure_inversion
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def forward_rates(r, rdot, gamma, shift, ox, oy, n, tensors):
@@ -299,8 +303,59 @@ def test_stacked_solver_matches_scalar_calls(rng):
 def test_genuinely_singular_sample_names_its_time(tracking_env, hold):
     # on the equator for the whole run: the probes around a sample are singular too
     times = np.linspace(0.0, 4.0, 41)
-    with pytest.raises(SingularControlError, match=r"t = "):
+    with pytest.raises(SingularControlError,
+                       match=r"r_z.* at t = 4e-06 \(probe of the singular sample at t = 0\)$"):
         schedule_from_trajectory(hold([0.3, 0.4, 0.0], 4.0), tracking_env, times)
+
+
+@pytest.mark.parametrize("grid", [200, 2000])
+@pytest.mark.parametrize("stem", ["tracking", "pure_inversion", "mixed_inversion"])
+def test_singular_samples_take_the_mean_of_their_probes_bit_for_bit(stem, grid):
+    # G = 0 at t = 0 leaves the one probe eps inside the window; r_z = 0 at the
+    # pure inversion's t_i takes the mean of t_i -+ eps.  Each probe set is
+    # sampled by one call, as the solve samples all of its probes
+    from blochsteer import cli
+    from blochsteer.environment import decay_and_shift
+    config = cli.load_config(CONFIG_DIR / f"{stem}.cfg")
+    env, traj, _ = cli._setup(config)
+    times = cli._output_times(traj.t_final, grid)
+    eps = 1e-6 * traj.t_final
+    sched = schedule_from_trajectory(traj, env, times)
+    rows = np.column_stack([sched.omega_x, sched.omega_y, sched.excitation])
+
+    def controls(ts):
+        return np.column_stack(two_level_controls(*traj.sample(ts), *decay_and_shift(env, ts)))
+    assert np.array_equal(rows[0], controls(np.array([eps]))[0])
+    if stem == "pure_inversion":
+        t_i = times[grid // 2]
+        below, above = controls(np.array([t_i - eps, t_i + eps]))
+        assert np.array_equal(rows[grid // 2], 0.5 * (below + above))
+
+
+def test_grid_without_singular_samples_takes_the_closed_forms_bits(tracking_env):
+    # away from t = 0 no sample is singular, and the empty probe set changes nothing
+    from blochsteer.environment import decay_and_shift
+    from blochsteer.trajectories import tracking_trajectory
+    traj = tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0)
+    times = np.linspace(1.0, 10.0, 31)
+    sched = schedule_from_trajectory(traj, tracking_env, times)
+    expected = two_level_controls(*traj.sample(times), *decay_and_shift(tracking_env, times))
+    assert np.array_equal([sched.omega_x, sched.omega_y, sched.excitation], expected)
+
+
+def test_system_without_unknowns_returns_the_drifts_residual(qubit, rng):
+    # coherent indices () and drift channels only: nothing to solve for
+    _, tensors = qubit
+    r = np.array([random_state(rng) for _ in range(4)])
+    rdot = rng.normal(size=(4, 3))
+    channels = [LindbladChannel(SIGMA_MINUS_SHAPE, rate=np.full(4, 0.7), control_index=None)]
+    system = assemble_control_system(r, rdot, (), channels, tensors)
+    assert system.matrix.shape == (4, 3, 0)
+    solution = solve_controls(system)
+    assert solution.values.shape == (4, 0)
+    drift = np.array([assemble_components(HamiltonianSpec(np.zeros(4)), [LindbladChannel(
+        SIGMA_MINUS_SHAPE, rate=0.7)], tensors).apply(ri) for ri in r])
+    assert np.allclose(solution.residual, np.linalg.norm(rdot - drift, axis=-1), atol=1e-14)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

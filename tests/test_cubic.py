@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from blochsteer._cubic import (cubic_derivative, cubic_value, hermite_coefficients,
+from blochsteer import _cubic, controls
+from blochsteer._cubic import (_offsets, cubic_derivative, cubic_value, hermite_coefficients,
                                not_a_knot_slopes, pieces, require_uniform, uniform_pieces)
 from blochsteer.controls import ControlSchedule
 from blochsteer.errors import InvalidInputError
@@ -39,11 +40,12 @@ def test_not_a_knot_spline_matches_scipy(n, columns, kind, rng):
     c = hermite_coefficients(x, y, slopes)
     t = np.sort(rng.uniform(x[0], x[-1], 5000))
     i = pieces(x, t)
+    s = _offsets(x, t, i)
     for j, cj in enumerate(c.reshape(-1, 4, n - 1)):
         ref = reference(t) if columns is None else reference(t)[j]
         ref_d = reference(t, 1) if columns is None else reference(t, 1)[j]
-        assert relative_error(cubic_value(cj, x, t, i), ref) <= TOL
-        assert relative_error(cubic_derivative(cj, x, t, i), ref_d) <= TOL
+        assert relative_error(cubic_value(cj, s, i), ref) <= TOL
+        assert relative_error(cubic_derivative(cj, s, i), ref_d) <= TOL
 
 
 @pytest.mark.parametrize("n", [2, 4, 30])
@@ -54,8 +56,9 @@ def test_hermite_cubic_matches_scipy(n, rng):
     c = hermite_coefficients(x, y, dydx)
     t = np.concatenate([x, rng.uniform(x[0], x[-1], 5000)])
     i = pieces(x, t)
-    assert relative_error(cubic_value(c, x, t, i), reference(t)) <= TOL
-    assert relative_error(cubic_derivative(c, x, t, i), reference(t, 1)) <= TOL
+    s = _offsets(x, t, i)
+    assert relative_error(cubic_value(c, s, i), reference(t)) <= TOL
+    assert relative_error(cubic_derivative(c, s, i), reference(t, 1)) <= TOL
 
 
 def test_uniform_pieces_hold_their_times():
@@ -90,11 +93,27 @@ def test_schedule_value_equals_cubic_value_field_by_field(rng):
     schedule = ControlSchedule(times, *fields)
     fine = np.linspace(0.0, 9.25, 40001)
     i = uniform_pieces(times, fine)
-    expected = [cubic_value(hermite_coefficients(times, y, not_a_knot_slopes(times, y)),
-                            times, fine, i) for y in fields]
+    s = _offsets(times, fine, i)
+    expected = [cubic_value(hermite_coefficients(times, y, not_a_knot_slopes(times, y)), s, i)
+                for y in fields]
     rows = np.empty((3, len(fine)))
     assert schedule.value(fine, rows) is rows
     assert np.array_equal(rows, expected)
+
+
+def test_schedule_value_forms_the_offsets_once_for_all_fields(rng, monkeypatch):
+    # counted wherever they are formed: in the schedule or in an evaluator
+    times = np.linspace(0.0, 9.25, 201)
+    schedule = ControlSchedule(times, *np.cumsum(rng.normal(size=(3, len(times))), axis=1))
+    calls = []
+
+    def counted(x, t, i):
+        calls.append(len(t))
+        return _offsets(x, t, i)
+    for module in (controls, _cubic):
+        monkeypatch.setattr(module, "_offsets", counted)
+    schedule.value(np.linspace(0.0, 9.25, 4001), np.empty((3, 4001)))
+    assert calls == [4001]
 
 
 @pytest.mark.parametrize("x, y", [

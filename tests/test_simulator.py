@@ -652,7 +652,7 @@ def qubit_stages(gens, rng, n_nodes):
 
 def drive_stages(rng, n_nodes):
     """Stages of the drive transforms' complex 3 x 3 homogeneous generators;
-    ``stages`` returns views of one stack, as ``_drive_ode``'s does."""
+    ``stages`` returns views of one stack, as ``integrate_affine``'s does."""
     g = np.zeros((n_nodes, 3, 3), dtype=complex)
     g[:, 0, :2] = rng.normal(size=(n_nodes, 2)) + 1j * rng.normal(size=(n_nodes, 2))
     g[:, 1, :2] = 0.05, -0.6

@@ -80,6 +80,15 @@ def test_steady_state_degenerate():
     assert np.array_equal(path.sample(np.zeros(2))[0], [thermal, thermal])
 
 
+@pytest.mark.parametrize("drive_detuning", [0.0, 0.1])
+def test_zero_drive_limit_at_a_huge_final_time_is_finite(drive_detuning):
+    # the limit's t_f^2 overflows to inf and the slope underflows to 0, with
+    # no OverflowError, whether or not the sample sits on the zero-drive limit
+    env = LorentzianEnvironment(lam=0.5, cavity_detuning=0.5, drive_detuning=drive_detuning)
+    r, rdot = tracking_trajectory(env, 1e-5, 10.0, 1e200).evaluate(0.0)
+    assert np.all(np.isfinite(r)) and rdot[1] == 0.0
+
+
 def test_tracking_trajectory_endpoints(qubit, tracking_env):
     # undriven at t = 0 (the thermal state), fully driven at t_f
     basis, _ = qubit
