@@ -14,8 +14,7 @@ from .environment import (LorentzianEnvironment, decay_and_shift, decay_shift_de
                           find_gamma_negmax, find_gamma_zero, propagator_u,
                           tune_detuning_for_lamb_zero)
 from .liouvillian import (HamiltonianSpec, LindbladChannel, LiouvillianComponents,
-                          assemble_components, coherent_part, components_from_kron,
-                          incoherent_part, inhomogeneous_part, kron_liouvillian)
+                          assemble_components, components_from_kron, kron_liouvillian)
 from .simulator import (SimulationRun, fidelity_bloch, integrate_bloch, integrate_density,
                         lab_field_from_effective, renormalized_field, reservoir_table)
 from .sun_algebra import (GeneratorBasis, StructureTensors, bloch_to_density,

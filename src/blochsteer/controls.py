@@ -7,8 +7,9 @@ Given (r(t), rdot(t)) the two-level closed forms solve the Bloch equations
     rz' =  2 Ox ry - 2 Oy rx - 2 G ((2N+1) rz + 1)
 
 for (Ox, Oy, N) given the reservoir rate G = Gamma0(t) and Lamb shift s0(t).
-The generic path assembles the same linear system for any SU(N) setup from
-the structure tensors and solves it densely; closed forms and generic solve
+The generic path assembles the same linear system for any SU(N) setup, each
+column the component-form generator of ``liouvillian.assemble_components``
+applied to r, and solves it densely; closed forms and generic solve
 cross-check each other; it takes stacks like the Liouvillian builders.
 
 The closed forms follow numpy's shape rules: one sample gives three numpy
@@ -36,7 +37,7 @@ from ._cubic import (_offsets, cubic_value, hermite_coefficients, not_a_knot_slo
                      require_uniform, uniform_pieces)
 from .environment import LorentzianEnvironment, decay_and_shift
 from .errors import InvalidInputError, NoUniqueSolutionError, SingularControlError
-from .liouvillian import HamiltonianSpec, LindbladChannel, channel_drift, channel_matrix
+from .liouvillian import HamiltonianSpec, LindbladChannel, assemble_components
 from .sun_algebra import StructureTensors, _first_in_stack
 
 __all__ = [
@@ -153,10 +154,13 @@ def assemble_control_system(r: np.ndarray, rdot: np.ndarray,
     """Assemble the control linear system at one instant, or a stack of them.
 
     Selected coherent coefficients and channel control multipliers are the
-    unknowns; everything else is drift.  Columns are exact contractions of
-    the structure tensors, so the residual of a candidate control vector
-    equals the residual of the component-form master equation.  Stacked
-    states, rates and drifts broadcast to a stack of systems.
+    unknowns; everything else is drift.  Every column is the component-form
+    generator ``assemble_components(...).apply(r)``: of the unit Hamiltonian
+    of a coherent index, or of a control group's channels; the right-hand side
+    is rdot minus the generator of the drift Hamiltonian and the fixed
+    channels.  So the residual of a candidate control vector is the residual
+    of the component-form master equation by construction.  Stacked states,
+    rates and drifts broadcast to a stack of systems.
     """
     r = np.asarray(r, dtype=float)
     rdot = np.asarray(rdot, dtype=float)
@@ -166,20 +170,17 @@ def assemble_control_system(r: np.ndarray, rdot: np.ndarray,
     for k in coherent_indices:
         if not 1 <= k <= n:
             raise InvalidInputError(f"coherent control index {k} outside 1..{n}")
-    coherent = [np.einsum("...j,ji->...i", r, tensors.f[k - 1]) for k in coherent_indices]
+    units = np.eye(n + 1)
+    zero = HamiltonianSpec(np.zeros(n + 1))
+
+    def field(hamiltonian, chans):
+        return assemble_components(hamiltonian, chans, tensors).apply(r)
+
+    coherent = [field(HamiltonianSpec(units[k]), []) for k in coherent_indices]
     groups = sorted({ch.control_index for ch in channels if ch.control_index is not None})
-    incoherent = [0.0] * len(groups)
-    rhs = rdot
-    for ch in channels:
-        k_r = np.einsum("...ij,...j->...i", channel_matrix(ch.shape, tensors), r)
-        contrib = ch.rate[..., None] * (k_r + channel_drift(ch.shape, tensors))
-        if ch.control_index is None:
-            rhs = rhs - contrib
-        else:
-            j = groups.index(ch.control_index)
-            incoherent[j] = incoherent[j] + contrib
-    if drift is not None:
-        rhs = rhs - np.einsum("...k,kji,...j->...i", drift.coefficients[..., 1:], tensors.f, r)
+    incoherent = [field(zero, [ch for ch in channels if ch.control_index == j]) for j in groups]
+    fixed = [ch for ch in channels if ch.control_index is None]
+    rhs = rdot - field(zero if drift is None else drift, fixed)
     table = np.stack(np.broadcast_arrays(*coherent, *incoherent, rhs), axis=-1)
     k = len(coherent)
     return ControlSystem(coherent=table[..., :k], incoherent=table[..., k:-1],

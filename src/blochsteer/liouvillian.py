@@ -2,8 +2,11 @@
 
 Component form: the master equation acting on generalized Bloch vectors,
 ``rdot = (C + I) r + b``, assembled from the structure tensors of the
-generator basis.  Kronecker form: the supermatrix acting on row-major
-vectorized density matrices,
+generator basis by one builder, ``assemble_components``: the coherent matrix
+C, then one pass over the channels, each giving its unit-rate dissipator
+matrix and drift from one outer product l l*.  The control system of
+``controls`` applies the same builder to r, column by column.  Kronecker
+form: the supermatrix acting on row-major vectorized density matrices,
 
     L = -i (H (x) I - I (x) H^T)
         + sum_a g_a (2 L_a (x) L_a^* - L_a^+ L_a (x) I - I (x) L_a^T L_a^*),
@@ -35,12 +38,7 @@ __all__ = [
     "HamiltonianSpec",
     "LindbladChannel",
     "LiouvillianComponents",
-    "coherent_part",
-    "incoherent_part",
-    "inhomogeneous_part",
     "assemble_components",
-    "channel_matrix",
-    "channel_drift",
     "kron_liouvillian",
     "components_from_kron",
     "vec",
@@ -121,7 +119,7 @@ def _combine(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return _rows(c, stack.reshape(len(stack), -1)).reshape(*c.shape[:-1], *stack.shape[1:])
 
 
-def coherent_part(hamiltonian: HamiltonianSpec, tensors: StructureTensors) -> np.ndarray:
+def _coherent_part(hamiltonian: HamiltonianSpec, tensors: StructureTensors) -> np.ndarray:
     """C[i, j] = sum_k c_k f_{kji}; the identity coefficient never contributes."""
     c = np.asarray(hamiltonian.coefficients, dtype=float)
     n = tensors.dimension ** 2 - 1
@@ -141,53 +139,34 @@ def _extended_shape(shape: np.ndarray, dim: int) -> np.ndarray:
     raise DimensionError(f"channel shape must have length {n} (or {n + 1}), got {shape.shape}")
 
 
-def channel_matrix(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
-    """Unit-rate Bloch-space dissipator matrix of one channel shape vector."""
+def _channel_parts(shape: np.ndarray, tensors: StructureTensors) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-rate Bloch-space dissipator matrix and constant drift of one channel
+    shape, from one outer product l l*; the drift is zero for normal shapes."""
     l = _extended_shape(shape, tensors.dimension)
     a = l[..., :, None] * l[..., None, :].conj()
     s = tensors.s.swapaxes(2, 3)   # s[m, n, i, j]
     k = _combine(a.reshape(*l.shape[:-1], -1), s.reshape(-1, *s.shape[2:]))
-    resid = np.max(np.abs(k.imag))
-    if resid > 1e-11:
-        raise ArithmeticError(f"dissipator matrix has imaginary residue {resid:.3e}")
-    return k.real
-
-
-def channel_drift(shape: np.ndarray, tensors: StructureTensors) -> np.ndarray:
-    """Unit-rate constant Bloch drift of one channel; zero for normal shapes."""
-    l = _extended_shape(shape, tensors.dimension)[..., 1:]
-    a = l[..., :, None] * l[..., None, :].conj()
-    b = _rows(a.reshape(*l.shape[:-1], -1), tensors.g.reshape(-1, tensors.g.shape[-1]))
-    resid = np.max(np.abs(b.imag))
-    if resid > 1e-11:
-        raise ArithmeticError(f"channel drift has imaginary residue {resid:.3e}")
-    return b.real
-
-
-def incoherent_part(channels: Sequence[LindbladChannel], tensors: StructureTensors) -> np.ndarray:
-    """Dissipative Bloch matrix sum_a gamma_a K_a."""
-    n = tensors.dimension ** 2 - 1
-    out = np.zeros((n, n))
-    for ch in channels:
-        out = out + ch.rate[..., None, None] * channel_matrix(ch.shape, tensors)
-    return out
-
-
-def inhomogeneous_part(channels: Sequence[LindbladChannel],
-                       tensors: StructureTensors) -> np.ndarray:
-    """Constant Bloch drift sum_a gamma_a b_a."""
-    n = tensors.dimension ** 2 - 1
-    out = np.zeros(n)
-    for ch in channels:
-        out = out + ch.rate[..., None] * channel_drift(ch.shape, tensors)
-    return out
+    b = _rows(a[..., 1:, 1:].reshape(*l.shape[:-1], -1),
+              tensors.g.reshape(-1, tensors.g.shape[-1]))
+    for part, name in ((k, "dissipator matrix"), (b, "channel drift")):
+        resid = np.max(np.abs(part.imag))
+        if resid > 1e-11:
+            raise ArithmeticError(f"{name} has imaginary residue {resid:.3e}")
+    return k.real, b.real
 
 
 def assemble_components(hamiltonian: HamiltonianSpec, channels: Sequence[LindbladChannel],
                         tensors: StructureTensors) -> LiouvillianComponents:
-    """Full component-form generator."""
-    m = coherent_part(hamiltonian, tensors) + incoherent_part(channels, tensors)
-    drift = inhomogeneous_part(channels, tensors)
+    """Full component-form generator: the coherent matrix plus sum_a gamma_a K_a,
+    and the drift sum_a gamma_a b_a."""
+    coherent = _coherent_part(hamiltonian, tensors)
+    n = tensors.dimension ** 2 - 1
+    incoherent, drift = np.zeros((n, n)), np.zeros(n)
+    for ch in channels:
+        k, b = _channel_parts(ch.shape, tensors)
+        incoherent = incoherent + ch.rate[..., None, None] * k
+        drift = drift + ch.rate[..., None] * b
+    m = coherent + incoherent
     return LiouvillianComponents(matrix=m, drift=np.broadcast_to(drift, m.shape[:-1]))
 
 

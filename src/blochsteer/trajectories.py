@@ -136,7 +136,7 @@ def tracking_trajectory(env: LorentzianEnvironment, n0: float, omega_c: float,
     return TrajectorySpec(t_final=float(t_final), _evaluator=evaluator)
 
 
-def pure_inversion(t_final: float, theta_mid: float = np.pi / 4) -> TrajectorySpec:
+def pure_inversion(t_final: float, theta_mid: float) -> TrajectorySpec:
     """Unit-norm path from (0,0,-1) to (0,0,1) via polynomial polar angles.
 
     The polar angle runs pi -> 0 as phi = pi (1 - 3 s^2 + 2 s^3) with

@@ -114,7 +114,7 @@ def test_criterion_3_mixed_inversion(mixed_bundle):
 def test_criterion_4_pure_inversion(mixed_bundle):
     env, t_break, _, _, _, _, _ = mixed_bundle
     t_final = 2.0 * t_break
-    trajectory = pure_inversion(t_final)
+    trajectory = pure_inversion(t_final, np.pi / 4)
     times = np.linspace(0.0, t_final, GRID + 1)
     schedule = schedule_from_trajectory(trajectory, env, times)
     forward = integrate_bloch(schedule, env, np.array([0.0, 0.0, -1.0]), times,

@@ -239,7 +239,7 @@ def test_schedule_from_trajectory_pure_midpoint(inversion_setup):
     # the equator crossing sits exactly on a grid point and is removable
     env, t_break, _ = inversion_setup
     t_final = 2.0 * t_break
-    traj = pure_inversion(t_final)
+    traj = pure_inversion(t_final, np.pi / 4)
     times = np.linspace(0.0, t_final, 200 + 1)  # even grid puts t_final/2 on the grid
     sched = schedule_from_trajectory(traj, env, times)
     mid = 100
@@ -271,7 +271,7 @@ def scalar_schedule(traj, env, times):
 def test_schedule_matches_scalar_solver_loop(inversion_setup):
     # r_z = 0 at t_final / 2 and G = 0 at t = 0 both take the -+ eps path
     env, t_break, _ = inversion_setup
-    traj = pure_inversion(2.0 * t_break)
+    traj = pure_inversion(2.0 * t_break, np.pi / 4)
     times = np.linspace(0.0, traj.t_final, 201)
     sched = schedule_from_trajectory(traj, env, times)
     batched = np.column_stack([sched.omega_x, sched.omega_y, sched.excitation])
@@ -392,6 +392,37 @@ def test_stacked_control_system_matches_single_calls(dim, rng):
     assert np.array_equal(solution.values, [s.values for s in single])
     assert np.array_equal(solution.residual, [s.residual for s in single])
     assert np.max(np.abs(solution.values - known)) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_control_system_columns_are_the_component_generator_applied_to_r(dim, rng):
+    # each column, and the right-hand side, is assemble_components(...).apply(r)
+    # bit for bit, for one instance and for a stack of 6
+    from blochsteer.sun_algebra import build_basis, structure_constants
+    tensors = structure_constants(build_basis(dim))
+    n, k = dim * dim - 1, 6
+    shapes = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    groups = (None, 0, 1, 0)
+    zero = HamiltonianSpec(np.zeros(n + 1))
+    for i in (0, slice(None)):
+        r = random_bloch_vector(dim, rng, 0.9 / np.sqrt(dim), size=(k,))[i]
+        rdot = rng.normal(size=(k, n))[i]
+        drift = HamiltonianSpec(rng.normal(size=(k, n + 1))[i])
+        channels = [LindbladChannel(shape, rate=rng.uniform(0.1, 1.0, size=k)[i],
+                                    control_index=group) for shape, group in zip(shapes, groups)]
+        system = assemble_control_system(r, rdot, range(1, n + 1), channels, tensors,
+                                         drift=drift)
+
+        def field(hamiltonian, chans):
+            return assemble_components(hamiltonian, chans, tensors).apply(r)
+
+        for index in range(1, n + 1):
+            unit = HamiltonianSpec(np.eye(n + 1)[index])
+            assert np.array_equal(system.coherent[..., index - 1], field(unit, []))
+        for j in (0, 1):
+            chans = [ch for ch in channels if ch.control_index == j]
+            assert np.array_equal(system.incoherent[..., j], field(zero, chans))
+        assert np.array_equal(system.rhs, rdot - field(drift, channels[:1]))
 
 
 def test_stacked_solve_names_the_failing_instance(qubit, rng):

@@ -30,10 +30,8 @@ PUBLIC = {
                "InvalidInputError", "PropagatorZeroError", "RootNotFoundError",
                "IntegrationDivergedError", "InfeasibleTrajectoryError", "ConfigError"],
     "liouvillian": ["HamiltonianSpec", "LindbladChannel", "LiouvillianComponents",
-                    "coherent_part", "incoherent_part", "inhomogeneous_part",
-                    "assemble_components", "channel_matrix", "channel_drift",
-                    "kron_liouvillian", "components_from_kron", "vec", "unvec",
-                    "trace_preservation_residual"],
+                    "assemble_components", "kron_liouvillian", "components_from_kron", "vec",
+                    "unvec", "trace_preservation_residual"],
     "selfcheck": ["run_selfcheck"],
     "simulator": ["SimulationRun", "DEFAULT_MIN_STEPS", "integrate_affine", "integrate_bloch",
                   "integrate_density", "integrate_density_general", "reservoir_table",
@@ -73,14 +71,17 @@ def test_the_package_reexports_only_public_names():
 
 
 def test_removed_symbols_are_not_exported():
-    from blochsteer import controls, environment, errors, simulator, trajectories
+    from blochsteer import controls, environment, errors, liouvillian, simulator, trajectories
     for symbol in ("density_run_from_bloch", "snapshot", "EnvSnapshot", "_rk4_complex",
                    "pure_inversion_trajectory", "two_level_controls_detuning", "PROTOCOLS",
                    "DegenerateSteadyStateError", "fidelity", "correlation_kernel", "max_norm",
-                   "adiabatic_reference_run", "steady_state_bloch"):
+                   "adiabatic_reference_run", "steady_state_bloch",
+                   # the component form has one builder, assemble_components
+                   "coherent_part", "incoherent_part", "inhomogeneous_part", "channel_matrix",
+                   "channel_drift"):
         assert not hasattr(blochsteer, symbol)
-        assert not any(hasattr(module, symbol)
-                       for module in (controls, environment, errors, simulator, trajectories))
+        assert not any(hasattr(module, symbol) for module in
+                       (controls, environment, errors, liouvillian, simulator, trajectories))
     # methods that no workload called
     assert not hasattr(trajectories.TrajectorySpec, "max_norm")
     assert not hasattr(controls.ControlSchedule, "t_final")

@@ -7,10 +7,8 @@ from blochsteer import bloch_to_density, density_to_bloch
 from blochsteer.controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE
 from blochsteer.errors import DimensionError, MalformedLiouvillianError
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, _kron,
-                                    assemble_components, channel_drift, channel_matrix,
-                                    coherent_part, components_from_kron, incoherent_part,
-                                    inhomogeneous_part, kron_liouvillian,
-                                    trace_preservation_residual, unvec, vec)
+                                    assemble_components, components_from_kron,
+                                    kron_liouvillian, trace_preservation_residual, unvec, vec)
 from blochsteer.sun_algebra import (bloch_scale, build_basis, random_bloch_vector,
                                     structure_constants)
 
@@ -29,6 +27,23 @@ def random_instance(dim, rng, n_channels=None):
 def thermal_channels(gamma, nbar):
     return [LindbladChannel(SIGMA_MINUS_SHAPE, rate=gamma * (nbar + 1)),
             LindbladChannel(SIGMA_PLUS_SHAPE, rate=gamma * nbar)]
+
+
+def coherent_part(hamiltonian, tensors):
+    """The coherent matrix C: the component form without channels."""
+    return assemble_components(hamiltonian, [], tensors).matrix
+
+
+def dissipative(channels, tensors):
+    """The channels' component form under a zero Hamiltonian."""
+    return assemble_components(HamiltonianSpec(np.zeros(tensors.dimension ** 2)), channels,
+                               tensors)
+
+
+def channel_parts(shape, tensors):
+    """One channel shape's unit-rate dissipator matrix and drift."""
+    comp = dissipative([LindbladChannel(shape)], tensors)
+    return comp.matrix, comp.drift
 
 
 def test_coherent_part_level_shift(qubit):
@@ -50,27 +65,28 @@ def test_coherent_part_zero_and_antisymmetry(qubit, rng):
 def test_incoherent_part_thermal_pair(qubit):
     _, tensors = qubit
     gamma, nbar = 0.8, 0.6
-    mat = incoherent_part(thermal_channels(gamma, nbar), tensors)
+    mat = dissipative(thermal_channels(gamma, nbar), tensors).matrix
     total = (2 * nbar + 1) * gamma
     assert np.allclose(mat, np.diag([-total, -total, -2 * total]), atol=1e-12)
 
 
 def test_incoherent_part_zero_rates(qubit):
     _, tensors = qubit
-    assert np.allclose(incoherent_part(thermal_channels(0.0, 0.3), tensors), 0.0)
+    comp = dissipative(thermal_channels(0.0, 0.3), tensors)
+    assert np.allclose(comp.matrix, 0.0) and np.allclose(comp.drift, 0.0)
 
 
 def test_inhomogeneous_part_thermal_pair(qubit):
     _, tensors = qubit
     gamma, nbar = 1.3, 0.25
-    drift = inhomogeneous_part(thermal_channels(gamma, nbar), tensors)
+    drift = dissipative(thermal_channels(gamma, nbar), tensors).drift
     assert np.allclose(drift, [0.0, 0.0, -2 * gamma], atol=1e-12)
 
 
 def test_inhomogeneous_vanishes_for_hermitian_channel(qubit):
     _, tensors = qubit
     dephasing = LindbladChannel(np.array([0.0, 0.0, 1.0]), rate=0.9)
-    assert np.allclose(channel_drift(dephasing.shape, tensors), 0.0, atol=1e-14)
+    assert np.allclose(channel_parts(dephasing.shape, tensors)[1], 0.0, atol=1e-14)
 
 
 def test_kron_zero(qubit):
@@ -125,9 +141,9 @@ def test_incoherent_linearity_in_rate(qubit, rng):
     _, tensors = qubit
     shape = rng.normal(size=3) + 1j * rng.normal(size=3)
     for c1, c2 in rng.uniform(0.1, 3.0, size=(10, 2)):
-        a = incoherent_part([LindbladChannel(shape, rate=c1)], tensors)
-        b = incoherent_part([LindbladChannel(shape, rate=c2)], tensors)
-        both = incoherent_part([LindbladChannel(shape, rate=c1 + c2)], tensors)
+        a = dissipative([LindbladChannel(shape, rate=c1)], tensors).matrix
+        b = dissipative([LindbladChannel(shape, rate=c2)], tensors).matrix
+        both = dissipative([LindbladChannel(shape, rate=c1 + c2)], tensors).matrix
         assert np.max(np.abs(a + b - both)) < 1e-12
 
 
@@ -175,8 +191,7 @@ def test_identity_component_shapes_against_oracle(qubit, rng):
     basis, tensors = qubit
     for _ in range(10):
         full = rng.normal(size=4) + 1j * rng.normal(size=4)
-        mat = channel_matrix(full, tensors)
-        drift = channel_drift(full, tensors)
+        mat, drift = channel_parts(full, tensors)
         op = np.tensordot(full, basis.generators, axes=1)
         eye = np.eye(2, dtype=complex)
         sup = (2.0 * np.kron(op, op.conj()) - np.kron(op.conj().T @ op, eye)
@@ -238,11 +253,12 @@ def test_stacked_builders_match_single_calls(dim, rng):
     same(ham.matrix(basis), lambda i: instance(i)[0].matrix(basis))
     same(coherent_part(ham, tensors), lambda i: coherent_part(instance(i)[0], tensors))
     for shape in (shapes[0], full):
-        same(channel_matrix(shape, tensors), lambda i: channel_matrix(shape[i], tensors))
-        same(channel_drift(shape, tensors), lambda i: channel_drift(shape[i], tensors))
-    same(incoherent_part(chans, tensors), lambda i: incoherent_part(instance(i)[1], tensors))
-    same(inhomogeneous_part(chans, tensors),
-         lambda i: inhomogeneous_part(instance(i)[1], tensors))
+        for part in (0, 1):
+            same(channel_parts(shape, tensors)[part],
+                 lambda i: channel_parts(shape[i], tensors)[part])
+    for part in ("matrix", "drift"):
+        same(getattr(dissipative(chans, tensors), part),
+             lambda i: getattr(dissipative(instance(i)[1], tensors), part))
     comp = assemble_components(ham, chans, tensors)
     same(comp.matrix, lambda i: assemble_components(*instance(i), tensors).matrix)
     same(comp.drift, lambda i: assemble_components(*instance(i), tensors).drift)
@@ -314,8 +330,9 @@ def test_row_wise_builders_match_the_einsum_contractions(dim, rng):
     close(ham.matrix(basis), einsum_matrix(coefficients, basis))
     close(chans[0].operator(basis), einsum_matrix(full, basis))
     close(coherent_part(ham, tensors), einsum_coherent_part(coefficients, tensors))
-    close(channel_matrix(full, tensors), einsum_channel_matrix(full, tensors))
-    close(channel_drift(full, tensors), einsum_channel_drift(full, tensors))
+    mat, drift = channel_parts(full, tensors)
+    close(mat, einsum_channel_matrix(full, tensors))
+    close(drift, einsum_channel_drift(full, tensors))
     comp = assemble_components(ham, chans, tensors)
     close(comp.apply(r), einsum_apply(comp.matrix, comp.drift, r))
     sup = kron_liouvillian(ham, chans, basis)

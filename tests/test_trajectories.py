@@ -253,7 +253,7 @@ def test_mixed_inversion_names_extreme_knot_times(t_break, t_final, message):
 def test_controllability_pure_inversion(inversion_setup):
     env, t_break, _ = inversion_setup
     t_final = 2.0 * t_break
-    traj = pure_inversion(t_final)
+    traj = pure_inversion(t_final, np.pi / 4)
     times = np.linspace(0.0, t_final, 801)
     sched = schedule_from_trajectory(traj, env, times)
     report = controllability_check(sched)
@@ -293,7 +293,7 @@ def test_sample_matches_evaluate_loop(tracking_env, inversion_setup):
     # the batched evaluator gives the same path as one evaluate call per sample
     env, t_break, t_final = inversion_setup
     designs = (tracking_trajectory(tracking_env, 1e-5, 10.0, 10.0),
-               pure_inversion(2.0 * t_break),
+               pure_inversion(2.0 * t_break, np.pi / 4),
                mixed_inversion_trajectory(t_break, t_final))
     for design, traj in enumerate(designs):
         times = np.linspace(0.0, traj.t_final, 401)
@@ -306,6 +306,6 @@ def test_sample_matches_evaluate_loop(tracking_env, inversion_setup):
 
 
 def test_sample_names_first_time_outside_window():
-    traj = pure_inversion(4.0)
+    traj = pure_inversion(4.0, np.pi / 4)
     with pytest.raises(InvalidInputError, match="time 4.5 outside"):
         traj.sample(np.array([0.0, 1.0, 4.5, -1.0]))
