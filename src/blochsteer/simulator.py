@@ -9,12 +9,13 @@ Agreement between the two is the primary dynamics oracle.
 The RK4 core is batched and drift-free.  For ydot = M(t) y one RK4 step is
 an exact linear map y -> A y, so the core builds the step maps of a chunk
 with batched matrix products and composes the maps of each output interval.
-A chunk's step maps take at most ``_CHUNK_BYTES`` and no more bytes than
-the run's fine grid: 1,024 steps of either two-level form at the default
-20,000.  A prefix product of the chunk's interval maps, by doubling, gives
-the map from the chunk's first node to each output node, and one batched
-matrix-vector product from the state there writes all of the chunk's output
-rows; no Python code runs per step or per output node.  A chunk with a
+A chunk holds whole output intervals, one at least, whose step maps take at
+most ``_CHUNK_BYTES`` and no more bytes than the run's fine grid: 1,024
+steps of either two-level form at the default 20,000.  A prefix product of
+the chunk's interval maps, by doubling, gives the map from the chunk's first
+node to each output node, and one batched matrix-vector product from the
+state there writes all of the chunk's output rows; no Python code runs per
+step or per output node.  A chunk with a
 non-finite row is redone one interval at a time, since a product of maps
 can overflow before the states do.
 The step maps are formed in place: three matmul results are scaled and
@@ -24,8 +25,8 @@ temporaries.  The stage stack itself is never scaled in place, because a
 caller's stack may share nodes across chunks or be a read-only broadcast.
 
 An affine ODE ydot = M y + b runs in homogeneous form: the state (y, 1)
-under the generator [[M, b], [0, 0]].  The Bloch and density runs are one
-table run: a coefficient table (n_fine, k) times k fixed generators built
+under the generator [[M, b], [0, 0]].  Every run is a table run, the core's
+one caller: a coefficient table (n_fine, k) times k fixed generators built
 once, the Bloch run's homogeneous.  The density form's, at every N, are the
 Kronecker supermatrices S of the unit Hamiltonians and unit-rate channels as
 Re P S Q, on the N^2 real coordinates x = P vec rho of a Hermitian rho
@@ -45,11 +46,11 @@ run given no table evaluates its own and drops it before the splines are
 evaluated.  Output grids must be finite and uniform.
 
 The reservoir's drive renormalization Omega -> Omega^R and its inverse are
-affine ODEs in (h, w), the local form of the memory convolution, and run
-through ``integrate_affine`` with one step per output interval.
-
-User coefficient functions (``integrate_density_general``'s table too) are
-called once, on the 1-D array of fine-grid times; a constant is broadcast.
+affine ODEs in (h, w), the local form of the memory convolution: table runs
+of a complex table (the drive, and u'/u) times fixed homogeneous generators
+of the kernel, one step per output interval.  User coefficient functions
+(the general density run's table, the transforms' drives) are called once,
+on the 1-D array of fine-grid times; a constant is broadcast.
 
 Everything after the core is batched over the output grid as well: the
 density run converts all its rows to Bloch vectors in one call, and the
@@ -77,7 +78,6 @@ from .sun_algebra import build_basis, density_to_bloch, structure_constants
 __all__ = [
     "SimulationRun",
     "DEFAULT_MIN_STEPS",
-    "integrate_affine",
     "integrate_bloch",
     "integrate_density",
     "integrate_density_general",
@@ -285,18 +285,10 @@ def _compose(maps: np.ndarray) -> np.ndarray:
     return maps[..., 0, :, :]
 
 
-def _interval_maps(stages, first: int, last: int, sub: int, h: float,
-                   chunk: int) -> np.ndarray:
-    """Composed maps of output intervals first .. last-1, each of ``sub`` steps,
-    built ``chunk`` steps at a time at most."""
-    if sub <= chunk:
-        maps = _step_maps(stages, first * sub, last * sub, h)
-        return _compose(maps.reshape(last - first, sub, *maps.shape[1:]))
-    # one interval longer than a chunk (then last == first + 1)
-    stop = last * sub
-    parts = [_compose(_step_maps(stages, s, min(s + chunk, stop), h))
-             for s in range(first * sub, stop, chunk)]
-    return _compose(np.array(parts))[None]
+def _interval_maps(stages, first: int, last: int, sub: int, h: float) -> np.ndarray:
+    """Composed maps of output intervals first .. last-1, each of ``sub`` steps."""
+    maps = _step_maps(stages, first * sub, last * sub, h)
+    return _compose(maps.reshape(last - first, sub, *maps.shape[1:]))
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
@@ -319,23 +311,21 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
     ``stages(idx)`` returns the stacked M at the fine-grid indices ``idx`` (a
     slice; the fine grid holds the step nodes and half steps).  An affine ODE
     runs here in homogeneous form (see ``_homogeneous``).  Works through the
-    run in chunks whose step maps take at most ``_CHUNK_BYTES``, and no more
-    than the run's fine grid: builds each step's map with batched matmuls,
-    composes the maps of each output interval, turns them into the maps from
-    the chunk's first node by a prefix product, and advances to every output
-    node of the chunk by one batched matrix-vector product from the state at
-    its first node.  Records the state at every output node and raises on
-    non-finite states.  A product of maps can overflow before the states do,
-    so a chunk with a non-finite state is redone one interval at a time, and
-    the error names the first output time at which that sweep's state is not
-    finite.
+    run in chunks of whole output intervals (see the module docstring): builds
+    each step's map with batched matmuls, composes the maps of each output
+    interval, turns them into the maps from the chunk's first node by a prefix
+    product, and advances to every output node of the chunk by one batched
+    matrix-vector product from the state at its first node.  Records the
+    state at every output node and raises on non-finite states.  A product of
+    maps can overflow before the states do, so a chunk with a non-finite state
+    is redone one interval at a time, and the error names the first output
+    time at which that sweep's state is not finite.
     """
     n_out = len(times) - 1
     h = (times[-1] - times[0]) / (n_out * sub)
     out = np.empty((n_out + 1, y0.size), dtype=np.result_type(y0, float))
     fine_bytes = (2 * n_out * sub + 1) * np.dtype(float).itemsize
-    chunk = max(1, min(_CHUNK_BYTES, fine_bytes) // (out.itemsize * y0.size ** 2))
-    per_chunk = max(1, chunk // sub)
+    per_chunk = max(1, min(_CHUNK_BYTES, fine_bytes) // (out.itemsize * y0.size ** 2 * sub))
     out[0] = y0
     y = out[0]
     # a diverging run overflows on its way to inf or nan; the check below names it
@@ -343,11 +333,10 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
         for first in range(0, n_out, per_chunk):
             last = min(n_out, first + per_chunk)
             rows = out[first + 1:last + 1]
-            maps = _prefix_products(_interval_maps(stages, first, last, sub, h, chunk))
+            maps = _prefix_products(_interval_maps(stages, first, last, sub, h))
             np.matmul(maps, y, out=rows)
             if not np.isfinite(rows).all():
-                for interval, row in zip(_interval_maps(stages, first, last, sub, h, chunk),
-                                         rows):
+                for interval, row in zip(_interval_maps(stages, first, last, sub, h), rows):
                     y = interval.dot(y, out=row)
                 finite = np.all(np.isfinite(rows), axis=1)
                 if not finite.all():
@@ -358,36 +347,23 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
     return out
 
 
-def integrate_affine(matrix_fun, drift_fun, y0: np.ndarray, times: np.ndarray,
-                     min_steps: int = DEFAULT_MIN_STEPS) -> np.ndarray:
-    """Fixed-step RK4 for ydot = M(t) y + b(t) with callable coefficients.
-
-    The callables are called once, on the step nodes and half steps t, and
-    return stacks M (len(t), d, d) and b (len(t), d) or constants.  They run
-    through the same core as both integrators.  Returns the states on the
-    output grid.
-    """
-    times = np.asarray(times, dtype=float)
-    fine, sub = _fine_grid(times, min_steps)
-    m, b = np.asarray(matrix_fun(fine)), np.asarray(drift_fun(fine))
-    gens = _homogeneous(np.broadcast_to(m, fine.shape + m.shape[-2:]),
-                        np.broadcast_to(b, fine.shape + b.shape[-1:]))
-    return _rk4_linear(lambda idx: gens[idx], np.append(y0, 1.0), times, sub)[:, :-1]
-
-
 def _table_run(coefficient_fun, gens: np.ndarray, y0: np.ndarray, times: np.ndarray,
                min_steps: int, state) -> np.ndarray:
     """RK4 run whose stage generators are the table ``coefficient_fun(fine)``
     (n_fine, k) or one constant row, on the run's fine grid, times fixed
-    generators ``gens`` (k, d, d), stacked by one matrix product.  ``y0`` is
-    the initial ``state`` as the vector they act on; a state of another size,
-    or a table of another width, raises ``DimensionError``."""
+    generators ``gens`` (k, d, d), stacked by one matrix product in the table's
+    dtype.  ``y0`` is the initial ``state`` as the vector they act on; a state
+    of another size, or a table of another width, raises ``DimensionError``,
+    a complex table for real generators ``InvalidInputError``."""
     if y0.shape != gens.shape[-1:]:
         raise DimensionError(f"initial state of shape {np.shape(state)} does not fit "
                              f"generators of shape {gens.shape[1:]}")
     times = np.asarray(times, dtype=float)
     fine, sub = _fine_grid(times, min_steps)
-    coefficients = np.asarray(coefficient_fun(fine), dtype=float)
+    coefficients = np.asarray(coefficient_fun(fine))
+    if np.iscomplexobj(coefficients) and not np.iscomplexobj(gens):
+        raise InvalidInputError(f"coefficient table of dtype {coefficients.dtype} does not "
+                                f"fit real generators")
     try:
         table = np.broadcast_to(coefficients, (len(fine), len(gens)))
     except ValueError:
@@ -463,7 +439,7 @@ def _reference_fidelity(states, times, reference):
         return None
     ref = np.asarray(reference, dtype=float)
     norm2 = _norm2(states), _norm2(ref)
-    outside = [n2 > 1.0 + _NORM_SLACK for n2 in norm2]
+    outside = [~(n2 <= 1.0 + _NORM_SLACK) for n2 in norm2]   # nan is outside
     if np.any(outside[0] | outside[1]):
         i = int(np.argmax(outside[0] | outside[1]))
         which = " and ".join(label for label, mask in zip(("forward state", "reference"), outside)
@@ -491,7 +467,7 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
     """Two-level Uhlmann fidelity from Bloch vectors.
 
     F = (1 + r1.r2 + sqrt((1 - |r1|^2)(1 - |r2|^2))) / 2.  Norms may exceed
-    1 by integrator slack up to 2e-8; beyond that the state is unphysical.
+    1 by integrator slack up to 2e-8; beyond that, or nan, it is unphysical.
     Follows numpy's shape rules: two vectors give a numpy float, two stacks
     of shape (n, 3) an array of shape (n,).
     """
@@ -500,7 +476,7 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
     slack = []
     for r in (r1, r2):
         n2 = _norm2(r)
-        if (n2 > 1.0 + _NORM_SLACK).any():
+        if (~(n2 <= 1.0 + _NORM_SLACK)).any():
             raise MalformedStateError(f"Bloch norm {np.sqrt(np.max(n2)):.12f} exceeds 1")
         slack.append(np.maximum(0.0, 1.0 - n2))
     val = 0.5 * (1.0 + np.vecdot(r1, r2) + np.sqrt(slack[0] * slack[1]))
@@ -527,6 +503,18 @@ def integrate_density_general(coefficient_fun, shapes, rho0: np.ndarray, times: 
 # drive transforms
 
 
+def _memory_run(matrices, coefficients, tgrid: np.ndarray) -> np.ndarray:
+    """(h, w) on the uniform grid ``tgrid`` from h = w = 0, one RK4 step per
+    output interval: the table run of ``coefficients`` (constants or fine-grid
+    columns) times the homogeneous generators of the fixed 2 x 2 ``matrices``,
+    then of the unit drift into h."""
+    m = np.array([*matrices, np.zeros((2, 2))], dtype=complex)
+    table = np.stack(np.broadcast_arrays(*coefficients), axis=-1)
+    y0 = np.array([0.0, 0.0, 1.0], dtype=complex)
+    gens = _homogeneous(m, np.eye(len(m), 2, 1 - len(m)))   # drift e_h in the last
+    return _table_run(lambda t: table, gens, y0, tgrid, len(tgrid) - 1, y0)[:, :2].T
+
+
 def renormalized_field(env: LorentzianEnvironment, omega: Callable[[np.ndarray], np.ndarray],
                        tgrid: np.ndarray) -> np.ndarray:
     """Effective drive Omega^R(t) produced by the physical drive Omega(t).
@@ -538,10 +526,8 @@ def renormalized_field(env: LorentzianEnvironment, omega: Callable[[np.ndarray],
     tgrid = np.asarray(tgrid, dtype=float)
     fine, _ = _fine_grid(tgrid, len(tgrid) - 1)
     drive = np.broadcast_to(np.asarray(omega(fine), dtype=complex), fine.shape)
-    matrix = np.array([[-1j * env.drive_detuning, -1.0], [0.5 * env.lam, -env._memory_rate]])
-    drift = np.stack([-1j * drive, np.zeros_like(drive)], axis=-1)
-    h, w = integrate_affine(lambda t: matrix, lambda t: drift, np.zeros(2, dtype=complex),
-                            tgrid, min_steps=len(tgrid) - 1).T
+    kernel = [[-1j * env.drive_detuning, -1.0], [0.5 * env.lam, -env._memory_rate]]
+    h, w = _memory_run([kernel], (1.0, -1j * drive), tgrid)
     hdot = -1j * env.drive_detuning * h - w - 1j * drive[::2]
     q, _ = _log_derivative(env, tgrid)
     return 1j * (hdot - h * q)
@@ -565,11 +551,7 @@ def lab_field_from_effective(env: LorentzianEnvironment,
     fine, _ = _fine_grid(tgrid, n)
     q, _ = _log_derivative(env, fine)
     drive = np.broadcast_to(np.asarray(omega_r(fine), dtype=complex), fine.shape)
-    matrix = np.zeros((len(fine), 2, 2), dtype=complex)
-    matrix[:, 0, 0] = q
-    matrix[:, 1] = 0.5 * env.lam, -env._memory_rate
-    drift = np.stack([-1j * drive, np.zeros_like(drive)], axis=-1)
-    h, w = integrate_affine(lambda t: matrix, lambda t: drift, np.zeros(2, dtype=complex),
-                            tgrid, min_steps=n).T
+    w_row = [[0.0, 0.0], [0.5 * env.lam, -env._memory_rate]]
+    h, w = _memory_run([[[1.0, 0.0], [0.0, 0.0]], w_row], (q, 1.0, -1j * drive), tgrid)
     hdot = -1j * drive[::2] + h * q[::2]
     return tgrid, 1j * (hdot + 1j * env.drive_detuning * h + w)

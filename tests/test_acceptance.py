@@ -34,7 +34,7 @@ from blochsteer.environment import decay_and_shift
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel,
                                     assemble_components)
 from blochsteer.selfcheck import _suite_liouvillian, _suite_propagator, _suite_solver
-from blochsteer.simulator import integrate_affine, integrate_bloch, integrate_density
+from blochsteer.simulator import _homogeneous, _table_run, integrate_bloch, integrate_density
 from blochsteer.sun_algebra import random_bloch_vector
 from blochsteer.trajectories import (mixed_inversion_trajectory, pure_inversion,
                                      tracking_trajectory)
@@ -188,9 +188,9 @@ def test_criterion_9_numerics_hygiene(tracking_bundle, mixed_bundle, tmp_path, q
     r0 = np.array([0.8, -0.2, 0.1])
     exact = np.array([0.8 * np.exp(-0.9 * 2), -0.2 * np.exp(-0.9 * 2),
                       -1.0 + 1.1 * np.exp(-2 * 0.9 * 2)])
-    errs = [np.max(np.abs(integrate_affine(lambda t: comp.matrix, lambda t: comp.drift,
-                                           r0, np.array([0.0, 2.0]), min_steps=n)[-1]
-                          - exact))
+    gens = _homogeneous(comp.matrix, comp.drift)[None]
+    errs = [np.max(np.abs(_table_run(lambda t: np.ones(1), gens, np.append(r0, 1.0),
+                                     np.array([0.0, 2.0]), n, r0)[-1, :-1] - exact))
             for n in (40, 80)]
     ratio = errs[0] / errs[1]
     # byte-identical reruns of a full experiment

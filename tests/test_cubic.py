@@ -12,7 +12,7 @@ from blochsteer._cubic import (_offsets, cubic_derivative, cubic_value, hermite_
                                not_a_knot_slopes, pieces, require_uniform, uniform_pieces)
 from blochsteer.controls import ControlSchedule
 from blochsteer.errors import InvalidInputError
-from blochsteer.simulator import integrate_affine
+from blochsteer.simulator import _homogeneous, _table_run
 
 TOL = 1e-13
 
@@ -162,8 +162,8 @@ def test_infinite_times_are_refused_before_any_step_is_taken():
             ControlSchedule(times=times, omega_x=np.zeros(2), omega_y=np.zeros(2),
                             excitation=np.zeros(2))
         with pytest.raises(InvalidInputError, match="finite, uniformly spaced"):
-            integrate_affine(lambda t: -np.eye(1), lambda t: np.zeros(1), np.ones(1), times,
-                             min_steps=10)
+            _table_run(lambda t: np.ones(1), _homogeneous(-np.eye(1), np.zeros(1))[None],
+                       np.ones(2), times, 10, np.ones(1))
 
 
 @pytest.mark.parametrize("times, message", [

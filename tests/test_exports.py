@@ -33,9 +33,9 @@ PUBLIC = {
                     "assemble_components", "kron_liouvillian", "components_from_kron", "vec",
                     "unvec", "trace_preservation_residual"],
     "selfcheck": ["run_selfcheck"],
-    "simulator": ["SimulationRun", "DEFAULT_MIN_STEPS", "integrate_affine", "integrate_bloch",
-                  "integrate_density", "integrate_density_general", "reservoir_table",
-                  "fidelity_bloch", "renormalized_field", "lab_field_from_effective"],
+    "simulator": ["SimulationRun", "DEFAULT_MIN_STEPS", "integrate_bloch", "integrate_density",
+                  "integrate_density_general", "reservoir_table", "fidelity_bloch",
+                  "renormalized_field", "lab_field_from_effective"],
     "sun_algebra": ["GeneratorBasis", "StructureTensors", "TRACE_NORMALIZATION", "bloch_scale",
                     "build_basis", "structure_constants", "bloch_to_density",
                     "density_to_bloch", "random_bloch_vector"],
@@ -78,7 +78,9 @@ def test_removed_symbols_are_not_exported():
                    "adiabatic_reference_run", "steady_state_bloch",
                    # the component form has one builder, assemble_components
                    "coherent_part", "incoherent_part", "inhomogeneous_part", "channel_matrix",
-                   "channel_drift"):
+                   "channel_drift",
+                   # every run, the drive transforms included, is a table run
+                   "integrate_affine"):
         assert not hasattr(blochsteer, symbol)
         assert not any(hasattr(module, symbol) for module in
                        (controls, environment, errors, liouvillian, simulator, trajectories))
@@ -109,6 +111,25 @@ def test_modules_import_only_earlier_pipeline_stages():
     assert sorted(PIPELINE) == MODULES
     for i, name in enumerate(PIPELINE):
         assert relative_imports(name) <= set(PIPELINE[:i]), name
+
+
+def callers(name: str) -> set[str]:
+    """The package functions, as module.function, whose bodies call ``name``."""
+    found = set()
+    for module in MODULES:
+        tree = ast.parse(Path(blochsteer.__file__).with_name(f"{module}.py").read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+                    for node in ast.walk(func)):
+                found.add(f"{module}.{func.name}")
+    return found
+
+
+def test_the_rk4_core_has_one_caller():
+    # one RK4 entry: every run is a coefficient table times fixed generators
+    assert callers("_rk4_linear") == {"simulator._table_run"}
 
 
 def test_t_break_is_an_unknown_config_key(tmp_path, capsys):

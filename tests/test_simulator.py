@@ -13,8 +13,8 @@ from blochsteer.errors import (DimensionError, IntegrationDivergedError, Invalid
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
 from blochsteer.simulator import (_compose, _density_generators, _hermitian_maps,
-                                  _qubit_parts, _rk4_linear, _stage_coefficients, _step_maps,
-                                  fidelity_bloch, integrate_affine, integrate_bloch,
+                                  _homogeneous, _qubit_parts, _rk4_linear, _stage_coefficients,
+                                  _step_maps, _table_run, fidelity_bloch, integrate_bloch,
                                   integrate_density, integrate_density_general,
                                   lab_field_from_effective, renormalized_field,
                                   reservoir_table)
@@ -29,6 +29,22 @@ def decay_generator(gamma, qubit_tensors):
     return assemble_components(ham, chan, qubit_tensors)
 
 
+def constant_run(matrix, drift, y0, times, min_steps):
+    """RK4 of ydot = M y + b with constant M and b: the table run of one
+    constant coefficient times their homogeneous generator."""
+    return _table_run(lambda t: np.ones(1), _homogeneous(matrix, drift)[None],
+                      np.append(y0, 1.0), times, min_steps, y0)[:, :-1]
+
+
+def affine_run(matrix_fun, drift_fun, y0, times, sub):
+    """RK4 of ydot = M(t) y + b(t) on the core, ``sub`` steps per output
+    interval, with the stacked homogeneous generators of M and b at the
+    fine-grid times as its stages."""
+    fine = np.linspace(times[0], times[-1], 2 * (len(times) - 1) * sub + 1)
+    gens = _homogeneous(matrix_fun(fine), np.broadcast_to(drift_fun(fine), (len(fine), len(y0))))
+    return _rk4_linear(lambda idx: gens[idx], np.append(y0, 1.0), times, sub)[:, :-1]
+
+
 def analytic_decay(r0, gamma, t):
     return np.array([r0[0] * np.exp(-gamma * t),
                      r0[1] * np.exp(-gamma * t),
@@ -41,8 +57,7 @@ def test_constant_decay_matches_analytic(qubit):
     comp = decay_generator(gamma, tensors)
     r0 = np.array([1.0, 0.0, 0.3])
     times = np.linspace(0.0, 5.0, 51)
-    states = integrate_affine(lambda t: comp.matrix, lambda t: comp.drift, r0, times,
-                              min_steps=5000)
+    states = constant_run(comp.matrix, comp.drift, r0, times, 5000)
     exact = np.array([analytic_decay(r0, gamma, t) for t in times])
     assert np.max(np.abs(states - exact)) < 1e-9
 
@@ -55,8 +70,7 @@ def test_rk4_step_halving_order(qubit):
     exact = analytic_decay(r0, 0.9, 2.0)
     errors = []
     for steps in (40, 80):
-        states = integrate_affine(lambda t: comp.matrix, lambda t: comp.drift, r0, times,
-                                  min_steps=steps)
+        states = constant_run(comp.matrix, comp.drift, r0, times, steps)
         errors.append(np.max(np.abs(states[-1] - exact)))
     ratio = errors[0] / errors[1]
     assert 12.0 <= ratio <= 20.0
@@ -82,8 +96,9 @@ def rk4_loop(matrix_fun, drift_fun, y0, times, sub):
 
 
 # (output intervals, steps per interval): one step per interval, several, and
-# more steps per interval than one chunk holds; none fills a whole number of chunks
-STEP_MAP_CASES = [(300, 1), (300, 3), (2, 600)]
+# one interval whose step maps take more bytes than the fine grid, or at d = 4
+# than ``_CHUNK_BYTES`` itself (1,500 steps); none fills a whole number of chunks
+STEP_MAP_CASES = [(300, 1), (300, 3), (2, 600), (2, 1500)]
 
 
 @pytest.mark.parametrize("n_out, sub", STEP_MAP_CASES)
@@ -101,7 +116,7 @@ def test_step_maps_match_rk4_loop_real_with_drift(rng, n_out, sub):
 
     y0 = rng.normal(size=3)
     times = np.linspace(0.0, 3.0, n_out + 1)
-    states = integrate_affine(matrix, drift, y0, times, min_steps=n_out * sub)
+    states = affine_run(matrix, drift, y0, times, sub)
     assert states.shape == (n_out + 1, 3)
     assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
 
@@ -121,7 +136,7 @@ def test_step_maps_match_rk4_loop_complex_without_drift(rng, n_out, sub):
 
     y0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     times = np.linspace(0.0, 2.0, n_out + 1)
-    states = integrate_affine(matrix, drift, y0, times, min_steps=n_out * sub)
+    states = affine_run(matrix, drift, y0, times, sub)
     assert states.dtype == complex
     assert np.max(np.abs(states - rk4_loop(matrix, drift, y0, times, sub))) <= 1e-12
 
@@ -155,15 +170,10 @@ def test_prefix_sweep_matches_the_row_sweep(rng, n_out, sub, dtype):
     assert np.max(np.abs(states - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def exploding(rate):
-    """ydot = diag(rate, 0) y, whose RK4 step over h = 1 multiplies y_0 by about
-    rate^4 / 24."""
-    return lambda t: np.diag([rate, 0.0])
-
-
 def test_diverging_run_names_the_time_of_the_row_sweep():
-    # each step multiplies y_0 by 1e100: from 1e-300 the state overflows at
-    # t = 7, but a product of four steps' maps already overflows at t = 4
+    # ydot = diag(rate, 0) y in homogeneous form: each RK4 step over h = 1
+    # multiplies y_0 by about rate^4 / 24 = 1e100.  From 1e-300 the state
+    # overflows at t = 7, but a product of four steps' maps already at t = 4
     times = np.linspace(0.0, 20.0, 21)
     rate = (24.0 * 1e100) ** 0.25
     gens = np.broadcast_to(np.diag([rate, 0.0, 0.0]), (41, 3, 3))
@@ -173,12 +183,10 @@ def test_diverging_run_names_the_time_of_the_row_sweep():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationDivergedError, match="^state became non-finite at t = 7$"):
-            integrate_affine(exploding(rate), lambda t: np.zeros(2), np.array([1e-300, 0.0]),
-                             times, min_steps=20)
+            _rk4_linear(lambda idx: gens[idx], np.array([1e-300, 0.0, 1.0]), times, 1)
         # the products overflow, the states do not: the run goes on
-        states = integrate_affine(exploding(rate), lambda t: np.zeros(2), np.array([0.0, 1.0]),
-                                  times, min_steps=20)
-    assert np.array_equal(states, np.tile([0.0, 1.0], (21, 1)))
+        states = _rk4_linear(lambda idx: gens[idx], np.array([0.0, 1.0, 1.0]), times, 1)
+    assert np.array_equal(states, np.tile([0.0, 1.0, 1.0], (21, 1)))
 
 
 @pytest.mark.parametrize("n_out, sub", [(300, 1), (2, 600)])
@@ -256,10 +264,9 @@ def test_integration_divergence_raises(tracking_env):
 
 def test_non_uniform_output_grid_is_rejected():
     # on [0, 1, 3] a uniform-step integrator would report e^-1.5 at t = 1
-    minus_one = lambda t: -np.eye(1)
+    minus_one = -np.eye(1), np.zeros(1), np.ones(1)
     with pytest.raises(InvalidInputError, match="uniformly spaced"):
-        integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1),
-                         np.array([0.0, 1.0, 3.0]), min_steps=300)
+        constant_run(*minus_one, np.array([0.0, 1.0, 3.0]), 300)
     with pytest.raises(InvalidInputError):
         renormalized_field(LorentzianEnvironment(lam=0.5), lambda t: 1.0,
                            np.array([0.0, 1.0, 3.0]))
@@ -268,12 +275,10 @@ def test_non_uniform_output_grid_is_rejected():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="finite"):
-                integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1),
-                                 np.array(times), min_steps=300)
+                constant_run(*minus_one, np.array(times), 300)
     rounded = np.linspace(0.0, 3.0, 4)
     rounded[1] += 1e-15
-    states = integrate_affine(minus_one, lambda t: np.zeros(1), np.ones(1), rounded,
-                              min_steps=300)
+    states = constant_run(*minus_one, rounded, 300)
     assert abs(states[1, 0] - np.exp(-1.0)) < 1e-9
 
 
@@ -291,6 +296,9 @@ def test_fidelity_trivials():
 def test_fidelity_rejects_unphysical():
     with pytest.raises(MalformedStateError):
         fidelity_bloch(np.array([0.0, 0.0, 1.1]), np.zeros(3))
+    # a nan norm is not inside the ball either
+    with pytest.raises(MalformedStateError):
+        fidelity_bloch(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 def test_adiabatic_gap_and_limits(tracking_env, reference_protocol):
@@ -352,13 +360,19 @@ def test_general_dimension_dual_representation(rng, qutrit):
     generator, table, shapes, r0 = qutrit_oracle_inputs(rng)
     times = np.linspace(0.0, 2.0, 41)
 
-    def matrix(t):
-        return assemble_components(*generator(t), tensors).matrix
-
-    def drift(t):
-        return assemble_components(*generator(t), tensors).drift
-
-    bloch_states = integrate_affine(matrix, drift, r0, times, min_steps=800)
+    # the component form as a table run: the table times the homogeneous
+    # generators of the unit Hamiltonians and unit-rate channels, whose sum is
+    # the generator assembled at the table's coefficients
+    unit = assemble_components(HamiltonianSpec(np.eye(8, 9, 1)), [], tensors)
+    channel = assemble_components(HamiltonianSpec(np.zeros(9)),
+                                  [LindbladChannel(np.array(shapes))], tensors)
+    gens = _homogeneous(np.concatenate([unit.matrix, channel.matrix]),
+                        np.concatenate([unit.drift, channel.drift]))
+    t = np.linspace(0.0, 2.0, 7)
+    full = assemble_components(*generator(t), tensors)
+    assert np.max(np.abs(np.einsum("nk,kij->nij", table(t), gens)
+                         - _homogeneous(full.matrix, full.drift))) < 1e-13
+    bloch_states = _table_run(table, gens, np.append(r0, 1.0), times, 800, r0)[:, :-1]
     rhos = integrate_density_general(table, shapes, bloch_to_density(r0, basis), times, basis,
                                      min_steps=800)
     assert rhos.shape == (41, 3, 3)
@@ -424,6 +438,29 @@ def test_general_run_refuses_a_table_of_the_wrong_width(qutrit):
                                              r"fit shape \(201, 9\)$"):
         integrate_density_general(lambda t: np.zeros((len(t), 7)), (np.ones(8),), np.eye(3) / 3,
                                   np.linspace(0.0, 1.0, 11), qutrit[0], min_steps=100)
+
+
+def test_general_run_refuses_a_complex_table_for_real_generators(qubit):
+    # a complex rate would lose its imaginary part on the real coordinates
+    basis = qubit[0]
+    with pytest.raises(InvalidInputError, match=r"^coefficient table of dtype complex128 does "
+                                                r"not fit real generators$"):
+        integrate_density_general(lambda t: [0.0, 0.0, 0.0, 0.3 + 1j], (SIGMA_MINUS_SHAPE,),
+                                  np.diag([0.0, 1.0]), np.linspace(0.0, 1.0, 11), basis,
+                                  min_steps=100)
+
+
+def test_general_run_of_a_real_table_runs_it_in_float64(rng, qubit):
+    # an integer or float32 table gives the bits of the same table in float64
+    basis = qubit[0]
+    rho0 = bloch_to_density(random_bloch_vector(2, rng, 0.9), basis)
+    times = np.linspace(0.0, 1.0, 11)
+    wide = rng.normal(size=(201, 5)).astype(np.float32)
+    for table in (np.array([1, -2, 0, 1, 0]), wide):
+        runs = [integrate_density_general(lambda t: row, (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE),
+                                          rho0, times, basis, min_steps=100)
+                for row in (table, table.astype(float))]
+        assert runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_general_run_without_channels_is_coherent(rng, qutrit):
@@ -513,6 +550,11 @@ def test_fidelity_failure_names_time_and_state(tracking_env, hold):
     with pytest.raises(MalformedStateError, match=r"reference left the Bloch ball at t = 1.3\b"):
         integrate_bloch(sched, tracking_env, r_target, times, min_steps=200,
                         reference=reference(times))
+    # a nan reference state leaves the ball too
+    ref = np.tile(r_target, (len(times), 1))
+    ref[13, 0] = np.nan
+    with pytest.raises(MalformedStateError, match=r"reference left the Bloch ball at t = 1.3\b"):
+        integrate_bloch(sched, tracking_env, r_target, times, min_steps=200, reference=ref)
 
 
 def test_density_run_matches_bloch_run(tracking_env, qubit):
@@ -578,9 +620,9 @@ def test_user_functions_are_called_once_per_run(qubit, tracking_env):
 
     times = np.linspace(0.0, 1.0, 11)
     r0 = np.array([0.3, 0.1, 0.2])
-    states = integrate_affine(counted(lambda t: comp.matrix), counted(lambda t: comp.drift),
-                              r0, times, min_steps=100)
-    assert calls == [(201,), (201,)]
+    states = _table_run(counted(lambda t: [1.0]), _homogeneous(comp.matrix, comp.drift)[None],
+                        np.append(r0, 1.0), times, 100, r0)[:, :-1]
+    assert calls == [(201,)]
     calls.clear()
     rhos = integrate_density_general(counted(lambda t: [0.0, 0.0, 0.0, 0.7]),
                                      (SIGMA_MINUS_SHAPE,), bloch_to_density(r0, basis), times,
@@ -652,7 +694,7 @@ def qubit_stages(gens, rng, n_nodes):
 
 def drive_stages(rng, n_nodes):
     """Stages of the drive transforms' complex 3 x 3 homogeneous generators;
-    ``stages`` returns views of one stack, as ``integrate_affine``'s does."""
+    ``stages`` returns views of one stack, as a caller's stage function may."""
     g = np.zeros((n_nodes, 3, 3), dtype=complex)
     g[:, 0, :2] = rng.normal(size=(n_nodes, 2)) + 1j * rng.normal(size=(n_nodes, 2))
     g[:, 1, :2] = 0.05, -0.6
@@ -685,11 +727,11 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
     r0 = np.array([0.3, 0.1, 0.2])
     fine = np.linspace(0.0, 1.0, 201)
     comp = decay_generator(0.7, tensors)
-    matrices = comp.matrix + 0.1 * np.sin(fine)[:, None, None]
-    drifts = np.tile(comp.drift, (len(fine), 1))
-    kept = [matrices.copy(), drifts.copy()]
-    integrate_affine(lambda t: matrices, lambda t: drifts, r0, times, min_steps=100)
-    assert np.array_equal(matrices, kept[0]) and np.array_equal(drifts, kept[1])
+    gens = _homogeneous(comp.matrix + 0.1 * np.sin(fine)[:, None, None],
+                        np.tile(comp.drift, (len(fine), 1)))
+    kept = gens.copy()
+    _rk4_linear(lambda idx: gens[idx], np.append(r0, 1.0), times, 10)
+    assert np.array_equal(gens, kept)
 
     table = np.zeros((len(fine), 4))
     table[:, 2] = 0.4 * np.cos(fine)
@@ -734,11 +776,13 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
 PEAK_FINE_ARRAYS = {20000: (12, (integrate_bloch, integrate_density)),
                     2000: (23, (integrate_bloch, integrate_density))}
 # The general density run at N = 3 and 20,000 steps, given a (n_fine, 10)
-# coefficient table built before it, holds the fine grid and one chunk's
-# 9 x 9 step maps: about 3.2 fine-grid arrays.  A run that copies the table
-# holds 13.2; the bound sits one array below it.  (The callable interface,
-# which built a complex supermatrix per stage, peaked at 515 with the same
-# generator evaluated inside the run.)
+# coefficient table built before it, holds the fine grid and one chunk: one
+# output interval's 500 9 x 9 step maps (about one fine-grid array, more than
+# ``_CHUNK_BYTES``) and their temporaries, about 6.4 fine-grid arrays in all
+# (3.2 when an interval was built in parts of at most ``_CHUNK_BYTES``).  A
+# run that copies the table holds ten arrays more; the bound sits below that.
+# (The callable interface, which built a complex supermatrix per stage,
+# peaked at 515 with the same generator evaluated inside the run.)
 GENERAL_PEAK_FINE_ARRAYS = 12
 
 
