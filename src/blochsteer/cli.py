@@ -64,10 +64,8 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
         for name, kind in _KEY_TYPES.items():
-            if kind is float:
+            if kind in (float, int):
                 _check_value(name, getattr(self, name))
-        if self.grid < 16:
-            raise ConfigError("grid must be at least 16")
         if self.experiment != "env-scan" and self.min_steps < self.grid:
             raise ConfigError("min_steps must be at least the grid size")
         required, derived = _KEY_RULES[self.experiment]
@@ -98,12 +96,13 @@ _VALUE_RULES = {
     # an azimuth: more than one turn is not a meaningful bump
     "theta_mid": (lambda v: abs(v) <= 2.0 * np.pi, "must lie in [-2 pi, 2 pi]"),
     "t_final": (lambda v: v is None or v > 0, "must be finite and positive when set"),
+    "grid": (lambda v: v >= 16, "must be at least 16"),
 }
-"""Each float key's rule beyond being finite, with the error text that names it."""
+"""Each numeric key's rule beyond being finite, with the error text that names it."""
 
 
 def _check_value(name: str, value) -> None:
-    """The rules of one float key, which every scan value obeys as well."""
+    """The rules of one numeric key, which every scan value obeys as well."""
     if value is not None and not np.isfinite(value):
         raise ConfigError(f"{name} must be finite")
     if name in _VALUE_RULES:
@@ -163,10 +162,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # experiment drivers
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
 # Rows turned into Python floats and text, and written, at a time: converting
 # a whole table at once leaves its many short-lived objects in the peak
 # resident memory.
@@ -181,7 +176,7 @@ def _time_column(times) -> list[str]:
 
 def _write_csv(path: Path, header: str, t_text: list[str], columns) -> None:
     """One line per sample: its ``_time_column`` text, then every value of
-    ``columns`` as ``%.15g`` (the same text as ``_fmt``)."""
+    ``columns`` as ``%.15g`` (the same text as the printed summary's floats)."""
     row = ",".join(["%.15g"] * len(columns)) + "\n"
     table = np.column_stack(columns)
     with path.open("w") as f:
@@ -309,7 +304,7 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
 def _print_summary(summary: dict, stream) -> None:
     for key, value in summary.items():
         if isinstance(value, float):
-            print(f"{key} = {_fmt(value)}", file=stream)
+            print(f"{key} = {value:.15g}", file=stream)
         else:
             print(f"{key} = {value}", file=stream)
 

@@ -121,23 +121,18 @@ def two_level_controls(r: np.ndarray, rdot: np.ndarray, decay_rate, lamb_shift):
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Linear system  coherent @ c + incoherent @ ctilde = rhs.
+    """Linear system  matrix @ x = rhs.
 
-    ``coherent`` has one column per selected Hamiltonian coefficient,
-    ``incoherent`` one column per control group (channels sharing a
-    ``control_index`` are summed, each weighted by its rate).
-    Drift terms (fixed Hamiltonian part and channels with
-    ``control_index=None``) are already subtracted from ``rhs``.
+    ``matrix`` has the coherent columns first, one per selected Hamiltonian
+    coefficient in ``coherent_indices`` order, then one incoherent column per
+    control group (channels sharing a ``control_index`` are summed, each
+    weighted by its rate).  Drift terms (fixed Hamiltonian part and channels
+    with ``control_index=None``) are already subtracted from ``rhs``.
     """
 
-    coherent: np.ndarray
-    incoherent: np.ndarray
+    matrix: np.ndarray
     rhs: np.ndarray
     coherent_indices: tuple[int, ...]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.concatenate([self.coherent, self.incoherent], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,8 @@ def assemble_control_system(r: np.ndarray, rdot: np.ndarray,
     fixed = [ch for ch in channels if ch.control_index is None]
     rhs = rdot - field(zero if drift is None else drift, fixed)
     table = np.stack(np.broadcast_arrays(*coherent, *incoherent, rhs), axis=-1)
-    k = len(coherent)
-    return ControlSystem(coherent=table[..., :k], incoherent=table[..., k:-1],
-                         rhs=table[..., -1], coherent_indices=tuple(coherent_indices))
+    return ControlSystem(matrix=table[..., :-1], rhs=table[..., -1],
+                         coherent_indices=tuple(coherent_indices))
 
 
 def solve_controls(system: ControlSystem) -> ControlSolution:
@@ -215,7 +209,8 @@ def solve_controls(system: ControlSystem) -> ControlSolution:
         raise NoUniqueSolutionError(
             "control system is singular; deficient direction "
             f"{np.array2string(vt[i][-1], precision=6)} over unknowns "
-            f"(coherent {system.coherent_indices} + {system.incoherent.shape[-1]} incoherent)"
+            f"(coherent {system.coherent_indices} + "
+            f"{a.shape[-1] - len(system.coherent_indices)} incoherent)"
             f"{where}")
     x = np.einsum("...ji,...j->...i", vt, np.einsum("...ji,...j->...i", u, b) / sing)
     residual = np.linalg.norm(np.einsum("...ij,...j->...i", a, x) - b, axis=-1)
@@ -236,9 +231,6 @@ def solve_controls(system: ControlSystem) -> ControlSolution:
 class MarkovianReductionReport:
     identity_residual: float
     substitution_residual: float
-    omega_x: float
-    omega_y: float
-    excitation: float
 
 
 def markovian_reduction_check(r: np.ndarray, rdot: np.ndarray,
@@ -259,9 +251,7 @@ def markovian_reduction_check(r: np.ndarray, rdot: np.ndarray,
     oy_sub = (rdot[0] + g_eff * r[0]) / (2.0 * r[2])
     sub_res = max(abs(ox_sub - omega_x), abs(oy_sub - omega_y))
     return MarkovianReductionReport(identity_residual=abs(identity),
-                                    substitution_residual=sub_res,
-                                    omega_x=omega_x, omega_y=omega_y,
-                                    excitation=excitation)
+                                    substitution_residual=sub_res)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Closed forms for the propagator u(t), the time-dependent decay rate
 Gamma0(t) = -Re[udot/u] and the Lamb shift s0(t) = -Im[udot/u], plus the
-root-finding utilities the inversion protocols need (decay-rate zero,
-first negative maximum, detuning tuning), which share one bisection.  The
+three searches the inversion protocols need, which share one bisection: the
+decay-rate zero and the first negative maximum bisect the first rise of one
+sign-change scan (of -Gamma0 and of dGamma0/dt), and the detuning that
+makes s0 vanish at the zero t_i bisects the line s0 = Delta + Im v(t_i).  The
 closed forms follow numpy's shape rules: an array of times gives arrays of
 its shape, one time gives numpy scalars.  Each closed-form value is
 evaluated once per point, in real arithmetic: cosh z and sinh z, z = d t / 2,
@@ -288,6 +290,16 @@ def _bisect(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def _first_rise(values: np.ndarray, what: str) -> int:
+    """Index of the first i with values[i] < 0 <= values[i + 1], the scan
+    interval a time search bisects; ``RootNotFoundError`` "decay rate has no
+    {what}" if there is none.  NaN rises nowhere."""
+    rises = np.flatnonzero((values[:-1] < 0) & (values[1:] >= 0))
+    if len(rises) == 0:
+        raise RootNotFoundError(f"decay rate has no {what}")
+    return rises[0]
+
+
 def find_gamma_zero(env: LorentzianEnvironment) -> float:
     """First root of Gamma0 in (1e-9, 30) with a + to - sign change, to 1e-10 in time.
 
@@ -303,11 +315,7 @@ def find_gamma_zero(env: LorentzianEnvironment) -> float:
     lo, hi = 1e-9, 30.0
     ts = np.linspace(lo, hi, _SCAN_POINTS)
     gam, shift = decay_and_shift(env, ts)
-    crossings = np.nonzero((gam[:-1] > 0) & (gam[1:] <= 0))[0]
-    if len(crossings) == 0:
-        raise RootNotFoundError(
-            f"decay rate has no + -> - zero crossing in ({lo}, {hi})")
-    i = crossings[0]
+    i = _first_rise(-gam, f"+ -> - zero crossing in ({lo}, {hi})")
     _check_zero_between(env, ts[i:i + 2], gam[i:i + 2], shift[i:i + 2])
     return _bisect(lambda t: decay_and_shift(env, t)[0], ts[i], ts[i + 1])
 
@@ -329,11 +337,7 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float) -> float:
         raise RootNotFoundError(
             f"decay rate has no interior minimum in ({t_start}, {t_max}): the scan "
             f"window {width:.6g} past t_start vanishes in floating point")
-    crossings = np.nonzero((dgam[:-1] < 0) & (dgam[1:] >= 0))[0]
-    if len(crossings) == 0:
-        raise RootNotFoundError(
-            f"decay rate has no interior minimum in ({t_start}, {t_max})")
-    i = crossings[0]
+    i = _first_rise(dgam, f"interior minimum in ({t_start}, {t_max})")
     t_min = _bisect(lambda t: decay_shift_derivatives(env, t)[2], ts[i], ts[i + 1])
     if decay_and_shift(env, t_min)[0] >= 0:
         raise RootNotFoundError(
@@ -344,30 +348,20 @@ def find_gamma_negmax(env: LorentzianEnvironment, t_start: float) -> float:
 def tune_detuning_for_lamb_zero(env: LorentzianEnvironment, t_i: float) -> float:
     """Drive detuning Delta in [-2, 2] such that s0 vanishes at the decay-rate zero t_i.
 
-    Bisection over Delta of F(Delta) = s0(t_i; Delta), to 1e-8.  The decay rate
-    Gamma0 = Re v does not depend on Delta, even in floating point, so the
-    caller finds t_i once (``find_gamma_zero``) for every trial Delta.  Nor
-    does v itself: s0 = -Im(-i Delta - v) rounds as Delta + Im v, so one
-    evaluation of v at t_i serves every trial Delta.
+    The decay rate Gamma0 = Re v does not depend on Delta, even in floating
+    point, so the caller finds t_i once (``find_gamma_zero``) for every
+    Delta.  Nor does v itself: s0 = -Im(-i Delta - v) rounds as Delta + Im v,
+    a line in Delta with its root at -Im v(t_i).  The root is the bisection
+    of that line over [-2, 2], to 1e-8.
 
     Raises
     ------
     RootNotFoundError
-        If F does not change sign over [-2, 2].
+        If -Im v(t_i) lies outside [-2, 2].
     """
     im_v = decay_and_shift(replace(env, drive_detuning=0.0), t_i)[1]
-
-    def f_of(delta_drive: float) -> float:
-        return delta_drive + im_v
-
-    lo, hi = -2.0, 2.0
-    flo, fhi = f_of(lo), f_of(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    if not -2.0 <= -im_v <= 2.0:
         raise RootNotFoundError(
             f"Lamb shift at the decay zero t = {t_i} has no sign change for Delta "
-            f"in [{lo}, {hi}]")
-    return _bisect(f_of, lo, hi, tol=1e-8)
+            "in [-2.0, 2.0]")
+    return _bisect(lambda delta: delta + im_v, -2.0, 2.0, tol=1e-8)

@@ -141,13 +141,15 @@ def _extended_shape(shape: np.ndarray, dim: int) -> np.ndarray:
 
 def _channel_parts(shape: np.ndarray, tensors: StructureTensors) -> tuple[np.ndarray, np.ndarray]:
     """Unit-rate Bloch-space dissipator matrix and constant drift of one channel
-    shape, from one outer product l l*; the drift is zero for normal shapes."""
+    shape, from one outer product l l*.  The drift is
+    b_k = sum_mn l_m l_n^* g[m, n, k] over the traceless slots, with
+    g = (2i / c_N) f; it is zero for normal shapes."""
     l = _extended_shape(shape, tensors.dimension)
     a = l[..., :, None] * l[..., None, :].conj()
     s = tensors.s.swapaxes(2, 3)   # s[m, n, i, j]
     k = _combine(a.reshape(*l.shape[:-1], -1), s.reshape(-1, *s.shape[2:]))
-    b = _rows(a[..., 1:, 1:].reshape(*l.shape[:-1], -1),
-              tensors.g.reshape(-1, tensors.g.shape[-1]))
+    g = (2.0j / bloch_scale(tensors.dimension)) * tensors.f.astype(complex)
+    b = _rows(a[..., 1:, 1:].reshape(*l.shape[:-1], -1), g.reshape(-1, g.shape[-1]))
     for part, name in ((k, "dissipator matrix"), (b, "channel drift")):
         resid = np.max(np.abs(part.imag))
         if resid > 1e-11:

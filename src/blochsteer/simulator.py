@@ -73,7 +73,7 @@ from .environment import (LorentzianEnvironment, _check_zero_between, _log_deriv
                           decay_and_shift)
 from .errors import (DimensionError, IntegrationDivergedError, InvalidInputError,
                      MalformedStateError)
-from .sun_algebra import build_basis, density_to_bloch, structure_constants
+from .sun_algebra import _first_in_stack, build_basis, density_to_bloch, structure_constants
 
 __all__ = [
     "SimulationRun",
@@ -474,10 +474,13 @@ def fidelity_bloch(r1: np.ndarray, r2: np.ndarray):
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     slack = []
-    for r in (r1, r2):
+    for name, r in (("r1", r1), ("r2", r2)):
         n2 = _norm2(r)
-        if (~(n2 <= 1.0 + _NORM_SLACK)).any():
-            raise MalformedStateError(f"Bloch norm {np.sqrt(np.max(n2)):.12f} exceeds 1")
+        outside = ~(n2 <= 1.0 + _NORM_SLACK)   # nan is outside
+        if outside.any():
+            i, where = _first_in_stack(outside, "vector")
+            raise MalformedStateError(
+                f"{name} has Bloch norm {np.sqrt(n2[i]):.12f}, outside the unit ball{where}")
         slack.append(np.maximum(0.0, 1.0 - n2))
     val = 0.5 * (1.0 + np.vecdot(r1, r2) + np.sqrt(slack[0] * slack[1]))
     return np.minimum(np.maximum(val, 0.0), 1.0 + 1e-12)

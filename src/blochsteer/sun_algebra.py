@@ -64,22 +64,20 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class StructureTensors:
-    """Structure constants f, d-coefficients, and derived dissipator tensors.
+    """Structure constants f, d-coefficients, and the dissipator tensor.
 
     ``f`` and ``d`` are real rank-3 tensors over the traceless indices
     (0-based storage for generator indices 1 .. N^2-1).  ``s`` is the
     rank-4 dissipator projection tensor s[m, n, j, i] with m, n running
     over the full basis (identity slot included) and j, i over the
-    traceless part; ``g`` collects the inhomogeneous-term coefficients
-    g[m, n, k] so that the constant Bloch drift of a channel with shape
-    vector l is sum_mn l_m l_n^* g[m, n, k].
+    traceless part.  A channel's constant Bloch drift is a contraction of
+    f alone, formed where it is used (``liouvillian``).
     """
 
     dimension: int
     f: np.ndarray
     d: np.ndarray
     s: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
 
 
 def build_basis(dim: int) -> GeneratorBasis:
@@ -123,7 +121,7 @@ def _product_coefficients(basis: GeneratorBasis) -> np.ndarray:
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureTensors:
-    """Compute f_{ijk}, d_{ijk} and the cached dissipator tensors.
+    """Compute f_{ijk}, d_{ijk} and the cached dissipator tensor.
 
     f_{ijk} = -i Tr[[T_i, T_j] T_k] / eta and d_{ijk} = Tr[{T_i, T_j} T_k] / eta
     with eta = TRACE_NORMALIZATION.  Imaginary residues beyond 1e-12 are
@@ -139,8 +137,7 @@ def structure_constants(basis: GeneratorBasis) -> StructureTensors:
     f = f_c.real
     d = d_c.real
     s = _dissipator_tensor(basis, z, f, d)
-    g = _inhomogeneous_tensor(basis, f)
-    return StructureTensors(dimension=basis.dimension, f=f, d=d, s=s, g=g)
+    return StructureTensors(dimension=basis.dimension, f=f, d=d, s=s)
 
 
 def _dissipator_tensor(basis: GeneratorBasis, z: np.ndarray, f: np.ndarray,
@@ -165,11 +162,6 @@ def _dissipator_tensor(basis: GeneratorBasis, z: np.ndarray, f: np.ndarray,
     s[0, 1:] = np.einsum("jni->nji", 1.0j * f)
     s[1:, 0] = np.einsum("mji->mji", 1.0j * f)
     return s
-
-
-def _inhomogeneous_tensor(basis: GeneratorBasis, f: np.ndarray) -> np.ndarray:
-    """g[m, n, k] giving the constant drift sum_mn l_m l_n^* g[m,n,k] of a channel."""
-    return (2.0j / bloch_scale(basis.dimension)) * f.astype(complex)
 
 
 def _first_in_stack(mask: np.ndarray, noun: str):

@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from blochsteer import (ControlSchedule, LorentzianEnvironment, TrajectorySpec, build_basis,
-                        find_gamma_negmax, find_gamma_zero, integrate_bloch, reference_ramp,
-                        structure_constants, tracking_trajectory, tune_detuning_for_lamb_zero)
+                        integrate_bloch, reference_ramp, structure_constants,
+                        tracking_trajectory)
+from blochsteer.cli import ExperimentConfig, _setup
 
 
 @pytest.fixture(scope="session")
@@ -28,12 +27,11 @@ def tracking_env():
 
 @pytest.fixture(scope="session")
 def inversion_setup():
-    """Narrow-reservoir configuration with derived detuning and switch times."""
-    template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
-    t_break = find_gamma_zero(template)
-    env = replace(template, drive_detuning=tune_detuning_for_lamb_zero(template, t_break))
-    t_final = find_gamma_negmax(env, t_break)
-    return env, t_break, t_final
+    """Narrow-reservoir configuration with derived detuning and switch times,
+    derived by the program's own setup (``cli._setup``)."""
+    env, _, derived = _setup(ExperimentConfig(experiment="invert-mixed", spectral_width=0.1,
+                                              cavity_detuning=0.1))
+    return env, derived["t_break"], derived["t_final"]
 
 
 @pytest.fixture(scope="session")

@@ -20,14 +20,12 @@ loosened (the checks are kept at their stated tolerances):
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blochsteer import (LorentzianEnvironment, bloch_to_density, find_gamma_negmax,
-                        find_gamma_zero, tune_detuning_for_lamb_zero)
-from blochsteer.cli import ExperimentConfig, run
+from blochsteer import LorentzianEnvironment, bloch_to_density
+from blochsteer.cli import ExperimentConfig, _setup, run
 from blochsteer.controls import (SIGMA_MINUS_SHAPE, markovian_reduction_check,
                                  schedule_from_trajectory)
 from blochsteer.environment import decay_and_shift
@@ -36,8 +34,7 @@ from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel,
 from blochsteer.selfcheck import _suite_liouvillian, _suite_propagator, _suite_solver
 from blochsteer.simulator import _homogeneous, _table_run, integrate_bloch, integrate_density
 from blochsteer.sun_algebra import random_bloch_vector
-from blochsteer.trajectories import (mixed_inversion_trajectory, pure_inversion,
-                                     tracking_trajectory)
+from blochsteer.trajectories import pure_inversion, tracking_trajectory
 
 GRID = 2000
 MIN_STEPS = 20000
@@ -64,12 +61,12 @@ def tracking_bundle(reference_protocol):
 
 @pytest.fixture(scope="module")
 def mixed_bundle():
-    template = LorentzianEnvironment(lam=0.1, cavity_detuning=0.1)
+    # the reservoir, switch time, pulse length and path as the program derives them
+    config = ExperimentConfig(experiment="invert-mixed", spectral_width=0.1,
+                              cavity_detuning=0.1)
     start = time.perf_counter()
-    t_break = find_gamma_zero(template)
-    env = replace(template, drive_detuning=tune_detuning_for_lamb_zero(template, t_break))
-    t_final = find_gamma_negmax(env, t_break)
-    trajectory = mixed_inversion_trajectory(t_break, t_final)
+    env, trajectory, derived = _setup(config)
+    t_break, t_final = derived["t_break"], derived["t_final"]
     times = np.linspace(0.0, t_final, GRID + 1)
     schedule = schedule_from_trajectory(trajectory, env, times)
     forward = integrate_bloch(schedule, env, np.array([0.0, 0.0, -1.0]), times,

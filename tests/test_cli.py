@@ -505,10 +505,11 @@ def test_derived_inversion_finds_the_decay_zero_once(tmp_path, monkeypatch, expe
 
 @pytest.mark.parametrize("make", [
     lambda: replace(parse_config_text(TRACK_CFG), grid=8),
+    lambda: replace(parse_config_text(TRACK_CFG), grid=float("nan")),
     lambda: ExperimentConfig(experiment="env-scan", spectral_width=0.1),
     lambda: ExperimentConfig(experiment="invert-mixed", spectral_width=0.1, t_final=9.2),
     lambda: replace(parse_config_text(MIXED_CFG), drive_detuning=-0.7),
-], ids=["replace-grid", "env-scan-without-scan", "inversion-t_final",
+], ids=["replace-grid", "replace-grid-nan", "env-scan-without-scan", "inversion-t_final",
         "replace-inversion-drive_detuning"])
 def test_every_construction_is_validated(make):
     with pytest.raises(ConfigError):
@@ -732,6 +733,17 @@ SHIPPED_SUMMARIES = {
                  ("files", "env_000.csv,env_001.csv,env_002.csv,env_003.csv"),
                  ("scan_parameter", "spectral_width")],
 }
+
+
+def test_the_shipped_setup_keeps_its_bits():
+    # lambda = 0.1, delta = 0.1: the three setup searches to the last bit, not
+    # only to the summaries' 1e-9
+    from blochsteer import cli
+    env, _, derived = cli._setup(ExperimentConfig(experiment="invert-mixed", spectral_width=0.1,
+                                                  cavity_detuning=0.1))
+    assert float(derived["t_break"]).hex() == "0x1.00d1ea106da1ap+3"
+    assert float(env.drive_detuning).hex() == "-0x1.5bcc516000000p-1"
+    assert float(derived["t_final"]).hex() == "0x1.2815665cebf12p+3"
 
 
 @pytest.mark.parametrize("stem", sorted(SHIPPED_SUMMARIES))

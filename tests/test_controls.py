@@ -141,8 +141,9 @@ def test_markovian_reduction(rng):
         report = markovian_reduction_check(r, rdot, 1.0)
         assert report.identity_residual < 1e-12
         assert report.substitution_residual < 1e-12
-    axis = markovian_reduction_check(np.array([0.0, 0.0, -0.4]), np.zeros(3), 1.0)
-    assert axis.omega_x == 0.0 and axis.omega_y == 0.0
+    # the report holds the residuals only; the fields are two_level_controls'
+    omega_x, omega_y, _ = two_level_controls(np.array([0.0, 0.0, -0.4]), np.zeros(3), 1.0, 0.0)
+    assert omega_x == 0.0 and omega_y == 0.0
 
 
 def test_markovian_constant_excitation_constraint(rng):
@@ -210,8 +211,8 @@ def test_zero_rhs_invertible_system(qubit, rng):
     _, tensors = qubit
     system = controlled_system(random_state(rng), np.zeros(3), 0.9, 0.4, tensors)
     assert solve_controls(system).residual < 1e-12
-    homogeneous = ControlSystem(coherent=system.coherent, incoherent=system.incoherent,
-                                rhs=np.zeros(3), coherent_indices=system.coherent_indices)
+    homogeneous = ControlSystem(matrix=system.matrix, rhs=np.zeros(3),
+                                coherent_indices=system.coherent_indices)
     assert np.max(np.abs(solve_controls(homogeneous).values)) < 1e-12
 
 
@@ -384,7 +385,7 @@ def test_stacked_control_system_matches_single_calls(dim, rng):
     rdot = np.einsum("...ij,...j->...i", rest.matrix, known) - rest.rhs
     stacked = system(rdot=rdot)
     singles = [system(i, rdot) for i in range(k)]
-    for part in ("coherent", "incoherent", "rhs"):
+    for part in ("matrix", "rhs"):
         assert np.array_equal(getattr(stacked, part), [getattr(s, part) for s in singles])
     solution = solve_controls(stacked)
     single = [solve_controls(s) for s in singles]
@@ -416,12 +417,14 @@ def test_control_system_columns_are_the_component_generator_applied_to_r(dim, rn
         def field(hamiltonian, chans):
             return assemble_components(hamiltonian, chans, tensors).apply(r)
 
+        # the coherent columns first, then one column per control group
+        assert system.matrix.shape[-1] == n + 2
         for index in range(1, n + 1):
             unit = HamiltonianSpec(np.eye(n + 1)[index])
-            assert np.array_equal(system.coherent[..., index - 1], field(unit, []))
+            assert np.array_equal(system.matrix[..., index - 1], field(unit, []))
         for j in (0, 1):
             chans = [ch for ch in channels if ch.control_index == j]
-            assert np.array_equal(system.incoherent[..., j], field(zero, chans))
+            assert np.array_equal(system.matrix[..., n + j], field(zero, chans))
         assert np.array_equal(system.rhs, rdot - field(drift, channels[:1]))
 
 

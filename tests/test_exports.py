@@ -132,6 +132,28 @@ def test_the_rk4_core_has_one_caller():
     assert callers("_rk4_linear") == {"simulator._table_run"}
 
 
+def test_the_setup_searches_share_one_scan_and_one_bisection():
+    # the two time searches bisect the first rise of one sign-change scan; the
+    # detuning search bisects the line s0 = Delta + Im v(t_i)
+    time_searches = {"environment.find_gamma_zero", "environment.find_gamma_negmax"}
+    assert callers("_first_rise") == time_searches
+    assert callers("_bisect") == time_searches | {"environment.tune_detuning_for_lamb_zero"}
+
+
+def test_each_rule_has_one_copy_in_the_data_structures():
+    # the control equation is one A x = b, the channel drift is formed from f
+    # where it is contracted, and the summary formats its own floats
+    from dataclasses import fields
+    from blochsteer import cli, controls, sun_algebra
+    expected = {controls.ControlSystem: ["matrix", "rhs", "coherent_indices"],
+                controls.MarkovianReductionReport: ["identity_residual",
+                                                    "substitution_residual"],
+                sun_algebra.StructureTensors: ["dimension", "f", "d", "s"]}
+    for cls, names in expected.items():
+        assert [f.name for f in fields(cls)] == names, cls.__name__
+    assert not hasattr(cli, "_fmt") and not hasattr(sun_algebra, "_inhomogeneous_tensor")
+
+
 def test_t_break_is_an_unknown_config_key(tmp_path, capsys):
     # an inversion's switch time is always the derived decay-rate zero
     cfg = tmp_path / "exp.cfg"

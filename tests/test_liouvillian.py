@@ -298,7 +298,9 @@ def einsum_channel_matrix(l, tensors):
 
 
 def einsum_channel_drift(l, tensors):
-    return np.einsum("...m,...n,mnk->...k", l[..., 1:], l[..., 1:].conj(), tensors.g).real
+    # g[m, n, k] = (2i / c_N) f[m, n, k] over the traceless slots
+    g = 2.0j / bloch_scale(tensors.dimension) * tensors.f
+    return np.einsum("...m,...n,mnk->...k", l[..., 1:], l[..., 1:].conj(), g).real
 
 
 def einsum_apply(matrix, drift, r):

@@ -299,6 +299,18 @@ def test_fidelity_rejects_unphysical():
     # a nan norm is not inside the ball either
     with pytest.raises(MalformedStateError):
         fidelity_bloch(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    # the message names the argument, the first offending vector's norm and,
+    # in a stack, its position
+    with pytest.raises(MalformedStateError, match=r"^r1 has Bloch norm nan, outside the unit "
+                                                  r"ball \(vector 1 of the stack\)$"):
+        fidelity_bloch(np.array([[0.0, 0.0, 0.5], [np.nan, 0.0, 0.0]]), np.zeros((2, 3)))
+    with pytest.raises(MalformedStateError, match=r"^r2 has Bloch norm 1\.200000000000, "
+                                                  r"outside the unit ball \(vector 2 of"):
+        fidelity_bloch(np.zeros((4, 3)), [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5],
+                                          [0.0, 1.2, 0.0], [np.inf, 0.0, 0.0]])
+    with pytest.raises(MalformedStateError, match=r"^r2 has Bloch norm nan, outside the unit "
+                                                  r"ball$"):
+        fidelity_bloch(np.zeros(3), np.array([0.0, np.nan, 0.0]))
 
 
 def test_adiabatic_gap_and_limits(tracking_env, reference_protocol):
@@ -773,8 +785,11 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
 # array and at 25.2 when after it.  The density run, on the 4 x 4 real
 # coordinates of a Hermitian rho, takes the Bloch run's step maps and chunks
 # and peaks at the same 20.7 there.
-PEAK_FINE_ARRAYS = {20000: (12, (integrate_bloch, integrate_density)),
-                    2000: (23, (integrate_bloch, integrate_density))}
+# At the CLI's smallest grid, 16 intervals, and 200,000 steps, each output
+# interval holds 12,500 steps and is a chunk of its own; both runs peaked at
+# 10.0 fine-grid arrays there.  The bound guards the regime of many steps per
+# interval, which a larger default step count per interval would enter.
+PEAK_FINE_ARRAYS = {(2000, 20000): 12, (2000, 2000): 23, (16, 200000): 12}
 # The general density run at N = 3 and 20,000 steps, given a (n_fine, 10)
 # coefficient table built before it, holds the fine grid and one chunk: one
 # output interval's 500 9 x 9 step maps (about one fine-grid array, more than
@@ -796,18 +811,18 @@ def traced_peak(run, *args, **kwargs):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("min_steps", sorted(PEAK_FINE_ARRAYS))
-def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qubit,
+@pytest.mark.parametrize("grid, min_steps", sorted(PEAK_FINE_ARRAYS))
+def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qubit, grid,
                                                              min_steps):
     env, t_break, t_final = inversion_setup
     traj = mixed_inversion_trajectory(t_break, t_final)
-    times = np.linspace(0.0, t_final, 2001)
+    times = np.linspace(0.0, t_final, grid + 1)
     sched = schedule_from_trajectory(traj, env, times)
     r0 = traj.evaluate(0.0)[0]
     fine_nbytes = (2 * min_steps + 1) * np.dtype(float).itemsize
-    bound, runs = PEAK_FINE_ARRAYS[min_steps]
+    bound = PEAK_FINE_ARRAYS[grid, min_steps]
     starts = {integrate_bloch: r0, integrate_density: bloch_to_density(r0, qubit[0])}
-    for run in runs:
+    for run in starts:
         run(replace(sched), env, starts[run], times, min_steps=min_steps)   # process-wide caches
         fresh = replace(sched)   # the run builds the control splines too
         peak = traced_peak(run, fresh, env, starts[run], times, min_steps=min_steps)
