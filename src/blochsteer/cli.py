@@ -25,7 +25,7 @@ from .environment import (LorentzianEnvironment, decay_and_shift, find_gamma_neg
                           find_gamma_zero, tune_detuning_for_lamb_zero)
 from .errors import BlochSteerError, ConfigError, InvalidInputError
 from .selfcheck import run_selfcheck
-from .simulator import DEFAULT_MIN_STEPS, integrate_bloch, reservoir_table
+from .simulator import choose_min_steps, integrate_bloch, reservoir_table
 from .trajectories import (mixed_inversion_trajectory, pure_inversion, reference_ramp,
                            tracking_trajectory)
 
@@ -54,7 +54,7 @@ class ExperimentConfig:
     t_final: float = None             # derived for inversion runs, never set there
     theta_mid: float = float(np.pi / 4)
     grid: int = 2000
-    min_steps: int = DEFAULT_MIN_STEPS
+    min_steps: int = None             # None: chosen per run by step doubling
     scan_parameter: str = None
     scan_values: tuple = None
 
@@ -66,7 +66,8 @@ class ExperimentConfig:
         for name, kind in _KEY_TYPES.items():
             if kind in (float, int):
                 _check_value(name, getattr(self, name))
-        if self.experiment != "env-scan" and self.min_steps < self.grid:
+        if self.experiment != "env-scan" and self.min_steps is not None \
+                and self.min_steps < self.grid:
             raise ConfigError("min_steps must be at least the grid size")
         required, derived = _KEY_RULES[self.experiment]
         overridden = [key for key in derived if getattr(self, key) is not None]
@@ -103,6 +104,10 @@ _VALUE_RULES = {
 
 def _check_value(name: str, value) -> None:
     """The rules of one numeric key, which every scan value obeys as well."""
+    # grid and min_steps count floats of one array, and numpy holds no array
+    # of 2**60 float64 values (2**63 bytes)
+    if isinstance(value, int) and not abs(value) < 2 ** 60:
+        raise ConfigError(f"{name} must be below 2**60 in magnitude")
     if value is not None and not np.isfinite(value):
         raise ConfigError(f"{name} must be finite")
     if name in _VALUE_RULES:
@@ -235,7 +240,7 @@ def _output_times(t_final: float, grid: int) -> np.ndarray:
     """The grid + 1 uniform output times on [0, t_final]."""
     try:
         return np.linspace(0.0, t_final, grid + 1)
-    except MemoryError:
+    except (MemoryError, ValueError):   # numpy refuses an array too large to index
         raise InvalidInputError(
             f"a grid of {grid + 1} output times does not fit in memory") from None
 
@@ -274,6 +279,10 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
     env, trajectory, derived = _setup(config)
     times = _output_times(trajectory.t_final, config.grid)
     schedule = schedule_from_trajectory(trajectory, env, times)
+    r0, _ = trajectory.evaluate(0.0)
+    min_steps = config.min_steps
+    if min_steps is None:
+        min_steps = choose_min_steps(schedule, env, r0, times)
     tracking = config.experiment == "track-steady"
     schedules, reservoir = [schedule], None
     if tracking:
@@ -282,12 +291,11 @@ def run(config: ExperimentConfig, out_dir: str | Path) -> dict:
         ramp = reference_ramp(config.omega_c, config.t_final, times)
         schedules.append(ControlSchedule(times, ramp, np.zeros_like(ramp),
                                          np.full_like(ramp, config.n0)))
-        reservoir = reservoir_table(env, times, config.min_steps)
-    r0, _ = trajectory.evaluate(0.0)
+        reservoir = reservoir_table(env, times, min_steps)
     path = trajectory.sample(times)[0]
-    run_fwd, *reference = [integrate_bloch(controls, env, r0, times,
-                                           min_steps=config.min_steps, reference=path,
-                                           reservoir=reservoir) for controls in schedules]
+    run_fwd, *reference = [integrate_bloch(controls, env, r0, times, min_steps=min_steps,
+                                           reference=path, reservoir=reservoir)
+                           for controls in schedules]
     summary = {"experiment": config.experiment, **derived,
                "min_fidelity": run_fwd.min_fidelity}
     if tracking:

@@ -11,11 +11,13 @@ an exact linear map y -> A y, so the core builds the step maps of a chunk
 with batched matrix products and composes the maps of each output interval.
 A chunk holds whole output intervals, one at least, whose step maps take at
 most ``_CHUNK_BYTES`` and no more bytes than the run's fine grid: 1,024
-steps of either two-level form at the default 20,000.  A prefix product of
-the chunk's interval maps, by doubling, gives the map from the chunk's first
-node to each output node, and one batched matrix-vector product from the
-state there writes all of the chunk's output rows; no Python code runs per
-step or per output node.  A chunk with a
+steps of either two-level form once the fine grid is that large (from 8,192
+steps on).  An interval of more steps than that is a chunk of its own, built
+in parts of that size whose composed maps are multiplied in order.  A prefix
+product of the chunk's interval maps, by doubling, gives the map from the
+chunk's first node to each output node, and one batched matrix-vector
+product from the state there writes all of the chunk's output rows; no
+Python code runs per step or per output node.  A chunk with a
 non-finite row is redone one interval at a time, since a product of maps
 can overflow before the states do.
 The step maps are formed in place: three matmul results are scaled and
@@ -23,6 +25,14 @@ summed in their own buffers, operation for operation in the order of the
 textbook expression, so the in-place form gives its bits with few
 temporaries.  The stage stack itself is never scaled in place, because a
 caller's stack may share nodes across chunks or be a read-only broadcast.
+
+The runs take the step count they are given.  ``choose_min_steps`` picks one
+for a Bloch run by step doubling (Hairer, Norsett and Wanner, "Solving
+Ordinary Differential Equations I", sec. II.4): from one stage table at 2
+steps per output interval it runs 2 steps and, on every other node, 1 step
+per interval, and takes max |y_h - y_2h| / 15 over the output nodes as the
+error of the 2-step run.  A step never crosses an output node, where the
+control splines have their knots, so the error falls as h^4.
 
 An affine ODE ydot = M y + b runs in homogeneous form: the state (y, 1)
 under the generator [[M, b], [0, 0]].  Every run is a table run, the core's
@@ -60,7 +70,7 @@ output times.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import ceil, isqrt
 from typing import Callable
 
@@ -72,12 +82,14 @@ from .controls import SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule
 from .environment import (LorentzianEnvironment, _check_zero_between, _log_derivative,
                           decay_and_shift)
 from .errors import (DimensionError, IntegrationDivergedError, InvalidInputError,
-                     MalformedStateError)
+                     MalformedStateError, PropagatorZeroError)
 from .sun_algebra import _first_in_stack, build_basis, density_to_bloch, structure_constants
 
 __all__ = [
     "SimulationRun",
     "DEFAULT_MIN_STEPS",
+    "STEP_TOLERANCE",
+    "choose_min_steps",
     "integrate_bloch",
     "integrate_density",
     "integrate_density_general",
@@ -88,10 +100,19 @@ __all__ = [
 ]
 
 DEFAULT_MIN_STEPS = 20000
+"""The most RK4 steps ``choose_min_steps`` picks for a run: it takes at most
+ceil(DEFAULT_MIN_STEPS / grid) steps per output interval."""
+STEP_TOLERANCE = 1e-11
+"""Step-doubling error estimate that ``choose_min_steps`` allows a run, on the
+Bloch vector.  Two runs at counts it picks then agree far inside the 1e-10 of
+the Bloch-vs-Kronecker oracle."""
 # Bytes of one chunk's stack of RK4 step maps, at most: 1,024 steps of either
 # two-level form (4 x 4).  A run whose fine grid takes fewer bytes takes that
 # many instead, so a short run's chunk stays small next to its other arrays.
-# Each chunk pays a fixed cost of some tens of numpy calls.
+# Each chunk pays a fixed cost of some tens of numpy calls.  2^18 ran the
+# mixed inversion's forward runs no faster at 16,000 steps (at 4,000 the fine
+# grid sets the budget) and raised their peak from 10.8 to 12.7 fine-grid
+# arrays.
 _CHUNK_BYTES = 2 ** 17
 
 
@@ -230,7 +251,7 @@ def _fine_grid(times: np.ndarray, min_steps: int) -> tuple[np.ndarray, int]:
     n_steps = n_out * sub
     try:
         fine = np.linspace(times[0], times[-1], 2 * n_steps + 1)
-    except MemoryError:
+    except (MemoryError, ValueError):   # numpy refuses an array too large to index
         raise InvalidInputError(
             f"{n_steps} RK4 steps need a fine grid of {2 * n_steps + 1} nodes, "
             "which does not fit in memory") from None
@@ -285,8 +306,18 @@ def _compose(maps: np.ndarray) -> np.ndarray:
     return maps[..., 0, :, :]
 
 
-def _interval_maps(stages, first: int, last: int, sub: int, h: float) -> np.ndarray:
-    """Composed maps of output intervals first .. last-1, each of ``sub`` steps."""
+def _interval_maps(stages, first: int, last: int, sub: int, h: float,
+                   piece: int) -> np.ndarray:
+    """Composed maps of output intervals first .. last-1, each of ``sub`` steps.
+
+    The step maps of at most ``piece`` steps are held at once: an interval of
+    more steps, a chunk of its own, is built ``piece`` steps at a time and
+    the composed maps of its parts are multiplied in order.
+    """
+    if sub > piece:
+        parts = (_compose(_step_maps(stages, start, min(start + piece, last * sub), h))
+                 for start in range(first * sub, last * sub, piece))
+        return reduce(lambda total, part: part @ total, parts)[None]
     maps = _step_maps(stages, first * sub, last * sub, h)
     return _compose(maps.reshape(last - first, sub, *maps.shape[1:]))
 
@@ -325,7 +356,8 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
     h = (times[-1] - times[0]) / (n_out * sub)
     out = np.empty((n_out + 1, y0.size), dtype=np.result_type(y0, float))
     fine_bytes = (2 * n_out * sub + 1) * np.dtype(float).itemsize
-    per_chunk = max(1, min(_CHUNK_BYTES, fine_bytes) // (out.itemsize * y0.size ** 2 * sub))
+    piece = max(1, min(_CHUNK_BYTES, fine_bytes) // (out.itemsize * y0.size ** 2))
+    per_chunk = max(1, piece // sub)
     out[0] = y0
     y = out[0]
     # a diverging run overflows on its way to inf or nan; the check below names it
@@ -333,10 +365,11 @@ def _rk4_linear(stages, y0: np.ndarray, times: np.ndarray, sub: int) -> np.ndarr
         for first in range(0, n_out, per_chunk):
             last = min(n_out, first + per_chunk)
             rows = out[first + 1:last + 1]
-            maps = _prefix_products(_interval_maps(stages, first, last, sub, h))
+            maps = _prefix_products(_interval_maps(stages, first, last, sub, h, piece))
             np.matmul(maps, y, out=rows)
             if not np.isfinite(rows).all():
-                for interval, row in zip(_interval_maps(stages, first, last, sub, h), rows):
+                for interval, row in zip(_interval_maps(stages, first, last, sub, h, piece),
+                                         rows):
                     y = interval.dot(y, out=row)
                 finite = np.all(np.isfinite(rows), axis=1)
                 if not finite.all():
@@ -403,6 +436,8 @@ def integrate_bloch(schedule: ControlSchedule, env: LorentzianEnvironment,
                     reservoir: tuple[np.ndarray, np.ndarray] | None = None) -> SimulationRun:
     """Integrate the component-form Bloch equations under a control schedule.
 
+    Takes exactly ceil(``min_steps`` / intervals) RK4 steps per output
+    interval; ``choose_min_steps`` picks a count for a given error.
     ``reference`` holds reference states of shape (n, 3) at ``times``; when
     given, the per-sample Uhlmann fidelity against it is recorded.
     ``reservoir`` is ``reservoir_table(env, times, min_steps)``, passed to
@@ -423,12 +458,46 @@ def integrate_density(schedule: ControlSchedule, env: LorentzianEnvironment,
     States are reported as Bloch vectors for direct comparison with
     ``integrate_bloch``; this is the primary dynamics oracle.  The density
     matrices themselves are attached to the run as ``densities``; the run
-    has no fidelity column.
+    has no fidelity column.  Takes the steps ``integrate_bloch`` takes at
+    the same ``min_steps``, on the same fine grid.
     """
     basis, _, gens = _qubit_parts()
     raw = _density_run(lambda fine: _stage_coefficients(schedule, env, fine, None).T, gens,
                        rho0, times, min_steps)
     return SimulationRun(states=density_to_bloch(raw, basis), fidelity=None, densities=raw)
+
+
+def choose_min_steps(schedule: ControlSchedule, env: LorentzianEnvironment,
+                     r0: np.ndarray, times: np.ndarray) -> int:
+    """RK4 steps for ``integrate_bloch(schedule, env, r0, times, min_steps)``.
+
+    A step-doubling probe (see the module docstring) estimates the error of
+    the run at 2 steps per output interval.  An estimate of at most
+    ``STEP_TOLERANCE`` gives 2 steps per interval, a larger one the fewest
+    even number s of steps per interval with estimate (2 / s)^4 at most
+    ``STEP_TOLERANCE``.  Returns s times the number of output intervals, s at
+    most ceil(``DEFAULT_MIN_STEPS`` / intervals); at that cap the run is the
+    one at ``DEFAULT_MIN_STEPS``.  Where the cap is at most 2 steps, or the
+    probe meets a propagator zero or diverges, the cap is returned without
+    more ado, and the run reports what goes wrong.
+    """
+    times = np.asarray(times, dtype=float)
+    n_out = len(times) - 1
+    cap = ceil(DEFAULT_MIN_STEPS / n_out)
+    if cap <= 2:
+        return cap * n_out
+    fine, _ = _fine_grid(times, 2 * n_out)
+    y0 = np.append(np.asarray(r0, dtype=float), 1.0)
+    try:
+        table = _stage_coefficients(schedule, env, fine, None).T
+        # the h run, then the 2h run on every other node of the same table
+        half = _table_run(lambda _: table, _qubit_parts()[1], y0, times, 2 * n_out, r0)
+        full = _table_run(lambda _: table[::2], _qubit_parts()[1], y0, times, n_out, r0)
+    except (PropagatorZeroError, IntegrationDivergedError):
+        return cap * n_out
+    # estimate / tolerance, held below inf: an estimate past cap^4 takes the cap
+    ratio = min(float(np.max(np.abs(half - full)[:, :-1])) / 15.0 / STEP_TOLERANCE, cap ** 4)
+    return min(cap, 2 * max(1, ceil(ratio ** 0.25))) * n_out
 
 
 def _reference_fidelity(states, times, reference):
@@ -496,7 +565,8 @@ def integrate_density_general(coefficient_fun, shapes, rho0: np.ndarray, times: 
     ``coefficient_fun(t)`` is called once, on the step nodes and half steps t,
     and returns the table (len(t), N^2 - 1 + len(shapes)) or one constant row:
     c_1 .. c_{N^2-1}, then the channel rates.  Returns the density matrices on
-    the output grid, shape (n, N, N).
+    the output grid, shape (n, N, N).  Takes exactly ceil(``min_steps`` /
+    intervals) RK4 steps per output interval.
     """
     return _density_run(coefficient_fun, _density_generators(basis, shapes), rho0, times,
                         min_steps)

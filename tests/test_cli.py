@@ -149,8 +149,11 @@ ENV_SCAN_LINES = ["experiment = env-scan", "spectral_width = 0.1", "cavity_detun
     ["experiment = invert-pure", "spectral_width = 0.1", "drive_detuning = nan"],
     ENV_SCAN_LINES + ["scan_parameter = spectral_width", "scan_values = -1.0, 0.5"],
     ENV_SCAN_LINES + ["scan_parameter = cavity_detuning", "scan_values = nan"],
+    # no numpy array holds 2**60 floats; 10**20 is not even an int64
+    MIXED_CFG.split("\n")[1:] + ["grid = 100000000000000000000"],
+    MIXED_CFG.split("\n")[1:] + ["min_steps = 100000000000000000000"],
 ], ids=["spectral_width-inf", "drive_detuning-nan",
-        "scan-spectral_width-negative", "scan-cavity_detuning-nan"])
+        "scan-spectral_width-negative", "scan-cavity_detuning-nan", "grid-1e20", "min_steps-1e20"])
 def test_nonfinite_values_and_bad_scan_values_exit_2_without_files(tmp_path, lines):
     from blochsteer.cli import main
     cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
@@ -375,6 +378,23 @@ def test_unallocatable_grid_exits_3_with_one_line_and_no_files(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"numerical failure in {experiment}: InvalidInputError: a grid of {n + 1} "
         "output times does not fit in memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    # below 2**60, so a valid config, but numpy refuses the array outright
+    ("grid=1152921504606846975", "a grid of 1152921504606846976 output times does not fit "
+                                 "in memory"),
+    ("min_steps=576460752303423488", "576460752303424000 RK4 steps need a fine grid of "
+                                     "1152921504606848001 nodes, which does not fit in memory"),
+], ids=["grid", "min_steps"])
+def test_counts_numpy_cannot_index_exit_3_with_one_line_and_no_files(tmp_path, capsys,
+                                                                     override, message):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(REPO / "scripts" / "configs" / "mixed_inversion.cfg"),
+                 "--out", str(out), "--override", override]) == 3
+    assert capsys.readouterr().err == f"numerical failure in invert-mixed: InvalidInputError: " \
+                                      f"{message}\n"
     assert not out.exists()
 
 
@@ -826,7 +846,9 @@ def test_first_bloch_run_gets_the_solved_schedule_and_the_path_start(tmp_path, m
         expected = config.drive_detuning
     assert env.drive_detuning == expected and env.lam == config.spectral_width
     assert np.array_equal(args["r0"], trajectory.evaluate(0.0)[0])
-    assert len(args["times"]) == config.grid + 1 and args["min_steps"] == config.min_steps
+    assert len(args["times"]) == config.grid + 1
+    # the config leaves min_steps unset: the count chosen for this schedule
+    assert args["min_steps"] == cli.choose_min_steps(schedule, env, args["r0"], args["times"])
 
 
 @pytest.mark.parametrize("stem, runs", [("tracking", 2), ("pure_inversion", 1),
@@ -856,7 +878,11 @@ def test_every_forward_run_goes_through_the_one_call_site(tmp_path, monkeypatch,
     for name in ("env", "r0", "times", "reference", "reservoir"):
         assert reference[name] is controlled[name], name
     assert controlled["reservoir"] is not None
-    assert reference["min_steps"] == controlled["min_steps"] == config.min_steps
+    # the config leaves min_steps unset: both runs take the count chosen once,
+    # for the controlled schedule
+    chosen = cli.choose_min_steps(controlled["schedule"], controlled["env"], controlled["r0"],
+                                  controlled["times"])
+    assert reference["min_steps"] == controlled["min_steps"] == chosen
     schedule = reference["schedule"]
     assert schedule is not controlled["schedule"]
     assert np.array_equal(schedule.times, controlled["times"])
@@ -864,6 +890,38 @@ def test_every_forward_run_goes_through_the_one_call_site(tmp_path, monkeypatch,
                           reference_ramp(config.omega_c, config.t_final, schedule.times))
     assert np.array_equal(schedule.omega_y, np.zeros(config.grid + 1))
     assert np.array_equal(schedule.excitation, np.full(config.grid + 1, config.n0))
+
+
+def test_an_explicit_min_steps_is_run_as_given_without_the_probe(tmp_path, monkeypatch):
+    from blochsteer import cli
+
+    def probe(*args):
+        raise AssertionError("the step count was chosen")
+    integrate, counts = cli.integrate_bloch, []
+
+    def spy(*args, min_steps, **kwargs):
+        counts.append(min_steps)
+        return integrate(*args, min_steps=min_steps, **kwargs)
+    monkeypatch.setattr(cli, "choose_min_steps", probe)
+    monkeypatch.setattr(cli, "integrate_bloch", spy)
+    config = cli.load_config(REPO / "scripts" / "configs" / "tracking.cfg")
+    cli.run(replace(config, min_steps=3000), tmp_path)
+    assert counts == [3000, 3000]
+
+
+@pytest.mark.parametrize("grid", [16, 2000])
+def test_a_count_at_the_cap_is_the_default_run_to_the_bit(tmp_path, monkeypatch, grid):
+    # at 16 output intervals the tracking estimate asks for more than the cap
+    # of ceil(20000 / 16) steps per interval; at 2000, with a tolerance of
+    # 1e-300, so does every estimate
+    from blochsteer import cli, simulator
+    if grid == 2000:
+        monkeypatch.setattr(simulator, "STEP_TOLERANCE", 1e-300)
+    config = replace(cli.load_config(REPO / "scripts" / "configs" / "tracking.cfg"), grid=grid)
+    summaries = [cli.run(replace(config, min_steps=n), tmp_path / str(n)) for n in (None, 20000)]
+    assert summaries[0] == summaries[1]
+    for name in ("states.csv", "controls.csv", "env.csv"):
+        assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "20000" / name).read_bytes()
 
 
 def test_readme_library_example_runs():

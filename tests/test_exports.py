@@ -33,9 +33,10 @@ PUBLIC = {
                     "assemble_components", "kron_liouvillian", "components_from_kron", "vec",
                     "unvec", "trace_preservation_residual"],
     "selfcheck": ["run_selfcheck"],
-    "simulator": ["SimulationRun", "DEFAULT_MIN_STEPS", "integrate_bloch", "integrate_density",
-                  "integrate_density_general", "reservoir_table", "fidelity_bloch",
-                  "renormalized_field", "lab_field_from_effective"],
+    "simulator": ["SimulationRun", "DEFAULT_MIN_STEPS", "STEP_TOLERANCE", "choose_min_steps",
+                  "integrate_bloch", "integrate_density", "integrate_density_general",
+                  "reservoir_table", "fidelity_bloch", "renormalized_field",
+                  "lab_field_from_effective"],
     "sun_algebra": ["GeneratorBasis", "StructureTensors", "TRACE_NORMALIZATION", "bloch_scale",
                     "build_basis", "structure_constants", "bloch_to_density",
                     "density_to_bloch", "random_bloch_vector"],

@@ -1,10 +1,12 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blochsteer.cli import _output_times, _setup, load_config
 from blochsteer.controls import (SIGMA_MINUS_SHAPE, SIGMA_PLUS_SHAPE, ControlSchedule,
                                  schedule_from_trajectory)
 from blochsteer.environment import LorentzianEnvironment, _log_derivative
@@ -12,9 +14,10 @@ from blochsteer.errors import (DimensionError, IntegrationDivergedError, Invalid
                                MalformedStateError)
 from blochsteer.liouvillian import (HamiltonianSpec, LindbladChannel, assemble_components,
                                     kron_liouvillian)
-from blochsteer.simulator import (_compose, _density_generators, _hermitian_maps,
-                                  _homogeneous, _qubit_parts, _rk4_linear, _stage_coefficients,
-                                  _step_maps, _table_run, fidelity_bloch, integrate_bloch,
+from blochsteer.simulator import (STEP_TOLERANCE, _compose, _density_generators,
+                                  _hermitian_maps, _homogeneous, _qubit_parts, _rk4_linear,
+                                  _stage_coefficients, _step_maps, _table_run, choose_min_steps,
+                                  fidelity_bloch, integrate_bloch,
                                   integrate_density, integrate_density_general,
                                   lab_field_from_effective, renormalized_field,
                                   reservoir_table)
@@ -774,8 +777,9 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
         assert np.array_equal(a.states, b.states)
 
 
-# The forward runs at the bundled 20,000 steps peak in the reservoir
-# evaluation, at about 10.6 fine-grid arrays with the grid itself.  Allocating
+# The forward runs at 20,000 steps peak in the reservoir evaluation, at about
+# 10.6 fine-grid arrays with the grid itself; at the mixed inversion's chosen
+# 16,000 at 10.8 (12.7 with a chunk budget of 2^18, which the bound rejects).  Allocating
 # the coefficient array before the table, or keeping the controls alive across
 # it, adds several more; the bound sits one array below the 13 arrays of an
 # evaluation that builds the three controls, the table and a stacked copy.
@@ -784,18 +788,22 @@ def test_runs_leave_the_callers_arrays_unchanged(qubit, tracking_env, reference_
 # about 20.8 fine-grid arrays when the splines are built before the coefficient
 # array and at 25.2 when after it.  The density run, on the 4 x 4 real
 # coordinates of a Hermitian rho, takes the Bloch run's step maps and chunks
-# and peaks at the same 20.7 there.
+# and peaks at the same 20.7 there.  At 4,000 steps, the count chosen for the
+# pure inversion and tracking, both runs peak at 16.1.
 # At the CLI's smallest grid, 16 intervals, and 200,000 steps, each output
 # interval holds 12,500 steps and is a chunk of its own; both runs peaked at
-# 10.0 fine-grid arrays there.  The bound guards the regime of many steps per
-# interval, which a larger default step count per interval would enter.
-PEAK_FINE_ARRAYS = {(2000, 20000): 12, (2000, 2000): 23, (16, 200000): 12}
+# 10.0 fine-grid arrays there, each interval built in parts of 1,024 steps.
+# The bound guards the regime of many steps per interval, which the chosen
+# count enters at small grids: up to ceil(20,000 / grid) steps per interval.
+PEAK_FINE_ARRAYS = {(2000, 20000): 12, (2000, 16000): 12, (2000, 4000): 17,
+                    (2000, 2000): 23, (16, 200000): 12}
 # The general density run at N = 3 and 20,000 steps, given a (n_fine, 10)
-# coefficient table built before it, holds the fine grid and one chunk: one
-# output interval's 500 9 x 9 step maps (about one fine-grid array, more than
-# ``_CHUNK_BYTES``) and their temporaries, about 6.4 fine-grid arrays in all
-# (3.2 when an interval was built in parts of at most ``_CHUNK_BYTES``).  A
-# run that copies the table holds ten arrays more; the bound sits below that.
+# coefficient table built before it, holds the fine grid and one chunk: the
+# step maps of at most ``_CHUNK_BYTES`` (202 9 x 9 maps) and their
+# temporaries, about 3.2 fine-grid arrays in all, with 40 output intervals of
+# 500 steps or one of 20,000 alike.  Built one interval at once, the single
+# interval peaked at 204 arrays.  A run that copies the table holds ten
+# arrays more; the bound sits below that.
 # (The callable interface, which built a complex supermatrix per stage,
 # peaked at 515 with the same generator evaluated inside the run.)
 GENERAL_PEAK_FINE_ARRAYS = 12
@@ -829,13 +837,79 @@ def test_forward_runs_peak_below_a_bound_in_fine_grid_arrays(inversion_setup, qu
         assert peak <= bound * fine_nbytes, (run.__name__, peak / fine_nbytes)
 
 
-def test_general_density_run_peaks_below_a_bound_in_fine_grid_arrays(rng, qutrit):
+@pytest.mark.parametrize("n_out", [40, 1])
+def test_general_density_run_peaks_below_a_bound_in_fine_grid_arrays(rng, qutrit, n_out):
     basis = qutrit[0]
     _, table, shapes, r0 = qutrit_oracle_inputs(rng)
-    times = np.linspace(0.0, 2.0, 41)
+    times = np.linspace(0.0, 2.0, n_out + 1)
     fine = np.linspace(0.0, 2.0, 2 * 20000 + 1)   # the run's fine grid
     coefficients = table(fine)
     args = (lambda t: coefficients, shapes, bloch_to_density(r0, basis), times, basis)
     integrate_density_general(*args, min_steps=20000)   # process-wide caches
     peak = traced_peak(integrate_density_general, *args, min_steps=20000)
     assert peak <= GENERAL_PEAK_FINE_ARRAYS * fine.nbytes, peak / fine.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the chosen step count
+
+REPO = Path(__file__).resolve().parents[1]
+# the count ``choose_min_steps`` picks for each shipped config's controlled run
+SHIPPED_COUNTS = {"mixed_inversion": 16000, "pure_inversion": 4000, "tracking": 4000}
+
+
+def shipped_run(stem):
+    """(schedule, env, r0, times) of a shipped config's controlled run, as
+    ``cli.run`` builds them."""
+    config = load_config(REPO / "scripts" / "configs" / f"{stem}.cfg")
+    env, trajectory, _ = _setup(config)
+    times = _output_times(trajectory.t_final, config.grid)
+    return (schedule_from_trajectory(trajectory, env, times), env, trajectory.evaluate(0.0)[0],
+            times)
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_COUNTS))
+def test_the_chosen_count_is_within_the_tolerance_of_four_times_as_many_steps(stem):
+    schedule, env, r0, times = shipped_run(stem)
+    count = choose_min_steps(schedule, env, r0, times)
+    assert count == SHIPPED_COUNTS[stem]
+    chosen, finer = (integrate_bloch(schedule, env, r0, times, min_steps=n).states
+                     for n in (count, 4 * count))
+    assert np.max(np.abs(chosen - finer)) <= STEP_TOLERANCE
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_COUNTS))
+def test_bloch_and_density_runs_agree_at_the_chosen_count(qubit, stem):
+    schedule, env, r0, times = shipped_run(stem)
+    count = choose_min_steps(schedule, env, r0, times)
+    bloch = integrate_bloch(schedule, env, r0, times, min_steps=count)
+    density = integrate_density(schedule, env, bloch_to_density(r0, qubit[0]), times,
+                                min_steps=count)
+    assert np.max(np.abs(bloch.states - density.states)) <= 1e-10
+
+
+def test_the_error_falls_sixteenfold_per_doubling_as_the_choice_assumes():
+    # the mixed inversion at 4,000 and 8,000 steps against 64,000: 1.95e-9 and
+    # 1.22e-10, a ratio of 16.0
+    schedule, env, r0, times = shipped_run("mixed_inversion")
+    reference, *runs = (integrate_bloch(schedule, env, r0, times, min_steps=n).states
+                        for n in (64000, 4000, 8000))
+    coarse, fine = (np.max(np.abs(states - reference)) for states in runs)
+    assert 15.0 <= coarse / fine <= 17.0
+
+
+def test_a_smooth_run_takes_two_steps_per_interval_and_a_rough_one_the_cap(tracking_env):
+    # undriven at N = 0 the ground state r_z = -1 stays put, at any step; the
+    # tracking path at 16 output intervals is not resolved by one step per
+    # interval (an estimate of 7.6e20), so it takes ceil(20,000 / 16) = 1,250
+    # per interval
+    times = np.linspace(0.0, 10.0, 101)
+    undriven = ControlSchedule(times, *np.zeros((3, 101)))
+    assert choose_min_steps(undriven, tracking_env, [0.0, 0.0, -1.0], times) == 200
+    schedule, env, r0, _ = shipped_run("tracking")
+    coarse = np.linspace(0.0, 10.0, 17)
+    rough = schedule_from_trajectory(tracking_trajectory(env, 1e-5, 10.0, 10.0), env, coarse)
+    assert choose_min_steps(rough, env, r0, coarse) == 20000
+    # at most 2 steps per interval allowed: no probe, the cap itself
+    assert choose_min_steps(None, None, None, np.linspace(0.0, 1.0, 10001)) == 20000
+    assert choose_min_steps(None, None, None, np.linspace(0.0, 1.0, 30001)) == 30000
