@@ -66,8 +66,8 @@ class ExperimentConfig:
         for name, kind in _KEY_TYPES.items():
             if kind in (float, int):
                 _check_value(name, getattr(self, name))
-        if self.experiment != "env-scan" and self.min_steps is not None \
-                and self.min_steps < self.grid:
+        if (self.experiment != "env-scan" and self.min_steps is not None
+                and self.min_steps < self.grid):
             raise ConfigError("min_steps must be at least the grid size")
         required, derived = _KEY_RULES[self.experiment]
         overridden = [key for key in derived if getattr(self, key) is not None]

@@ -487,12 +487,12 @@ def choose_min_steps(schedule: ControlSchedule, env: LorentzianEnvironment,
     if cap <= 2:
         return cap * n_out
     fine, _ = _fine_grid(times, 2 * n_out)
-    y0 = np.append(np.asarray(r0, dtype=float), 1.0)
+    y0, gens = np.append(np.asarray(r0, dtype=float), 1.0), _qubit_parts()[1]
     try:
         table = _stage_coefficients(schedule, env, fine, None).T
         # the h run, then the 2h run on every other node of the same table
-        half = _table_run(lambda _: table, _qubit_parts()[1], y0, times, 2 * n_out, r0)
-        full = _table_run(lambda _: table[::2], _qubit_parts()[1], y0, times, n_out, r0)
+        half = _table_run(lambda _: table, gens, y0, times, 2 * n_out, r0)
+        full = _table_run(lambda _: table[::2], gens, y0, times, n_out, r0)
     except (PropagatorZeroError, IntegrationDivergedError):
         return cap * n_out
     # estimate / tolerance, held below inf: an estimate past cap^4 takes the cap

@@ -153,7 +153,8 @@ ENV_SCAN_LINES = ["experiment = env-scan", "spectral_width = 0.1", "cavity_detun
     MIXED_CFG.split("\n")[1:] + ["grid = 100000000000000000000"],
     MIXED_CFG.split("\n")[1:] + ["min_steps = 100000000000000000000"],
 ], ids=["spectral_width-inf", "drive_detuning-nan",
-        "scan-spectral_width-negative", "scan-cavity_detuning-nan", "grid-1e20", "min_steps-1e20"])
+        "scan-spectral_width-negative", "scan-cavity_detuning-nan",
+        "grid-1e20", "min_steps-1e20"])
 def test_nonfinite_values_and_bad_scan_values_exit_2_without_files(tmp_path, lines):
     from blochsteer.cli import main
     cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
@@ -393,8 +394,8 @@ def test_counts_numpy_cannot_index_exit_3_with_one_line_and_no_files(tmp_path, c
     out = tmp_path / "out"
     assert main(["run", "--config", str(REPO / "scripts" / "configs" / "mixed_inversion.cfg"),
                  "--out", str(out), "--override", override]) == 3
-    assert capsys.readouterr().err == f"numerical failure in invert-mixed: InvalidInputError: " \
-                                      f"{message}\n"
+    assert capsys.readouterr().err == ("numerical failure in invert-mixed: InvalidInputError: "
+                                       f"{message}\n")
     assert not out.exists()
 
 
